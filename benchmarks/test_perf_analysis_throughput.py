@@ -6,18 +6,28 @@ standard 100K-record trace so regressions show up in the benchmark
 history. Unlike the experiment benches, these run multiple rounds.
 
 The second half of the module pins the zero-copy + vectorized-kernel
-speedups (methodology: docs/performance.md): a cold ``analyze_file`` at
-4 workers must be >= 2x faster with the shm handoff + vector kernels
-than with the pickle fan-out + Fenwick reference loop, the handoff
-itself is microbenchmarked per chunk size, and per-worker scaling rows
-are recorded. Trace size for those is tunable via
+speedups (methodology: docs/performance.md): a cold archive
+``analyze`` at 4 workers must be >= 2x faster with the shm handoff +
+vector kernels than with the pickle fan-out + Fenwick reference loop,
+the handoff itself is microbenchmarked per chunk size, and per-worker
+scaling rows are recorded. The library ships only the fast path; the
+baseline is reached through test seams — a ``publish_shard`` that
+fails (the engine's automatic pickle fallback) and the Fenwick oracle
+from ``tests/_util/fenwick_oracle.py`` swapped in as the reuse kernel,
+both installed before the pool forks (the gate skips where pool
+workers are not forked). Trace size for those is tunable via
 ``MEMGAZE_BENCH_EVENTS``; set ``MEMGAZE_BENCH_JOURNAL`` to journal the
 cold-throughput run (CI uploads it as a build artifact).
 """
 
 from __future__ import annotations
 
+import multiprocessing as mp
 import os
+import sys
+from contextlib import ExitStack
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,6 +46,21 @@ from repro.trace.event import make_events
 from repro.trace.packing import pack_strided_runs
 from repro.trace.sampler import SamplingConfig
 from repro.trace.tracefile import TraceMeta, write_trace
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests" / "_util"))
+from fenwick_oracle import reuse_distances_fenwick  # noqa: E402
+
+
+def _require_fork() -> None:
+    """The baseline's kernel patch reaches pool workers only by fork.
+
+    Under spawn or forkserver the workers re-import the library and run
+    the vector kernel; both kernels are bit-identical, so the result
+    check could not tell and the gate would time the wrong baseline.
+    """
+    method = mp.get_start_method()
+    if method != "fork":
+        pytest.skip(f"pickle+Fenwick baseline needs fork workers, not {method}")
 
 # every bench here asserts wall-clock behavior via pytest-benchmark:
 # excluded from default runs, opted back in by CI with -m perf
@@ -131,40 +156,58 @@ def cold_archive(tmp_path_factory):
     return path
 
 
+#: what the cold runs analyze (the archive analysis of the original
+#: three headline metrics)
+_PASSES = ["diagnostics", "captures", "reuse"]
+
+
 def _fingerprint(fa):
+    d, cs, h = (fa.results[name] for name in _PASSES)
     return (
-        fa.n_events, fa.rho, fa.diagnostics, fa.captures, fa.survivals,
-        fa.reuse.counts.tolist(), fa.reuse.n_cold, fa.reuse.n_reuse,
-        fa.reuse.d_sum, fa.reuse.d_max,
+        fa.n_events, fa.rho, d, cs,
+        h.counts.tolist(), h.n_cold, h.n_reuse, h.d_sum, h.d_max,
     )
 
 
-def _cold_run(path, *, workers, shm, reuse_kernel, journal=None, metrics=None):
-    """One cold ``analyze_file``: fresh engine, fresh pool, no cache.
+def _cold_run(path, *, workers, baseline_mark=None, journal=None, metrics=None):
+    """One cold archive ``analyze``: fresh engine, fresh pool, no cache.
 
-    The reuse kernel is selected through the environment so forked pool
-    workers inherit it — the same mechanism ``--reuse-kernel`` uses.
+    Given ``baseline_mark`` (a file path) it runs the pickle + Fenwick
+    configuration: publishing to shared memory fails, so the engine
+    falls back to pickling slices, and the Fenwick oracle replaces the
+    reuse kernel. Both patches are in place before the engine's pool
+    forks, so workers inherit them; the oracle creates
+    ``baseline_mark`` when it runs in a worker, so the caller can prove
+    the workers really ran the baseline kernel.
     """
-    prev = os.environ.get("MEMGAZE_REUSE_KERNEL")
-    os.environ["MEMGAZE_REUSE_KERNEL"] = reuse_kernel
-    try:
+    parent = os.getpid()
+
+    def fenwick_in_worker(*args, **kwargs):
+        if os.getpid() != parent:
+            Path(baseline_mark).touch()
+        return reuse_distances_fenwick(*args, **kwargs)
+
+    with ExitStack() as stack:
+        if baseline_mark is not None:
+            stack.enter_context(mock.patch(
+                "repro.core.parallel.publish_shard",
+                side_effect=OSError("shared memory disabled for the baseline"),
+            ))
+            stack.enter_context(
+                mock.patch("repro.core.passes.reuse_distances", fenwick_in_worker)
+            )
         with ParallelEngine(
-            workers=workers, shm=shm, journal=journal, metrics=metrics
+            workers=workers, chunk_size=_CHUNK, journal=journal, metrics=metrics
         ) as eng:
             with Timer() as t:
-                fa = eng.analyze_file(path, chunk_size=_CHUNK)
-        return fa, t.elapsed
-    finally:
-        if prev is None:
-            del os.environ["MEMGAZE_REUSE_KERNEL"]
-        else:
-            os.environ["MEMGAZE_REUSE_KERNEL"] = prev
+                fa = eng.analyze(path, _PASSES)
+    return fa, t.elapsed
 
 
 @pytest.mark.perf
-def test_cold_throughput_shm_vector_vs_pickle_fenwick(cold_archive):
-    """Acceptance: cold analyze_file at 4 workers is >= 2x faster with
-    the shm handoff + vector kernels than with pickle + Fenwick.
+def test_cold_throughput_shm_vector_vs_pickle_fenwick(cold_archive, tmp_path):
+    """Acceptance: a cold archive analyze at 4 workers is >= 2x faster
+    with the shm handoff + vector kernels than with pickle + Fenwick.
 
     The gate is a ratio of two runs in the same process on the same
     archive, so it holds on oversubscribed machines too: the vector
@@ -172,21 +215,19 @@ def test_cold_throughput_shm_vector_vs_pickle_fenwick(cold_archive):
     both configurations pay the same pool overhead. Bit-identity of the
     two results is asserted alongside the speedup.
     """
+    _require_fork()
     journal_path = os.environ.get("MEMGAZE_BENCH_JOURNAL")
     journal = RunJournal(journal_path) if journal_path else None
     metrics = MetricsRegistry() if journal_path else None
 
     # warm-up: fault the archive into the page cache so run order
     # cannot bias the comparison
-    _cold_run(cold_archive, workers=4, shm=True, reuse_kernel="vector")
+    _cold_run(cold_archive, workers=4)
 
-    old, t_old = _cold_run(
-        cold_archive, workers=4, shm=False, reuse_kernel="fenwick"
-    )
-    new, t_new = _cold_run(
-        cold_archive, workers=4, shm=True, reuse_kernel="vector",
-        journal=journal, metrics=metrics,
-    )
+    mark = tmp_path / "fenwick-ran-in-worker"
+    old, t_old = _cold_run(cold_archive, workers=4, baseline_mark=mark)
+    assert mark.exists(), "baseline workers did not run the Fenwick oracle"
+    new, t_new = _cold_run(cold_archive, workers=4, journal=journal, metrics=metrics)
     assert _fingerprint(new) == _fingerprint(old)
     assert active_segments() == []
 
@@ -204,7 +245,7 @@ def test_cold_throughput_shm_vector_vs_pickle_fenwick(cold_archive):
         journal.close()
     save_result(
         "perf_throughput_cold",
-        "cold analyze_file, 4 workers: pickle+fenwick vs shm+vector\n"
+        "cold archive analyze, 4 workers: pickle+fenwick vs shm+vector\n"
         f"events:            {n:,}  (cpus: {os.cpu_count()})\n"
         f"pickle + fenwick:  {t_old:8.2f} s  ({n / t_old / 1e6:6.2f} M ev/s)\n"
         f"shm + vector:      {t_new:8.2f} s  ({n / t_new / 1e6:6.2f} M ev/s)\n"
@@ -236,7 +277,6 @@ def test_shard_handoff_shm_vs_pickle():
     round trip against a warm single-worker pool (best of several reps,
     so pool dispatch latency — common to both — is the floor).
     """
-    import multiprocessing as mp
     from concurrent.futures import ProcessPoolExecutor
 
     rows = ["shard handoff, parent -> pool worker round trip: pickle vs shm",
@@ -272,21 +312,19 @@ def test_shard_handoff_shm_vs_pickle():
 
 @pytest.mark.perf
 def test_worker_scaling_analyze_file(cold_archive):
-    """Record cold analyze_file throughput at 1/2/4 workers, shm on.
+    """Record cold archive analyze throughput at 1/2/4 workers, shm on.
 
     No speedup gate: scaling is bounded by physical cores and this
     bench also runs on 1-CPU machines (the core count is in the row
     header — compare ratios per machine). Bit-identity across worker
     counts is asserted unconditionally.
     """
-    rows = [f"cold analyze_file worker scaling, shm on (cpus: {os.cpu_count()})",
+    rows = [f"cold archive analyze worker scaling, shm on (cpus: {os.cpu_count()})",
             f"{'workers':>8} {'seconds':>9} {'M ev/s':>8} {'vs 1w':>6}"]
     prints = {}
     base = None
     for workers in (1, 2, 4):
-        fa, elapsed = _cold_run(
-            cold_archive, workers=workers, shm=True, reuse_kernel="vector"
-        )
+        fa, elapsed = _cold_run(cold_archive, workers=workers)
         prints[workers] = _fingerprint(fa)
         base = base or elapsed
         rows.append(

@@ -5,17 +5,19 @@ Two claims are pinned here:
 1. **exactness** — on a large synthetic trace, the sharded parallel
    path produces *bit-identical* merged metrics (diagnostics,
    captures/survivals, reuse histogram) for every worker count;
-2. **scaling** — with 4 workers the full diagnostic suite runs >= 2x
-   faster than the serial path on a >= 10M-event trace. The speedup
+2. **scaling** — with 4 workers the full diagnostic suite, one engine
+   scan per metric, runs >= 2x faster than the serial path (one serial
+   function per metric) on a >= 10M-event trace. The speedup
    assertion needs real cores, so it skips on machines with fewer than
    4 CPUs (the exactness assertions always run);
 3. **observability overhead** — attaching a run journal and metrics
    registry to the engine costs < 3% wall clock (the hooks sit on
    stage/shard boundaries, never per-event paths).
 
-Trace size is tunable via ``MEMGAZE_BENCH_EVENTS`` (default 10M for the
-timed test; the exactness tests use a smaller trace so the Fenwick
-reuse pass stays affordable in CI). Set ``MEMGAZE_BENCH_JOURNAL`` to a
+Every analysis runs through :meth:`ParallelEngine.analyze`. Trace size
+is tunable via ``MEMGAZE_BENCH_EVENTS`` (default 10M for the timed
+test; the exactness tests use a smaller trace so they stay affordable
+in CI). Set ``MEMGAZE_BENCH_JOURNAL`` to a
 path to journal the scaling run — CI uploads that file as a build
 artifact.
 """
@@ -68,11 +70,25 @@ def _serial_suite(ev, sid, block=64):
     return d, cs, h
 
 
-def _parallel_suite(eng, ev, sid, block=64):
-    d = eng.diagnostics(ev, rho=2.0, block=block, sample_id=sid)
-    cs = eng.captures_survivals(ev, block, sample_id=sid)
-    h = eng.reuse_histogram(ev, block, sid)
-    return d, cs, h
+#: the diagnostic suite as pass requests
+_SUITE = [
+    ("diagnostics", {"block": 64}),
+    ("captures", {"block": 64}),
+    ("reuse", {"block": 64}),
+]
+
+
+def _parallel_suite(eng, ev, sid):
+    """The whole suite in one fused engine scan."""
+    r = eng.analyze((ev, sid, None), _SUITE, rho=2.0).results
+    return r["diagnostics"], r["captures"], r["reuse"]
+
+
+def _per_metric_suite(eng, ev, sid):
+    """One engine scan per metric: the baseline fusion must beat."""
+    return tuple(
+        eng.analyze((ev, sid, None), [req], rho=2.0).results[req[0]] for req in _SUITE
+    )
 
 
 @pytest.fixture(scope="module")
@@ -111,10 +127,13 @@ def test_parallel_scaling_4_workers(benchmark):
     metrics = MetricsRegistry() if journal_path else None
     eng = ParallelEngine(workers=4, journal=journal, metrics=metrics)
     try:
-        eng.footprint(ev[:200_000], sample_id=sid[:200_000])  # warm the pool up
+        # warm the pool up
+        eng.analyze((ev[:200_000], sid[:200_000], None), ["diagnostics"])
+        # one scan per metric, like the serial side: the ratio measures
+        # parallel scaling alone, not the fused scan's shared intermediates
         with Timer() as t_parallel:
             parallel = benchmark.pedantic(
-                _parallel_suite, args=(eng, ev, sid), rounds=1, iterations=1
+                _per_metric_suite, args=(eng, ev, sid), rounds=1, iterations=1
             )
     finally:
         eng.close()
@@ -151,18 +170,13 @@ def test_fused_scan_not_slower_than_per_metric(tmp_path):
     """One fused scan for the full report must beat N per-metric scans.
 
     The pass framework's performance claim: computing diagnostics,
-    captures, and the reuse histogram through one ``run_passes``
-    schedule (a single scan over the trace, shared per-chunk
-    intermediates) is at least as fast as the per-metric baseline that
-    scans the trace once per metric. Interleaved best-of-rounds, like
+    captures, and the reuse histogram through one ``analyze`` schedule
+    (a single scan over the trace, shared per-chunk intermediates) is at
+    least as fast as the per-metric baseline that scans the trace once
+    per metric. Interleaved best-of-rounds, like
     the overhead test, damps scheduler noise.
     """
     ev, sid = _synthetic_trace(N_EXACT)
-    requests = [
-        ("diagnostics", {"block": 64}),
-        ("captures", {"block": 64}),
-        ("reuse", {"block": 64}),
-    ]
     rounds = 5
 
     journal_path = os.environ.get("MEMGAZE_BENCH_JOURNAL")
@@ -172,11 +186,11 @@ def test_fused_scan_not_slower_than_per_metric(tmp_path):
     fused = None
     with ParallelEngine(workers=1, journal=journal, metrics=metrics) as eng:
         for r in range(-1, rounds):  # round -1 is warm-up
-            # no window_id -> no memoization; every round rescans
+            # no digest -> nothing is served from a store; every round rescans
             with Timer() as t_per:
-                baseline = _parallel_suite(eng, ev, sid)
+                baseline = _per_metric_suite(eng, ev, sid)
             with Timer() as t_fused:
-                fused = eng.run_passes(ev, requests, rho=2.0, sample_id=sid)
+                fused = _parallel_suite(eng, ev, sid)
             if r >= 0:
                 per_times.append(t_per.elapsed)
                 fused_times.append(t_fused.elapsed)
@@ -185,9 +199,9 @@ def test_fused_scan_not_slower_than_per_metric(tmp_path):
             journal.record_metrics(metrics)
 
     # same bits, fewer scans
-    assert fused["diagnostics"] == baseline[0]
-    assert fused["captures"] == baseline[1]
-    assert np.array_equal(fused["reuse"].counts, baseline[2].counts)
+    assert fused[0] == baseline[0]
+    assert fused[1] == baseline[1]
+    assert np.array_equal(fused[2].counts, baseline[2].counts)
 
     t_per, t_fused = min(per_times), min(fused_times)
     counters = metrics.as_dict()["counters"]
@@ -212,7 +226,7 @@ def test_fused_scan_not_slower_than_per_metric(tmp_path):
         f"artifact hits:     {shared:,}",
     )
     assert shared > 0, "fused scan shared no per-chunk intermediates"
-    # "not slower": the Fenwick reuse pass dominates both sides, so the
+    # "not slower": the reuse pass dominates both sides, so the
     # expected fused win is small; 5% headroom absorbs scheduler jitter
     # that best-of-rounds cannot fully damp on shared CI runners.
     assert t_fused <= t_per * 1.05, (
@@ -232,11 +246,15 @@ def _write_archive(path, ev, sid):
     return path
 
 
+#: the archive analyses compared below
+_FILE_PASSES = ["diagnostics", "captures", "reuse"]
+
+
 def _analysis_fingerprint(fa):
+    d, cs, h = (fa.results[name] for name in _FILE_PASSES)
     return (
-        fa.n_events, fa.rho, fa.diagnostics, fa.captures, fa.survivals,
-        fa.reuse.counts.tolist(), fa.reuse.n_cold, fa.reuse.n_reuse,
-        fa.reuse.d_sum, fa.reuse.d_max, fa.reuse.scope,
+        fa.n_events, fa.rho, d, cs,
+        h.counts.tolist(), h.n_cold, h.n_reuse, h.d_sum, h.d_max, h.scope,
     )
 
 
@@ -247,9 +265,9 @@ def test_cache_warmup_cold_vs_warm(tmp_path):
     The cold run streams the archive and persists every pass's merged
     partial to the artifact store; the warm run must serve all of them
     from disk — no event is read — and still produce exactly the cold
-    run's numbers. The Fenwick reuse scan dominates the cold cost, so
-    the expected warm speedup is orders of magnitude; 5x is the floor
-    the acceptance criterion pins.
+    run's numbers. The reuse scan dominates the cold cost, so the
+    expected warm speedup is orders of magnitude; 5x is the floor the
+    acceptance criterion pins.
     """
     from repro.core.artifacts import ArtifactStore
     from repro.obs.journal import read_journal
@@ -264,7 +282,7 @@ def test_cache_warmup_cold_vs_warm(tmp_path):
                               metrics=MetricsRegistry())
         with ParallelEngine(workers=1, store=store, journal=journal) as eng:
             with Timer() as t:
-                fa = eng.analyze_file(path)
+                fa = eng.analyze(path, _FILE_PASSES)
         journal.close()
         return fa, t.elapsed
 
@@ -278,7 +296,7 @@ def test_cache_warmup_cold_vs_warm(tmp_path):
     speedup = t_cold / max(t_warm, 1e-9)
     save_result(
         "cache_warmup",
-        "persistent analysis cache: cold vs warm analyze_file (1 worker)\n"
+        "persistent analysis cache: cold vs warm archive analyze (1 worker)\n"
         f"events:            {len(ev):,}\n"
         f"cold (scan+store): {t_cold * 1e3:9.1f} ms\n"
         f"warm (cache hits): {t_warm * 1e3:9.1f} ms\n"
@@ -310,18 +328,20 @@ def test_cache_incremental_append(tmp_path):
     def run(path, t):
         journal = RunJournal(jpath)
         store = ArtifactStore(tmp_path / "cache", journal=journal)
-        with ParallelEngine(workers=1, store=store, journal=journal) as eng:
+        with ParallelEngine(
+            workers=1, chunk_size=chunk, store=store, journal=journal
+        ) as eng:
             with t:
-                fa = eng.analyze_file(path, chunk_size=chunk)
+                fa = eng.analyze(path, _FILE_PASSES)
         journal.close()
         return fa
 
     run(short, Timer())  # prime the cache with the shorter trace
     t_incr, t_cold = Timer(), Timer()
     incr = run(full, t_incr)
-    with ParallelEngine(workers=1) as eng:  # cold reference, no store
+    with ParallelEngine(workers=1, chunk_size=chunk) as eng:  # cold reference, no store
         with t_cold:
-            cold = eng.analyze_file(full, chunk_size=chunk)
+            cold = eng.analyze(full, _FILE_PASSES)
     assert _analysis_fingerprint(incr) == _analysis_fingerprint(cold)
 
     recs = list(read_journal(jpath))
@@ -357,7 +377,7 @@ def test_obs_overhead(tmp_path):
     rounds = 5
 
     def run_suite(engine):
-        # no window_id -> nothing is memoized; every round recomputes
+        # no digest -> nothing is served from a store; every round recomputes
         with Timer() as t:
             _parallel_suite(engine, ev, sid)
         return t.elapsed

@@ -1,13 +1,11 @@
 """Internal utilities shared across the MemGaze reproduction.
 
 Nothing in this package is part of the public API; modules here provide
-small, well-tested primitives (order-statistic trees, deterministic RNG
+small, well-tested primitives (rank sweeps, deterministic RNG
 plumbing, wall-clock timers, and plain-text table rendering) that the
 substrate and analysis layers build on.
 """
 
-from repro._util.fenwick import FenwickTree
-from repro._util.lru import LRUCache
 from repro._util.rng import derive_rng, spawn_rngs
 from repro._util.tables import format_table
 from repro._util.timers import Timer
@@ -18,8 +16,6 @@ from repro._util.validate import (
 )
 
 __all__ = [
-    "FenwickTree",
-    "LRUCache",
     "derive_rng",
     "spawn_rngs",
     "format_table",

@@ -12,11 +12,8 @@ Three subcommands mirror the tool's workflow:
     locality over time, working-set curve, and sampling confidence.
     ``--workers N`` shards the window analyses over a process pool
     (bit-identical results; see :mod:`repro.core.parallel`),
-    ``--chunk-size`` overrides the shard size, ``--shm``/``--no-shm``
-    toggles the zero-copy shared-memory shard handoff,
-    ``--reuse-kernel`` picks the reuse-distance kernel
-    (``docs/performance.md``), and ``--stats`` prints per-stage
-    timings, throughput, and cache hit rates.
+    ``--chunk-size`` overrides the shard size, and ``--stats`` prints
+    per-stage timings, throughput, and cache hit rates.
 
 ``memgaze info``
     Show a trace archive's collection metadata.
@@ -332,29 +329,14 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 "analysis cache is disabled for this run",
                 path=str(args.trace),
             )
-    if args.reuse_kernel:
-        # via the environment so forked pool workers pick the same kernel
-        os.environ["MEMGAZE_REUSE_KERNEL"] = args.reuse_kernel
-    if args.cache_kernel:
-        os.environ["MEMGAZE_CACHE_KERNEL"] = args.cache_kernel
-    try:
-        # validate the cache-kernel env here, before the pool forks, so a
-        # typo'd MEMGAZE_CACHE_KERNEL is the CLI's uniform error rather
-        # than a bare ValueError from deep inside a worker's scan
-        from repro.core.cachesim import default_cache_kernel
-
-        default_cache_kernel()
-    except ValueError as exc:
-        raise SystemExit(f"memgaze report: {exc}") from exc
     engine = ParallelEngine(
         workers=args.workers,
         chunk_size=args.chunk_size,
         store=store,
         journal=journal,
         metrics=metrics,
-        shm=args.shm,
     )
-    token = engine.window_token()
+    source = (col.events, col.sample_id, store_key)
 
     if args.html:
         # one self-contained page rendered from the viz payload — the
@@ -375,7 +357,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 rho,
                 fn_names,
                 engine,
-                window_token=token,
                 store_key=store_key,
                 degraded=_degraded_note(loaded),
                 extra_passes=extra,
@@ -396,25 +377,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
         try:
             if args.passes:
                 requested = [s.strip() for s in args.passes.split(",") if s.strip()]
-                results = engine.run_passes(
-                    col.events,
-                    requested,
-                    sample_id=col.sample_id,
-                    rho=rho,
-                    fn_names=fn_names,
-                    window_id=(token, "whole"),
-                    store_key=store_key,
-                )
+                results = engine.analyze(
+                    source, requested, rho=rho, fn_names=fn_names
+                ).results
                 payload = passes_payload(meta.module, col, rho, requested, results)
             else:
                 payload = full_report_payload(
-                    meta.module,
-                    col,
-                    rho,
-                    fn_names,
-                    engine,
-                    window_token=token,
-                    store_key=store_key,
+                    meta.module, col, rho, fn_names, engine, store_key=store_key
                 )
         except (UnknownPassError, ValueError) as exc:
             raise SystemExit(f"memgaze report: {exc}") from exc
@@ -425,15 +394,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if args.passes:
         requested = [s.strip() for s in args.passes.split(",") if s.strip()]
         try:
-            results = engine.run_passes(
-                col.events,
-                requested,
-                sample_id=col.sample_id,
-                rho=rho,
-                fn_names=fn_names,
-                window_id=(token, "whole"),
-                store_key=store_key,
-            )
+            results = engine.analyze(
+                source, requested, rho=rho, fn_names=fn_names
+            ).results
         except (UnknownPassError, ValueError) as exc:
             raise SystemExit(f"memgaze report: {exc}") from exc
         print(f"== {meta.module}: analysis passes ==")
@@ -458,15 +421,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     header = ["diagnostics"] + (["hotspot"] if everything or args.hotspots else [])
     if everything or args.functions:
         header.append("windows")
-    results = engine.run_passes(
-        col.events,
-        header,
-        sample_id=col.sample_id,
-        rho=rho,
-        fn_names=fn_names,
-        window_id=(token, "whole"),
-        store_key=store_key,
-    )
+    results = engine.analyze(source, header, rho=rho, fn_names=fn_names).results
     d = results["diagnostics"]
     print(f"== {meta.module}: footprint access diagnostics ==")
     print(f"A (est):   {format_quantity(d.A_est)}    F (est): {format_quantity(d.F_est)}")
@@ -511,7 +466,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
             reuse_block=64,
             sample_id=col.sample_id,
             engine=engine,
-            cache_token=token,
         )
         print()
         print(render_interval_table(rows, title=f"locality over {n} access intervals"))
@@ -556,10 +510,6 @@ def _report_tail(args, engine, journal, metrics) -> None:
     if args.stats:
         print()
         print(engine.timers.report(title="analysis stage timings"))
-        print(
-            f"  cache: {engine.cache.hits} hits / {engine.cache.misses} misses "
-            f"({len(engine.cache)} entries)"
-        )
         if engine.store is not None:
             s = engine.store.stats()
             print(
@@ -576,11 +526,6 @@ def _report_tail(args, engine, journal, metrics) -> None:
             "run": journal.run_id if journal is not None else None,
             "metrics": metrics.as_dict(),
             "stages": engine.timers.as_records(),
-            "cache": {
-                "hits": engine.cache.hits,
-                "misses": engine.cache.misses,
-                "entries": len(engine.cache),
-            },
         }
         if engine.store is not None:
             export["disk_cache"] = engine.store.stats()
@@ -1000,25 +945,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument(
         "--chunk-size", type=int, default=None,
         help="events per shard (default: auto from trace size and workers)",
-    )
-    p_report.add_argument(
-        "--shm", action=argparse.BooleanOptionalAction, default=None,
-        help="hand shards to workers through zero-copy shared memory "
-        "(default: on unless MEMGAZE_SHM=0; --no-shm pickles event "
-        "slices instead — results are bit-identical either way)",
-    )
-    p_report.add_argument(
-        "--reuse-kernel", choices=["vector", "fenwick"], default=None,
-        help="reuse-distance kernel: 'vector' (numpy batched mergesort, "
-        "the default) or 'fenwick' (reference per-event loop); both are "
-        "bit-identical (sets MEMGAZE_REUSE_KERNEL so pool workers inherit)",
-    )
-    p_report.add_argument(
-        "--cache-kernel", choices=["auto", "vector", "python"], default=None,
-        help="cache-simulation kernel for cachesim-backed passes: 'vector' "
-        "(set-local stack distances), 'python' (reference per-access loop), "
-        "or 'auto' (vector unless prefetching); bit-identical (sets "
-        "MEMGAZE_CACHE_KERNEL so pool workers inherit)",
     )
     p_report.add_argument(
         "--stats", action="store_true",

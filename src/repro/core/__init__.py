@@ -50,7 +50,6 @@ from repro.core.reuse import (
 from repro.core.parallel import (
     CapturesPartial,
     DiagnosticsPartial,
-    LRUCache,
     ParallelEngine,
     plan_shards,
 )
@@ -59,7 +58,6 @@ from repro.core.passes import (
     ChunkContext,
     RunContext,
     UnknownPassError,
-    fused_scan,
     get_pass,
     list_passes,
     register_pass,
@@ -118,14 +116,12 @@ __all__ = [
     "ReuseHistogram",
     "CapturesPartial",
     "DiagnosticsPartial",
-    "LRUCache",
     "ParallelEngine",
     "plan_shards",
     "AnalysisPass",
     "ChunkContext",
     "RunContext",
     "UnknownPassError",
-    "fused_scan",
     "get_pass",
     "list_passes",
     "register_pass",

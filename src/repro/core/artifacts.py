@@ -15,8 +15,7 @@ analyzed and how** — never by path or mtime:
     eager and streamed analysis paths address identical entries.
 
 ``pass name + frozen params``
-    The resolved request, hashed through :func:`freeze_params` — the
-    same canonical form the engine's in-memory LRU keys use, so an
+    The resolved request, hashed through :func:`freeze_params`, so an
     ``ndarray`` parameter (heatmap ``t_edges``) keys by its bytes.
 
 ``schema version``
@@ -63,9 +62,9 @@ DEFAULT_MAX_BYTES = 512 * 1024 * 1024
 def freeze_params(value):
     """A hashable, deterministic key form of a pass parameter value.
 
-    Shared by the engine's in-memory LRU and the on-disk key material:
-    dicts sort, sequences become tuples, ndarrays key by dtype/shape/
-    bytes. ``repr`` of the result is stable across processes.
+    The on-disk key material: dicts sort, sequences become tuples,
+    ndarrays key by dtype/shape/bytes. ``repr`` of the result is stable
+    across processes.
     """
     if isinstance(value, np.ndarray):
         return ("ndarray", value.dtype.str, value.shape, value.tobytes())

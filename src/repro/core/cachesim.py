@@ -18,17 +18,15 @@ one batched stack-distance sweep (:func:`repro.core.reuse.stack_distances`
 with windows = sets) and ``hit iff 0 <= D < ways`` — no per-event
 Python loop. The equivalence breaks when the next-line prefetcher is
 on (prefetches install *below* the MRU slot, which plain stack
-distance cannot express), so prefetching configurations automatically
-fall back to the per-event reference loop; ``kernel="python"`` (or
-``MEMGAZE_CACHE_KERNEL=python``) forces that loop everywhere. Both
-paths produce identical :class:`CacheStats` — down to dict insertion
-order — for any non-prefetching configuration (see
-``docs/performance.md``).
+distance cannot express), so prefetching configurations run the
+per-event loop — the only path that models prefetch, and the
+reference the test suite checks the vector kernel against. Both paths
+produce identical :class:`CacheStats` — down to dict insertion order —
+for any non-prefetching configuration (see ``docs/performance.md``).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +39,6 @@ __all__ = [
     "CacheConfig",
     "CacheStats",
     "simulate_cache",
-    "default_cache_kernel",
     "CacheSweepRow",
     "SweepPartial",
     "sweep_configs",
@@ -53,34 +50,10 @@ __all__ = [
     "simulate_hierarchy",
 ]
 
-#: environment override for the simulation kernel ("auto"/"vector"/"python")
-_KERNEL_ENV = "MEMGAZE_CACHE_KERNEL"
-_KERNELS = ("auto", "vector", "python")
-
-
-def default_cache_kernel() -> str:
-    """The kernel used when a call does not pick one explicitly."""
-    kernel = os.environ.get(_KERNEL_ENV, "auto")
-    if kernel not in _KERNELS:
-        raise ValueError(
-            f"{_KERNEL_ENV}={kernel!r} is not a cache kernel; pick one of {_KERNELS}"
-        )
-    return kernel
-
-
-def _resolve_kernel(kernel: str | None, prefetching: bool) -> str:
-    """Map (requested kernel, prefetch policy) to "vector" or "python"."""
-    kernel = kernel or default_cache_kernel()
-    if kernel not in _KERNELS:
-        raise ValueError(f"unknown cache kernel {kernel!r}; pick one of {_KERNELS}")
-    if kernel == "vector" and prefetching:
-        raise ValueError(
-            "kernel='vector' cannot model prefetch_next_line (prefetches "
-            "install below the MRU slot); use kernel='auto' or 'python'"
-        )
-    if kernel == "auto":
-        return "python" if prefetching else "vector"
-    return kernel
+_NO_PREFETCH = (
+    "the vector cache kernel cannot model prefetch_next_line (prefetches "
+    "install below the MRU slot)"
+)
 
 
 @dataclass(frozen=True)
@@ -91,20 +64,12 @@ class CacheConfig:
     simplest form: every demand miss also installs the next line. This is
     the mechanism behind the paper's premise that Strided accesses are
     "prefetchable" while Irregular ones are not.
-
-    ``kernel`` optionally pins the simulation kernel at construction
-    time. Kernel/policy compatibility is validated *here*, so an
-    impossible request (``kernel="vector"`` with prefetching, which
-    stack distance cannot express) fails when the configuration is
-    built — at pass-schedule time, before any scan starts or worker
-    forks — rather than per-call deep inside a fused scan.
     """
 
     size_bytes: int = 32 * 1024
     line_bytes: int = 64
     ways: int = 8
     prefetch_next_line: bool = False
-    kernel: str | None = None
 
     def __post_init__(self) -> None:
         for name in ("size_bytes", "line_bytes", "ways"):
@@ -113,15 +78,6 @@ class CacheConfig:
                 raise ValueError(f"{name} must be > 0, got {v}")
         if self.size_bytes % (self.line_bytes * self.ways) != 0:
             raise ValueError("size must be a multiple of line_bytes * ways")
-        if self.kernel is not None and self.kernel not in _KERNELS:
-            raise ValueError(
-                f"unknown cache kernel {self.kernel!r}; pick one of {_KERNELS}"
-            )
-        if self.kernel == "vector" and self.prefetch_next_line:
-            raise ValueError(
-                "kernel='vector' cannot model prefetch_next_line (prefetches "
-                "install below the MRU slot); use kernel='auto' or 'python'"
-            )
 
     @property
     def n_sets(self) -> int:
@@ -193,6 +149,8 @@ def _set_local_hits(lines: np.ndarray, config: CacheConfig) -> np.ndarray:
 
 def _simulate_cache_vector(events: np.ndarray, config: CacheConfig) -> CacheStats:
     """Vectorised simulation (non-prefetching configurations)."""
+    if config.prefetch_next_line:
+        raise ValueError(_NO_PREFETCH)
     n = len(events)
     stats = CacheStats(config=config)
     lines = events["addr"] // np.uint64(config.line_bytes)
@@ -213,8 +171,6 @@ def _simulate_cache_vector(events: np.ndarray, config: CacheConfig) -> CacheStat
 def simulate_cache(
     events: np.ndarray,
     config: CacheConfig | None = None,
-    *,
-    kernel: str | None = None,
 ) -> CacheStats:
     """Drive a set-associative LRU cache with ``events``.
 
@@ -222,23 +178,20 @@ def simulate_cache(
     always, modelling the paper's 'one unit of space' view); suppressed
     constants carried on proxies are counted as guaranteed hits.
 
-    ``kernel`` picks the implementation: ``"auto"`` (default, via
-    :func:`default_cache_kernel`) uses the vectorised stack-distance
-    kernel unless the configuration prefetches, ``"python"`` forces the
-    per-event reference loop, ``"vector"`` forces the kernel (and
-    rejects prefetching configs it cannot model). Both produce
-    identical results.
+    Runs the vectorised stack-distance kernel unless the configuration
+    prefetches; prefetching runs the per-event loop. Both produce
+    identical results wherever both apply.
     """
     if events.dtype != EVENT_DTYPE:
         raise TypeError(f"expected EVENT_DTYPE events, got {events.dtype}")
     config = config or CacheConfig()
-    if _resolve_kernel(kernel or config.kernel, config.prefetch_next_line) == "vector":
-        return _simulate_cache_vector(events, config)
-    return _simulate_cache_python(events, config)
+    if config.prefetch_next_line:
+        return _simulate_cache_python(events, config)
+    return _simulate_cache_vector(events, config)
 
 
 def _simulate_cache_python(events: np.ndarray, config: CacheConfig) -> CacheStats:
-    """Reference per-event loop (kernel ``"python"``; models prefetch)."""
+    """Per-event loop: models prefetch, and is the vector kernel's reference."""
     stats = CacheStats(config=config)
     n_sets = config.n_sets
 
@@ -499,23 +452,23 @@ def sweep_configs(
     The default axes are block size (``lines``), capacity via the set
     count (``sets`` — capacity is ``line * sets * ways``), and
     associativity (``ways``); ``configs`` replaces the product with
-    explicit ``(size_bytes, line_bytes, ways)`` triples. Every
-    configuration is built with ``kernel="vector"`` pinned, so an
-    invalid geometry or an unsimulatable policy (``prefetch=True``)
-    raises ``ValueError`` here — at schedule time, before workers fork.
+    explicit ``(size_bytes, line_bytes, ways)`` triples. An invalid
+    geometry or an unsimulatable policy (``prefetch=True``: the sweep
+    shares stack-distance runs) raises ``ValueError`` here — at schedule
+    time, before workers fork.
     """
+    if prefetch:
+        raise ValueError(_NO_PREFETCH)
     if configs is not None:
         triples = [(int(sz), int(ln), int(w)) for sz, ln, w in configs]
         grid = tuple(
-            CacheConfig(size_bytes=sz, line_bytes=ln, ways=w,
-                        prefetch_next_line=bool(prefetch), kernel="vector")
+            CacheConfig(size_bytes=sz, line_bytes=ln, ways=w)
             for sz, ln, w in triples
         )
     else:
         grid = tuple(
             CacheConfig(size_bytes=int(ln) * int(ns) * int(w), line_bytes=int(ln),
-                        ways=int(w), prefetch_next_line=bool(prefetch),
-                        kernel="vector")
+                        ways=int(w))
             for ln in lines
             for ns in sets
             for w in ways
@@ -723,8 +676,6 @@ def _simulate_hierarchy_vector(
 def simulate_hierarchy(
     events: np.ndarray,
     config: HierarchyConfig | None = None,
-    *,
-    kernel: str | None = None,
 ) -> HierarchyStats:
     """Drive an inclusive two-level hierarchy with ``events``.
 
@@ -733,25 +684,23 @@ def simulate_hierarchy(
     resulting AMAT is the physically-grounded counterpart of
     :class:`repro.workloads.cost.MemoryCostModel`'s per-class constants.
 
-    ``kernel`` selects the implementation exactly as in
-    :func:`simulate_cache`; the default configuration prefetches on
-    both levels, so it runs the reference loop unless prefetching is
-    disabled.
+    The kernel is chosen as in :func:`simulate_cache`; the default
+    configuration prefetches on both levels, so it runs the per-event
+    loop unless prefetching is disabled.
     """
     if events.dtype != EVENT_DTYPE:
         raise TypeError(f"expected EVENT_DTYPE events, got {events.dtype}")
     config = config or HierarchyConfig()
     prefetching = config.l1.prefetch_next_line or config.l2.prefetch_next_line
-    kernel = kernel or config.l1.kernel or config.l2.kernel
-    if _resolve_kernel(kernel, prefetching) == "vector":
-        return _simulate_hierarchy_vector(events, config)
-    return _simulate_hierarchy_python(events, config)
+    if prefetching:
+        return _simulate_hierarchy_python(events, config)
+    return _simulate_hierarchy_vector(events, config)
 
 
 def _simulate_hierarchy_python(
     events: np.ndarray, config: HierarchyConfig
 ) -> HierarchyStats:
-    """Reference per-event loop (kernel ``"python"``; models prefetch)."""
+    """Per-event loop: models prefetch, and is the vector kernel's reference."""
 
     def _mk(c: CacheConfig):
         return [[] for _ in range(c.n_sets)]

@@ -201,41 +201,26 @@ class CorpusSpec:
 
 
 def cell_payload(analysis) -> dict:
-    """One cell's canonical payload from a :class:`FileAnalysis`.
+    """One cell's canonical payload from an archive :class:`~repro.core.parallel.Analysis`.
 
-    Mirrors :func:`repro.core.report.full_report_payload` field for
-    field (schema/module/counts/rho, the four headline passes, the
-    per-function ``functions`` mapping) — but built from the streamed
-    :meth:`~repro.core.parallel.ParallelEngine.analyze_file` results, so
-    a cache-served cell produces the same bytes without touching events.
+    Built by :func:`repro.core.report.report_payload` — the builder
+    behind ``report --json`` — from the archive's metadata, so a
+    cache-served cell produces the same bytes without touching events.
     Nothing environmental (paths, modes, timings) may appear here.
     """
-    from repro.core.passes import get_pass, to_jsonable
-    from repro.core.report import PAYLOAD_SCHEMA
+    from repro.core.report import report_payload
 
-    names = ["diagnostics", "hotspot", "captures", "reuse"]
-    if "cache_sweep" in analysis.pass_results:
-        # opt-in what-if sweep (CellSpec.cache_sweep / matrix
-        # --cache-sweep); absent by default so payload bytes are
-        # unchanged for existing corpora
-        names.append("cache_sweep")
     meta = analysis.meta
-    return {
-        "schema": PAYLOAD_SCHEMA,
-        "module": meta.module,
-        "n_events": int(analysis.n_events),
-        "n_samples": int(meta.n_samples),
-        "n_loads_total": int(meta.n_loads_total),
-        "rho": float(analysis.rho),
-        "passes": {
-            name: get_pass(name).jsonable(analysis.pass_results[name])
-            for name in names
-        },
-        "functions": {
-            name: to_jsonable(d)
-            for name, d in sorted(analysis.pass_results["windows"].items())
-        },
-    }
+    # the opt-in what-if sweep (CellSpec.cache_sweep / matrix
+    # --cache-sweep) is absent by default so existing corpora keep
+    # their payload bytes
+    return report_payload(
+        analysis,
+        module=meta.module,
+        n_samples=meta.n_samples,
+        n_loads_total=meta.n_loads_total,
+        extra=["cache_sweep"] if "cache_sweep" in analysis.results else (),
+    )
 
 
 @dataclass

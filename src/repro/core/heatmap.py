@@ -19,6 +19,7 @@ from repro.trace.event import EVENT_DTYPE, LoadClass
 __all__ = [
     "HeatmapResult",
     "heatmap_geometry",
+    "heatmap_request",
     "region_points",
     "accumulate_heatmap",
     "finalize_heatmap",
@@ -60,6 +61,43 @@ def heatmap_geometry(
     t_lo = int(nc["t"][0]) if len(nc) else 0
     t_hi = int(nc["t"][-1]) + 1 if len(nc) else 1
     return page_size, np.linspace(t_lo, t_hi, n_bins + 1)
+
+
+def heatmap_request(
+    events: np.ndarray,
+    base: int,
+    size: int,
+    *,
+    n_pages: int = 64,
+    n_bins: int = 64,
+    access_block: int = 64,
+) -> tuple[str, dict]:
+    """The ``heatmap`` pass request for the region ``[base, base+size)``.
+
+    Fixes the bin geometry from the whole trace (:func:`heatmap_geometry`)
+    before any scan, so :meth:`~repro.core.parallel.ParallelEngine.analyze`
+    over the same ``events`` equals :func:`access_heatmap` for any
+    sharding. Validates like :func:`access_heatmap`.
+    """
+    if events.dtype != EVENT_DTYPE:
+        raise TypeError(f"expected EVENT_DTYPE events, got {events.dtype}")
+    if size <= 0 or n_pages <= 0 or n_bins <= 0:
+        raise ValueError("size, n_pages and n_bins must be > 0")
+    check_power_of_two("block", access_block)
+    nc = events[events["cls"] != int(LoadClass.CONSTANT)]
+    page_size, t_edges = heatmap_geometry(nc, size, n_pages, n_bins)
+    return (
+        "heatmap",
+        {
+            "base": base,
+            "size": size,
+            "page_size": page_size,
+            "t_edges": t_edges,
+            "n_pages": n_pages,
+            "n_bins": n_bins,
+            "access_block": access_block,
+        },
+    )
 
 
 def region_points(

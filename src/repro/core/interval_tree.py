@@ -182,7 +182,6 @@ def access_interval_metrics(
     reuse_block: int = 64,
     sample_id: np.ndarray | None = None,
     engine=None,
-    cache_token=None,
 ) -> list[dict]:
     """Equal-count access intervals over time (Table VIII / Fig. 9 rows).
 
@@ -192,10 +191,8 @@ def access_interval_metrics(
     accesses ``A``.
 
     With a :class:`~repro.core.parallel.ParallelEngine` passed as
-    ``engine``, interval windows are computed through it — sharded when
-    large, and memoized under ``(window_id, block, metric)`` so repeated
-    zoom queries at the same interval geometry are free (``cache_token``
-    namespaces the windows; pass the owning result's token).
+    ``engine``, each non-empty interval is analyzed through it — one
+    fused scan for both metrics, sharded when large.
     """
     if events.dtype != EVENT_DTYPE:
         raise TypeError(f"expected EVENT_DTYPE events, got {events.dtype}")
@@ -214,13 +211,12 @@ def access_interval_metrics(
             continue
         sid = sample_id[lo:hi] if sample_id is not None else None
         if engine is not None:
-            window_id = (cache_token, lo, hi) if cache_token is not None else None
-            diag = engine.diagnostics(
-                part, rho=rho, block=block, sample_id=sid, window_id=window_id
-            )
-            d = engine.reuse_histogram(
-                part, block=reuse_block, sample_id=sid, window_id=window_id
-            ).mean
+            results = engine.analyze(
+                (part, sid, None),
+                [("diagnostics", {"block": block}), ("reuse", {"block": reuse_block})],
+                rho=rho,
+            ).results
+            diag, d = results["diagnostics"], results["reuse"].mean
         else:
             diag = compute_diagnostics(part, rho=rho, block=block)
             d = mean_reuse_distance(part, block=reuse_block, sample_id=sid)

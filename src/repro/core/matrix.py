@@ -20,6 +20,7 @@ import time
 
 from repro.core.corpus import CellResult, CorpusResult, CorpusSpec, cell_payload
 from repro.core.parallel import ParallelEngine
+from repro.core.report import report_requests
 
 __all__ = ["run_matrix"]
 
@@ -38,12 +39,16 @@ def run_matrix(
     """Analyze every cell of ``spec`` and aggregate the results.
 
     Pass ``engine`` to reuse a configured engine (its store/journal/
-    metrics win); otherwise one engine is built from the keyword knobs,
-    with a persistent :class:`ArtifactStore` when ``cache_dir`` is
-    given. Cells run in spec order; each streams through
-    :meth:`ParallelEngine.analyze_file` with the four headline passes
-    plus the per-function windows fused into one scan.
+    metrics and chunk size win; passing ``chunk_size`` with it is a
+    ``ValueError``); otherwise one engine is built from the keyword
+    knobs, with a persistent :class:`ArtifactStore` when ``cache_dir`` is
+    given. Cells run in spec order; each archive streams through
+    :meth:`ParallelEngine.analyze` with the default report pass set
+    (:func:`~repro.core.report.report_requests` at the cell's block
+    sizes) fused into one scan.
     """
+    if engine is not None and chunk_size is not None:
+        raise ValueError("run_matrix: pass chunk_size to the engine, not with it")
     if engine is None:
         store = None
         if cache_dir is not None:
@@ -72,16 +77,10 @@ def run_matrix(
     t_run = time.perf_counter()
     for cell in spec.cells:
         t0 = time.perf_counter()
-        extra = [("hotspot", {}), ("windows", {"block": cell.block})]
+        requests = report_requests(cell.block, cell.reuse_block)
         if cell.cache_sweep:
-            extra.append(("cache_sweep", {}))
-        analysis = engine.analyze_file(
-            cell.trace,
-            block=cell.block,
-            reuse_block=cell.reuse_block,
-            chunk_size=chunk_size,
-            passes=extra,
-        )
+            requests.append(("cache_sweep", {}))
+        analysis = engine.analyze(cell.trace, requests)
         seconds = time.perf_counter() - t0
         result.cells[cell.label] = CellResult(
             spec=cell,

@@ -4,32 +4,26 @@ The paper's analysis stage (SS:IV-V) is embarrassingly parallel across
 trace windows: footprint is a set cardinality, captures/survivals a
 saturating per-block count, the reuse histogram an integer tally that
 resets at sample boundaries, and heatmaps are matrix sums. This module
-exploits that by
+exploits that with one entry point, :meth:`ParallelEngine.analyze`,
+which
 
-1. **sharding** a trace into sample-aligned chunks (:func:`plan_shards` —
-   a shard never splits a sample, so intra-sample computations are
-   unaffected by the cut);
-2. **fanning out** per-shard evaluation across a ``concurrent.futures``
-   process pool — the event arrays are published once into named
+1. **looks up** every requested pass in the persistent
+   :class:`~repro.core.artifacts.ArtifactStore` (whole-trace partials,
+   then a verified-prefix incremental scan for an appended archive);
+2. **shards** whatever is still missing into sample-aligned chunks
+   (:func:`plan_shards` for in-memory events, the archive's own chunks
+   for a file — a shard never splits a sample, so intra-sample
+   computations are unaffected by the cut);
+3. **fans out** one :func:`~repro.core.passes.scan_chunk` call per
+   shard across a ``concurrent.futures`` process pool, at most
+   ``2 * workers`` in flight — event arrays are published into named
    shared-memory segments (:mod:`repro.core.shm`) and workers attach
    zero-copy, so only a tiny :class:`~repro.core.shm.ShardRef` crosses
-   the pipe (``shm=False`` or ``MEMGAZE_SHM=0`` falls back to pickling
-   the slices); one :func:`~repro.core.passes.scan_chunk` call per
-   shard evaluates *every* scheduled pass, so shared intermediates
-   (block ids, class masks, reuse distances) are computed once per
-   shard regardless of how many passes read them; and
-3. **merging** partials with each pass's associative ``merge`` operator
-   (:class:`~repro.core.passes.DiagnosticsPartial.merge`,
-   :class:`~repro.core.passes.CapturesPartial.merge`,
-   :meth:`~repro.core.reuse.ReuseHistogram.merge`, matrix addition for
-   heatmaps) whose results are **bit-identical** to the serial path.
-
-Every metric is a registered :class:`~repro.core.passes.AnalysisPass`;
-the engine is "merely" the scheduler-aware shard-map-merge executor for
-them. :meth:`ParallelEngine.run_passes` is the general entry point —
-any set of registered passes, one fused scan — and the named methods
-(:meth:`~ParallelEngine.footprint`, :meth:`~ParallelEngine.diagnostics`,
-...) are convenience wrappers over it.
+   the pipe (the pickled slices are the automatic fallback when
+   publishing fails); every scheduled pass reads the same per-chunk
+   intermediates (block ids, class masks, reuse distances); and
+4. **merges** partials in shard order with each pass's associative
+   ``merge`` operator, bit-identical to the serial path.
 
 Exactness argument, per pass:
 
@@ -43,26 +37,24 @@ Exactness argument, per pass:
   sample-aligned shard computes exactly the distances the serial pass
   assigns to its events; all tallies are integers and integer addition
   is exact.
-* *heatmaps* — bin geometry is fixed globally before sharding; count
-  matrices are integers, and the ``dsum`` float matrix accumulates
-  integer-valued distances far below 2**53, so float addition is exact.
+* *heatmaps* — bin geometry is fixed globally before sharding
+  (:func:`repro.core.heatmap.heatmap_request`); count matrices are
+  integers, and the ``dsum`` float matrix accumulates integer-valued
+  distances far below 2**53, so float addition is exact.
 * *hotspots / roi* — per-function counts merge by zero-padded integer
   addition; code ranges by per-function (min, max) folds.
 * *derived floats* (``dF``, ``A_est``, mean D, cell means) are computed
   once, from merged integer totals, by the same expressions the serial
   code uses — identical operands, identical results.
 
-The engine also memoizes merged partials in an LRU cache keyed by
-``(window_id, params, pass)`` so repeated zoom/interval queries over
-the same window are free, and records per-stage wall-clock and
-throughput in a :class:`~repro._util.timers.StageTimers` (surfaced by
-``memgaze report --stats``), including a ``pass:<name>`` stage per
-scheduled pass.
+Per-stage wall-clock and throughput land in a
+:class:`~repro._util.timers.StageTimers` (surfaced by ``memgaze report
+--stats``), including a ``pass:<name>`` stage per scheduled pass.
 
 Observability is opt-in and zero-cost when off: pass a
 :class:`~repro.obs.journal.RunJournal` and the engine journals its
-shard plans, merges, and streaming progress — pool workers journal
-their own ``shard-analyzed`` lines directly (the journal's ``O_APPEND``
+shard plans, merges and archive analyses — pool workers journal their
+own ``shard-analyzed`` lines directly (the journal's ``O_APPEND``
 writer is process-safe and pickles down to a path). Pass a
 :class:`~repro.obs.metrics.MetricsRegistry` and the engine counts
 shards, events, merges, and artifact-cache hits/misses
@@ -78,17 +70,13 @@ from __future__ import annotations
 import itertools
 import os
 import time
-from concurrent.futures import Executor, Future, ProcessPoolExecutor
-from dataclasses import dataclass, field
+from concurrent.futures import Executor, ProcessPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro._util.lru import LRUCache
 from repro._util.timers import StageTimers
-from repro._util.validate import check_power_of_two
-from repro.core.artifacts import MISS, ArtifactStore, freeze_params
-from repro.core.diagnostics import FootprintDiagnostics
-from repro.core.heatmap import HeatmapResult, heatmap_geometry
+from repro.core.artifacts import MISS, ArtifactStore
 from repro.core.passes import (
     CapturesPartial,
     DiagnosticsPartial,
@@ -101,17 +89,14 @@ from repro.core.passes import (
     scan_chunk,
     schedule_passes,
 )
-from repro.core.reuse import _HIST_MAX_EXP, ReuseHistogram
 from repro.core.shm import ShardRef, SharedSlab, attach_shard, publish_shard
-from repro.trace.event import EVENT_DTYPE, LoadClass
 
 __all__ = [
     "plan_shards",
     "DiagnosticsPartial",
     "CapturesPartial",
-    "LRUCache",
     "ParallelEngine",
-    "FileAnalysis",
+    "Analysis",
 ]
 
 #: below this many events a single shard is used — pool overhead would
@@ -119,6 +104,9 @@ __all__ = [
 _MIN_PARALLEL_EVENTS = 16_384
 #: shards per worker when no explicit chunk size is given (load balance).
 _CHUNKS_PER_WORKER = 4
+#: events per streamed archive chunk when neither the engine nor the
+#: call sets a chunk size.
+_ARCHIVE_CHUNK = 1 << 20
 
 
 # -- shard planning -----------------------------------------------------------
@@ -175,15 +163,6 @@ def plan_shards(
     return shards
 
 
-#: environment kill-switch for the shared-memory handoff
-_SHM_ENV = "MEMGAZE_SHM"
-
-
-def _shm_default() -> bool:
-    """Whether engines use the zero-copy handoff when not told explicitly."""
-    return os.environ.get(_SHM_ENV, "1").lower() not in ("0", "off", "false", "no")
-
-
 def scan_chunk_shm(ref: ShardRef, specs, journal):
     """Worker entry for the zero-copy path: attach, then scan as usual.
 
@@ -197,25 +176,56 @@ def scan_chunk_shm(ref: ShardRef, specs, journal):
     return scan_chunk(events, sid, specs, journal)
 
 
-def _fn_window_worker(
-    events: np.ndarray, rho: float, block: int
-) -> FootprintDiagnostics:
-    """Per-function code-window diagnostics (runs in a worker)."""
-    from repro.core.diagnostics import compute_diagnostics
-
-    return compute_diagnostics(events, rho=rho, block=block)
+# -- analysis sources ---------------------------------------------------------
 
 
-# the canonical param-freezing now lives next to the persistent store so
-# in-memory LRU keys and on-disk cache keys can never drift apart
-_freeze = freeze_params
+@dataclass
+class _Source:
+    """What :meth:`ParallelEngine.analyze` reads, normalised.
+
+    In-memory sources carry ``events``; archive sources carry ``path``
+    plus the metadata and (with a store) the health record that
+    addresses them.
+    """
+
+    events: np.ndarray | None = None
+    sample_id: np.ndarray | None = None
+    path: object = None
+    meta: object = None
+    health: dict | None = None
+    digest: str | None = None
+
+    @property
+    def sid_present(self) -> bool:
+        """Whether the trace carries sample ids (reuse windows can be cut)."""
+        if self.path is None:
+            return self.sample_id is not None
+        return self.health is not None and self.health.get("sample_id_crc") is not None
+
+    def cacheable(self, name: str) -> bool:
+        """Whether a pass's whole-trace partial may be stored and served.
+
+        Archive chunks without sample ids cut reuse windows at chunk
+        edges, so such chunk-scoped partials vary with the chunk size —
+        they are never persisted and never read back.
+        """
+        return self.digest is not None and (
+            self.path is None
+            or self.sid_present
+            or not get_pass(name).whole_without_samples
+        )
 
 
-def _needs_whole(scheduled: list[ResolvedRequest], sample_id) -> bool:
-    """Whether the schedule forbids sharding (cross-event state, no samples)."""
-    return sample_id is None and any(
-        get_pass(r.name).whole_without_samples for r in scheduled
-    )
+@dataclass
+class _Fold:
+    """Merged partials of one scan plus what the scan saw."""
+
+    merged: list | None = None
+    n_events: int = 0
+    last_sid: int | None = None
+    sid_seen: bool = False
+    #: prefix events served from the store instead (incremental scans)
+    skipped: int = 0
 
 
 # -- the engine ---------------------------------------------------------------
@@ -237,26 +247,18 @@ class ParallelEngine:
         workers: int | None = None,
         chunk_size: int | None = None,
         *,
-        cache_size: int = 256,
         store: "ArtifactStore | None" = None,
         timers: StageTimers | None = None,
         journal=None,
         metrics=None,
-        shm: bool | None = None,
     ) -> None:
         self.workers = workers if workers is not None else (os.cpu_count() or 1)
         if self.workers < 0:
             raise ValueError(f"workers must be >= 0, got {self.workers}")
         self.chunk_size = chunk_size
-        #: zero-copy shard handoff (:mod:`repro.core.shm`). ``None``
-        #: resolves to on unless ``MEMGAZE_SHM=0``; ``False`` pickles
-        #: event slices into the workers as the engine originally did
-        self.shm = _shm_default() if shm is None else bool(shm)
-        self.cache = LRUCache(cache_size)
         #: optional persistent ArtifactStore — merged pass partials are
-        #: read from and written to it whenever a content digest is
-        #: available (run_passes' ``store_key`` / analyze_file's health
-        #: digest); None keeps the engine purely in-memory
+        #: read from and written to it whenever a source carries a
+        #: content digest; None keeps the engine purely in-memory
         self.store = store
         self.timers = timers if timers is not None else StageTimers()
         #: optional RunJournal — shard plans, merges and per-shard worker
@@ -266,16 +268,6 @@ class ParallelEngine:
         #: here when set (None = no metric accounting at all)
         self.metrics = metrics
         self._pool: Executor | None = None
-        self._tokens = itertools.count()
-
-    def window_token(self) -> int:
-        """A fresh namespace for window ids, unique within this engine.
-
-        Callers analyzing several traces through one engine prefix their
-        ``window_id`` keys with a token so cached partials of different
-        traces can never collide.
-        """
-        return next(self._tokens)
 
     # -- lifecycle --
 
@@ -296,496 +288,182 @@ class ParallelEngine:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
-    # -- shard-map-merge core --
+    # -- the one entry point --
 
-    def _plan(self, n: int, sample_id: np.ndarray | None) -> list[tuple[int, int]]:
-        with self.timers.stage("plan"):
-            if self.workers <= 1 and self.chunk_size is None:
-                shards = [(0, n)] if n else []
-            elif self.chunk_size is not None:
-                shards = plan_shards(n, sample_id, chunk_size=self.chunk_size)
-            else:
-                size = max(
-                    -(-n // (max(1, self.workers) * _CHUNKS_PER_WORKER)),
-                    _MIN_PARALLEL_EVENTS,
-                )
-                shards = plan_shards(n, sample_id, chunk_size=size)
-        self._observe_plan(n, shards)
-        return shards
-
-    def _observe_plan(self, n: int, shards: list[tuple[int, int]]) -> None:
-        if self.metrics is not None:
-            self.metrics.counter("parallel.plans").inc()
-            self.metrics.counter("parallel.shards").inc(len(shards))
-            h = self.metrics.histogram("parallel.shard_events")
-            for lo, hi in shards:
-                h.observe(hi - lo)
-        if self.journal is not None:
-            self.journal.emit(
-                "stage",
-                stage="shard-plan",
-                n_events=n,
-                n_shards=len(shards),
-                workers=self.workers,
-                chunk_size=self.chunk_size,
-            )
-
-    def _publish(
-        self, events: np.ndarray, sample_id: np.ndarray | None
-    ) -> "SharedSlab | None":
-        """Publish arrays for zero-copy workers; None = use the pickle path.
-
-        Shared memory being unavailable (exhausted ``/dev/shm``, an
-        exotic platform) downgrades the scan with a journaled warning
-        rather than failing it.
-        """
-        if not self.shm:
-            return None
-        try:
-            with self.timers.stage("publish", items=len(events)):
-                return publish_shard(
-                    events, sample_id, journal=self.journal, metrics=self.metrics
-                )
-        except OSError as exc:
-            if self.metrics is not None:
-                self.metrics.counter("shm.publish_failures").inc()
-            if self.journal is not None:
-                self.journal.warning(
-                    f"shared-memory publish failed ({exc}); falling back to "
-                    "pickled shard handoff for this scan",
-                    n_events=len(events),
-                )
-            return None
-
-    def _scan(
+    def analyze(
         self,
-        events: np.ndarray,
-        sample_id: np.ndarray | None,
-        scheduled: list[ResolvedRequest],
-        *,
-        whole: bool = False,
-    ) -> list:
-        """One fused scan: every scheduled pass over sharded ``events``.
-
-        ``whole`` forces a single shard (needed when a computation has
-        cross-event state and no sample boundaries to cut at). Returns
-        merged partials aligned with ``scheduled``.
-        """
-        specs = [r.spec for r in scheduled]
-        n = len(events)
-        shards = [(0, n)] if (whole and n) else self._plan(n, sample_id)
-        if not shards:
-            return [get_pass(r.name).init(r.params) for r in scheduled]
-        use_pool = (
-            self.workers > 1 and len(shards) > 1 and n >= _MIN_PARALLEL_EVENTS
-        )
-        if self.metrics is not None:
-            self.metrics.counter("parallel.events").inc(n)
-            self.metrics.counter(
-                "parallel.runs_pooled" if use_pool else "parallel.runs_inline"
-            ).inc()
-        partials: list[list] = []
-        if use_pool:
-            pool = self._executor()
-            slab = self._publish(events, sample_id)
-            try:
-                with self.timers.stage("scatter", items=n):
-                    if slab is not None:
-                        futures: list[Future] = [
-                            pool.submit(
-                                scan_chunk_shm, slab.ref(lo, hi), specs, self.journal
-                            )
-                            for lo, hi in shards
-                        ]
-                    else:
-                        futures = [
-                            pool.submit(
-                                scan_chunk,
-                                events[lo:hi],
-                                sample_id[lo:hi] if sample_id is not None else None,
-                                specs,
-                                self.journal,
-                            )
-                            for lo, hi in shards
-                        ]
-                with self.timers.stage("compute", items=n):
-                    for f in futures:
-                        shard_partials, stats = f.result()
-                        account_scan_stats(
-                            stats, metrics=self.metrics, timers=self.timers
-                        )
-                        partials.append(shard_partials)
-            finally:
-                if slab is not None:
-                    slab.release()
-        else:
-            with self.timers.stage("compute", items=n):
-                for lo, hi in shards:
-                    shard_partials, stats = scan_chunk(
-                        events[lo:hi],
-                        sample_id[lo:hi] if sample_id is not None else None,
-                        specs,
-                        self.journal,
-                    )
-                    account_scan_stats(stats, metrics=self.metrics, timers=self.timers)
-                    partials.append(shard_partials)
-        t_merge = time.perf_counter()
-        with self.timers.stage("merge", items=len(shards)):
-            merged = partials[0]
-            for p in partials[1:]:
-                merged = merge_partial_lists(merged, p, specs)
-        if self.metrics is not None:
-            self.metrics.counter("parallel.merges").inc(len(shards) - 1)
-        if self.journal is not None:
-            self.journal.emit(
-                "stage",
-                stage="merge",
-                n_partials=len(shards),
-                passes=[r.name for r in scheduled],
-                seconds=time.perf_counter() - t_merge,
-            )
-        return merged
-
-    def _merged_partials(
-        self,
-        events: np.ndarray,
-        sample_id: np.ndarray | None,
-        scheduled: list[ResolvedRequest],
-        window_id,
-        store_key: str | None = None,
-    ) -> list:
-        """Merged partials for a schedule, memoized per (window, params, pass).
-
-        Lookup order per pass: the in-memory LRU, then (with a
-        ``store_key`` content digest and a configured store) the
-        persistent :class:`~repro.core.artifacts.ArtifactStore`, then
-        one fused :meth:`_scan` for whatever is still missing. Scanned
-        partials are written back to both layers.
-        """
-        use_store = self.store is not None and store_key is not None
-        out: list = [None] * len(scheduled)
-        missing: list[int] = []
-        keys: list[tuple | None] = []
-        for i, req in enumerate(scheduled):
-            key = (
-                (window_id, _freeze(req.params), req.name)
-                if window_id is not None
-                else None
-            )
-            keys.append(key)
-            if key is not None:
-                hit = self.cache.get(key)
-                if hit is not None:
-                    out[i] = hit
-                    continue
-            if use_store:
-                stored = self.store.get_partial(store_key, req.name, req.params)
-                if stored is not MISS:
-                    out[i] = stored
-                    if key is not None:
-                        self.cache.put(key, stored)
-                    continue
-            missing.append(i)
-        if missing:
-            subset = [scheduled[i] for i in missing]
-            merged = self._scan(
-                events, sample_id, subset, whole=_needs_whole(subset, sample_id)
-            )
-            for i, partial in zip(missing, merged):
-                out[i] = partial
-                if keys[i] is not None:
-                    self.cache.put(keys[i], partial)
-                if use_store:
-                    self.store.put_partial(
-                        store_key, scheduled[i].name, scheduled[i].params, partial
-                    )
-        return out
-
-    # -- the general fused entry point --
-
-    def run_passes(
-        self,
-        events: np.ndarray,
+        source,
         requests,
         *,
-        sample_id: np.ndarray | None = None,
-        rho: float = 1.0,
+        rho: float | None = None,
         fn_names: dict[int, str] | None = None,
-        window_id=None,
-        store_key: str | None = None,
-    ) -> dict:
-        """Run any set of registered passes in one fused scan.
+    ) -> "Analysis":
+        """Run any set of registered passes over a trace in one fused scan.
 
-        ``requests`` is what :func:`repro.core.passes.schedule_passes`
-        accepts: pass names or ``(name, params)`` pairs. Dependencies are
-        pulled in and ordered automatically; the trace is scanned
-        **once** for every pass not already memoized under ``window_id``.
-        Returns ``{pass name: finalized result}`` including dependencies.
+        ``source`` is either an in-memory ``(events, sample_id, digest)``
+        triple — ``digest`` being the content digest of exactly those
+        arrays (:meth:`ArtifactStore.digest_events` /
+        :meth:`ArtifactStore.archive_digest`) or ``None`` — or the path
+        of a trace archive, which is streamed chunk by chunk and never
+        materialized. ``requests`` is what
+        :func:`repro.core.passes.schedule_passes` accepts: pass names or
+        ``(name, params)`` pairs; dependencies are pulled in and ordered
+        automatically.
 
-        ``store_key`` enables the persistent cache for this call when
-        the engine carries an :class:`~repro.core.artifacts.ArtifactStore`:
-        it must be the content digest of exactly ``(events, sample_id)``
-        (:meth:`ArtifactStore.digest_events` /
-        :meth:`ArtifactStore.archive_digest`) — partials are then served
-        from and persisted to disk, bit-identical to recomputation.
+        Every pass goes through one lookup chain: a whole-trace partial
+        in the engine's store (by the source digest; an archive is
+        addressed by its health record), then — for an archive that
+        *extends* a previously analyzed trace — a scan of only the
+        appended tail merged against the cached prefix partials, then
+        one fused scan for whatever is still missing. Freshly computed
+        partials are written back. Results are bit-identical whichever
+        step served them.
+
+        ``rho`` defaults to 1.0 for in-memory sources; for an archive it
+        is derived from the metadata's load count and the diagnostics
+        partial (the diagnostics pass is added when not requested).
+        ``fn_names`` defaults to the archive's stored names.
+
+        The reuse histogram resets at sample boundaries. In memory,
+        a trace without sample ids is one window and is scanned as a
+        single shard; an archive without them makes each chunk its own
+        window — the histogram is then marked ``scope="chunk"``, a
+        journal warning records the degradation, and such partials are
+        never persisted (they vary with the chunk size).
         """
+        t0 = time.perf_counter()
         scheduled = schedule_passes(requests)
-        merged = self._merged_partials(
-            events, sample_id, scheduled, window_id, store_key=store_key
-        )
-        return finalize_schedule(
+        if isinstance(source, tuple):
+            events, sample_id, digest = source
+            src = _Source(
+                events=events,
+                sample_id=sample_id,
+                digest=digest if self.store is not None else None,
+            )
+        else:
+            src = self._open_archive(source)
+            if rho is None and all(r.name != "diagnostics" for r in scheduled):
+                # an archive's rho is derived from the diagnostics partial
+                scheduled = schedule_passes([*scheduled, "diagnostics"])
+
+        # 1. whole-trace partials already in the store
+        merged: list = [None] * len(scheduled)
+        cached_names: list[str] = []
+        for i, r in enumerate(scheduled):
+            if src.cacheable(r.name):
+                hit = self.store.get_partial(src.digest, r.name, r.params)
+                if hit is not MISS:
+                    merged[i] = hit
+                    cached_names.append(r.name)
+        missing = [i for i, v in enumerate(merged) if v is None]
+
+        if not missing:  # served whole from the store; nothing is read
+            mode = "cached"
+            n = len(src.events) if src.path is None else int(src.health["n_events"])
+            fold = _Fold(n_events=n, sid_seen=src.sid_present)
+        else:
+            sub = [scheduled[i] for i in missing]
+            # 2. verified-prefix incremental scan, 3. full scan
+            fold = self._incremental(src, sub) or self._full_scan(src, sub)
+            mode = "incremental" if fold.skipped else "full"
+            scanned = fold.merged
+            if scanned is None:  # nothing to scan: every partial is the identity
+                scanned = [get_pass(r.name).init(r.params) for r in sub]
+            # persist what was just computed (and an archive's state, so
+            # a future appended archive can match this one as its prefix)
+            for i, partial in zip(missing, scanned):
+                r = scheduled[i]
+                merged[i] = partial
+                if src.cacheable(r.name):
+                    self.store.put_partial(src.digest, r.name, r.params, partial)
+            if src.path is not None and src.digest is not None and (
+                src.sid_present and fold.last_sid is not None
+            ):
+                self.store.put_state(src.digest, src.health, fold.last_sid)
+
+        if src.path is not None:
+            rho, fn_names = self._archive_context(src, scheduled, merged, rho, fn_names)
+        rho = 1.0 if rho is None else rho
+        results = finalize_schedule(
             scheduled, merged, RunContext(rho=rho, fn_names=fn_names or {})
         )
-
-    def _partial(
-        self,
-        events: np.ndarray,
-        sample_id: np.ndarray | None,
-        request: tuple[str, dict],
-        window_id,
-    ):
-        """One pass's merged (unfinalized) partial, memoized."""
-        scheduled = schedule_passes([request])
-        return self._merged_partials(events, sample_id, scheduled, window_id)[-1]
-
-    # -- public metric API (mirrors the serial functions) --
-
-    def footprint(
-        self,
-        events: np.ndarray,
-        block: int = 1,
-        sample_id: np.ndarray | None = None,
-        window_id=None,
-    ) -> int:
-        """Observed footprint F; equals :func:`repro.core.metrics.footprint`."""
-        p = self._partial(events, sample_id, ("diagnostics", {"block": block}), window_id)
-        return p.footprint
-
-    def footprint_by_class(
-        self,
-        events: np.ndarray,
-        block: int = 1,
-        sample_id: np.ndarray | None = None,
-        window_id=None,
-    ) -> dict[LoadClass, int]:
-        """Per-class footprint; equals the serial decomposition."""
-        p = self._partial(events, sample_id, ("diagnostics", {"block": block}), window_id)
-        return p.footprint_by_class
-
-    def captures_survivals(
-        self,
-        events: np.ndarray,
-        block: int = 1,
-        sample_id: np.ndarray | None = None,
-        window_id=None,
-    ) -> tuple[int, int]:
-        """(C, S); equals :func:`repro.core.metrics.captures_survivals`."""
-        p = self._partial(events, sample_id, ("captures", {"block": block}), window_id)
-        return p.finalize()
-
-    def diagnostics(
-        self,
-        events: np.ndarray,
-        rho: float = 1.0,
-        block: int = 1,
-        sample_id: np.ndarray | None = None,
-        window_id=None,
-    ) -> FootprintDiagnostics:
-        """The diagnostic bundle; equals
-        :func:`repro.core.diagnostics.compute_diagnostics`."""
-        p = self._partial(events, sample_id, ("diagnostics", {"block": block}), window_id)
-        return p.finalize(rho)
-
-    def reuse_histogram(
-        self,
-        events: np.ndarray,
-        block: int = 64,
-        sample_id: np.ndarray | None = None,
-        window_id=None,
-        max_exp: int = _HIST_MAX_EXP,
-    ) -> ReuseHistogram:
-        """Reuse-distance histogram; equals
-        :func:`repro.core.reuse.reuse_histogram`.
-
-        Distance tracking resets only at sample boundaries, so without
-        ``sample_id`` the trace is one window and cannot be cut: the
-        scheduler then runs the scan as a single shard
-        (``ReusePass.whole_without_samples``).
-        """
-        return self._partial(
-            events,
-            sample_id,
-            ("reuse", {"block": block, "max_exp": max_exp}),
-            window_id,
+        if src.path is not None:
+            self._finish_archive(src, scheduled, results, fold, mode, cached_names, rho, t0)
+        return Analysis(
+            results=results,
+            meta=src.meta,
+            n_events=fold.n_events,
+            rho=rho,
+            digest=src.digest,
+            mode=mode,
+            skipped_events=fold.skipped,
         )
 
-    def heatmap(
-        self,
-        events: np.ndarray,
-        base: int,
-        size: int,
-        *,
-        n_pages: int = 64,
-        n_bins: int = 64,
-        access_block: int = 64,
-        sample_id: np.ndarray | None = None,
-    ) -> HeatmapResult:
-        """Region heatmap; equals :func:`repro.core.heatmap.access_heatmap`."""
-        if events.dtype != EVENT_DTYPE:
-            raise TypeError(f"expected EVENT_DTYPE events, got {events.dtype}")
-        if size <= 0 or n_pages <= 0 or n_bins <= 0:
-            raise ValueError("size, n_pages and n_bins must be > 0")
-        check_power_of_two("block", access_block)
-        # geometry must be fixed globally before sharding
-        nc = events[events["cls"] != int(LoadClass.CONSTANT)]
-        page_size, t_edges = heatmap_geometry(nc, size, n_pages, n_bins)
-        request = (
-            "heatmap",
-            {
-                "base": base,
-                "size": size,
-                "page_size": page_size,
-                "t_edges": t_edges,
-                "n_pages": n_pages,
-                "n_bins": n_bins,
-                "access_block": access_block,
-            },
-        )
-        results = self.run_passes(events, [request], sample_id=sample_id)
-        return results["heatmap"]
+    # -- sources --
 
-    def code_windows(
-        self,
-        events: np.ndarray,
-        rho: float = 1.0,
-        block: int = 1,
-        fn_names: dict[int, str] | None = None,
-    ) -> dict[str, FootprintDiagnostics]:
-        """Per-function diagnostics; equals
-        :func:`repro.core.windows.code_windows`.
+    def _open_archive(self, path) -> _Source:
+        """Archive source: metadata always, health + digest with a store."""
+        from repro.trace.tracefile import read_trace_health, read_trace_meta
 
-        Functions are natural shards — each worker gets one function's
-        accumulated accesses.
-        """
-        if events.dtype != EVENT_DTYPE:
-            raise TypeError(f"expected EVENT_DTYPE events, got {events.dtype}")
-        fn_names = fn_names or {}
-        fids = np.unique(events["fn"])
-        out: dict[str, FootprintDiagnostics] = {}
-        if self.workers > 1 and len(fids) > 1 and len(events) >= _MIN_PARALLEL_EVENTS:
-            pool = self._executor()
-            with self.timers.stage("compute", items=len(events)):
-                futures = {
-                    int(fid): pool.submit(
-                        _fn_window_worker, events[events["fn"] == fid], rho, block
-                    )
-                    for fid in fids
-                }
-                for fid, fut in futures.items():
-                    out[fn_names.get(fid, f"fn{fid}")] = fut.result()
-            return out
-        from repro.core.windows import code_windows as serial_code_windows
-
-        with self.timers.stage("compute", items=len(events)):
-            return serial_code_windows(events, rho=rho, block=block, fn_names=fn_names)
-
-    # -- streamed file analysis --
-
-    def _fold_stream(self, chunks, specs) -> tuple[list | None, int, int | None, bool]:
-        """Fold ``scan_chunk`` over an iterable of ``(events, sample_id)``.
-
-        Feeds chunks to the pool as they arrive (at most ``2 * workers``
-        in flight) and merges partials in arrival order. Returns
-        ``(merged or None, n_events, last sample id or None, saw sample
-        ids)``.
-        """
-        merged: list | None = None
-        n_events = 0
-        last_sid: int | None = None
-        sid_seen = False
-        pool = self._executor() if self.workers > 1 else None
-        in_flight: list[tuple[Future, SharedSlab | None]] = []
-
-        def fold(result: tuple[list, dict]) -> None:
-            nonlocal merged
-            partials, stats = result
-            account_scan_stats(stats, metrics=self.metrics, timers=self.timers)
-            with self.timers.stage("merge", items=1):
-                merged = (
-                    partials
-                    if merged is None
-                    else merge_partial_lists(merged, partials, specs)
+        src = _Source(path=path, meta=read_trace_meta(path))
+        if self.store is not None:
+            src.health = read_trace_health(path)
+            if src.health is not None:
+                src.digest = ArtifactStore.digest_health(src.health)
+            if src.digest is None and self.journal is not None:
+                self.journal.warning(
+                    "archive has no usable health record; analysis cache disabled",
+                    path=str(path),
                 )
+        return src
 
-        def fold_future(entry: tuple[Future, "SharedSlab | None"]) -> None:
-            fut, slab = entry
-            try:
-                result = fut.result()
-            finally:
-                if slab is not None:
-                    slab.release()
-            fold(result)
+    def _archive_chunk_size(self) -> int:
+        return self.chunk_size or _ARCHIVE_CHUNK
 
-        try:
-            with self.timers.stage("stream"):
-                for ev, sid in chunks:
-                    n_events += len(ev)
-                    if sid is not None and len(sid):
-                        sid_seen = True
-                        last_sid = int(sid[-1])
-                    if pool is None:
-                        fold(scan_chunk(ev, sid, specs, self.journal))
-                        continue
-                    # each streamed chunk rides its own short-lived slab,
-                    # released as soon as its partials fold — peak shm
-                    # usage stays bounded by chunks in flight
-                    slab = self._publish(ev, sid)
-                    if slab is not None:
-                        fut = pool.submit(
-                            scan_chunk_shm, slab.ref(0, len(ev)), specs, self.journal
-                        )
-                    else:
-                        fut = pool.submit(scan_chunk, ev, sid, specs, self.journal)
-                    in_flight.append((fut, slab))
-                    if self.metrics is not None:
-                        self.metrics.gauge("parallel.peak_in_flight").set(
-                            len(in_flight)
-                        )
-                    while len(in_flight) >= 2 * self.workers:
-                        fold_future(in_flight.pop(0))
-                while in_flight:
-                    fold_future(in_flight.pop(0))
-        finally:
-            for _, slab in in_flight:
-                if slab is not None:
-                    slab.release()
-        return merged, n_events, last_sid, sid_seen
+    def _archive_chunks(self, path, skip=None):
+        from repro.trace.tracefile import iter_trace_chunks
 
-    def _tail_scan(self, path, specs, size: int, state: dict):
-        """Scan only the events appended after a cached trace state.
-
-        Skips ``state['n_events']`` events while checksumming them
-        (:class:`~repro.trace.tracefile.PrefixSkip`) and verifies the
-        CRCs against the stored state before trusting any cached prefix
-        partial: the entry proves the skipped bytes *are* the trace that
-        was cached. Returns ``None`` — with a journaled warning — when
-        the prefix does not verify or the appended tail continues the
-        prefix's last sample (reuse windows would straddle the cut);
-        the caller then falls back to a full rescan.
-        """
-        from repro.trace.tracefile import PrefixSkip, iter_trace_chunks
-
-        skip = PrefixSkip(
-            n_events=int(state["n_events"]),
-            chunk_events=int(state["chunk_events"]),
-        )
-        chunks = iter_trace_chunks(
+        return iter_trace_chunks(
             path,
-            chunk_size=size,
+            chunk_size=self._archive_chunk_size(),
             metrics=self.metrics,
             journal=self.journal,
             skip=skip,
         )
+
+    # -- lookup chain steps 2 and 3 --
+
+    def _incremental(self, src: _Source, sub: list[ResolvedRequest]):
+        """Scan only the events appended after a cached trace state.
+
+        Applies to archives whose health record extends a stored state
+        (:meth:`ArtifactStore.find_prefix_state`) with every requested
+        prefix partial cached. The skipped prefix is checksummed while
+        it is read (:class:`~repro.trace.tracefile.PrefixSkip`) and its
+        CRCs are verified against the stored state before the cached
+        partials are trusted: the entry proves the skipped bytes *are*
+        the trace that was cached. Returns ``None`` — with a journaled
+        warning when a candidate was rejected — so the caller falls back
+        to a full scan.
+        """
+        if src.health is None or src.digest is None or not src.sid_present:
+            return None
+        state = self.store.find_prefix_state(src.health)
+        if state is None:
+            return None
+        prior = []
+        for r in sub:
+            p = self.store.get_partial(state["digest"], r.name, r.params)
+            if p is MISS:
+                return None
+            prior.append(p)
+
+        from repro.trace.tracefile import PrefixSkip
+
+        skip = PrefixSkip(
+            n_events=int(state["n_events"]), chunk_events=int(state["chunk_events"])
+        )
+        chunks = self._archive_chunks(src.path, skip=skip)
         try:
             first = next(chunks, None)
         except (OSError, ValueError):
@@ -808,249 +486,273 @@ class ParallelEngine:
                 self.journal.warning(
                     f"incremental re-analysis abandoned: {reason}; "
                     "falling back to a full rescan",
-                    path=str(path),
+                    path=str(src.path),
                     state_n_events=int(state["n_events"]),
                 )
             return None
-        return self._fold_stream(itertools.chain([first], chunks), specs)
-
-    def analyze_file(
-        self,
-        path,
-        *,
-        block: int = 1,
-        reuse_block: int = 64,
-        chunk_size: int | None = None,
-        passes=(),
-    ) -> "FileAnalysis":
-        """Stream a trace archive through the pool without materializing it.
-
-        The parent reads sample-aligned chunks sequentially
-        (:func:`repro.trace.tracefile.iter_trace_chunks`) and feeds them
-        to workers as they arrive, merging partials in arrival order; at
-        most ``2 * workers`` chunks are in flight, so peak memory is
-        bounded by the chunk size, not the trace size. Each chunk is
-        read and scanned exactly **once** for the whole schedule —
-        diagnostics, captures, reuse, and any extra ``passes`` requests
-        (names or ``(name, params)`` pairs, e.g. ``["hotspot"]``) —
-        whose finalized results land in
-        :attr:`FileAnalysis.pass_results`.
-
-        With a persistent store configured, the archive is content-
-        addressed by its health-record digest: a pass whose whole-trace
-        partial is already stored is served without touching the file at
-        all, and an archive that *extends* a previously analyzed trace
-        (same CRC prefix, new chunks appended) scans only the new tail
-        and merges against the cached prefix partials. Either way the
-        results are bit-identical to a cold scan.
-
-        Footprint, diagnostics and captures/survivals are exactly the
-        whole-trace values for any chunking. The reuse histogram resets
-        at sample boundaries, so it matches the in-memory result when
-        the archive stores sample ids; without them each chunk is its
-        own reuse window — the histogram is then marked
-        ``scope="chunk"`` and a journal warning records the degradation
-        (chunk-scoped results are also never persisted to the store,
-        since they vary with ``chunk_size``).
-        """
-        from repro.trace.tracefile import (
-            iter_trace_chunks,
-            read_trace_health,
-            read_trace_meta,
+        specs = [r.spec for r in sub]
+        tail = self._fold(
+            self._chunk_jobs(itertools.chain([first], chunks)), specs, pooled=self.workers > 1
         )
-
-        meta = read_trace_meta(path)
-        requests = [
-            ("diagnostics", {"block": block}),
-            ("captures", {"block": block}),
-            ("reuse", {"block": reuse_block, "max_exp": _HIST_MAX_EXP}),
-        ]
-        base_names = {name for name, _ in requests}
-        requests += [r for r in passes if (r if isinstance(r, str) else r[0]) not in base_names]
-        scheduled = schedule_passes(requests)
-        size = chunk_size or self.chunk_size or (1 << 20)
-        t_stream = time.perf_counter()
-
-        health = None
-        digest: str | None = None
-        if self.store is not None:
-            health = read_trace_health(path)
-            digest = None if health is None else ArtifactStore.digest_health(health)
-            if digest is None and self.journal is not None:
-                self.journal.warning(
-                    "archive has no usable health record; analysis cache disabled",
-                    path=str(path),
-                )
-        sid_present = health is not None and health.get("sample_id_crc") is not None
-
-        def cacheable(name: str) -> bool:
-            # chunk-scoped partials (whole_without_samples passes on an
-            # archive without sample ids) vary with chunk_size — they are
-            # never persisted and never read back
-            return digest is not None and (
-                sid_present or not get_pass(name).whole_without_samples
-            )
-
-        # 1. whole-trace cache hits: served without touching the events
-        merged: list = [None] * len(scheduled)
-        cached_names: list[str] = []
-        for i, r in enumerate(scheduled):
-            if cacheable(r.name):
-                hit = self.store.get_partial(digest, r.name, r.params)
-                if hit is not MISS:
-                    merged[i] = hit
-                    cached_names.append(r.name)
-        missing = [i for i, v in enumerate(merged) if v is None]
-
-        mode = "cached"
-        n_events = int(health["n_events"]) if health is not None else 0
-        skipped = 0
-        last_sid: int | None = None
-        sid_seen = sid_present  # cache hits require stored sample ids
-        if missing:
-            sub = [scheduled[i] for i in missing]
-            specs_sub = [r.spec for r in sub]
-            scanned = None
-
-            # 2. incremental: a stored state whose CRCs prefix this trace
-            if digest is not None and sid_present:
-                state = self.store.find_prefix_state(health)
-                if state is not None:
-                    prior: list | None = []
-                    for r in sub:
-                        p = self.store.get_partial(state["digest"], r.name, r.params)
-                        if p is MISS:
-                            prior = None
-                            break
-                        prior.append(p)
-                    if prior is not None:
-                        got = self._tail_scan(path, specs_sub, size, state)
-                        if got is not None:
-                            tail, n_tail, last_sid, _ = got
-                            scanned = (
-                                prior
-                                if tail is None
-                                else merge_partial_lists(prior, tail, specs_sub)
-                            )
-                            skipped = int(state["n_events"])
-                            n_events = skipped + n_tail
-                            sid_seen = True
-                            mode = "incremental"
-                            if self.metrics is not None:
-                                self.metrics.counter("cache.incremental_scans").inc()
-
-            # 3. full scan for whatever the caches could not provide
-            if scanned is None:
-                scanned, n_events, last_sid, sid_seen = self._fold_stream(
-                    iter_trace_chunks(
-                        path,
-                        chunk_size=size,
-                        metrics=self.metrics,
-                        journal=self.journal,
-                    ),
-                    specs_sub,
-                )
-                mode = "full"
-                if scanned is None:
-                    scanned = [get_pass(r.name).init(r.params) for r in sub]
-            for i, partial in zip(missing, scanned):
-                merged[i] = partial
-
-            # persist what was just computed (and the trace's state, so a
-            # future appended archive can match this one as its prefix)
-            if digest is not None:
-                for i in missing:
-                    r = scheduled[i]
-                    if cacheable(r.name):
-                        self.store.put_partial(digest, r.name, r.params, merged[i])
-                if sid_present and last_sid is not None:
-                    self.store.put_state(digest, health, last_sid)
-        self.timers.add("stream-events", 0.0, items=n_events - skipped)
-
-        degraded = n_events > 0 and not sid_seen
-        if degraded and self.journal is not None:
-            self.journal.warning(
-                "archive stores no sample ids: reuse windows are "
-                "chunk-delimited and results depend on chunk_size",
-                path=str(path),
-                chunk_size=size,
-                reuse_scope="chunk",
-            )
-
-        index = {r.name: i for i, r in enumerate(scheduled)}
-        diag_p = merged[index["diagnostics"]]
-        implied = diag_p.a_obs + diag_p.n_suppressed
-        rho = (meta.n_loads_total / implied) if implied else 1.0
-        rho = max(rho, 1.0)
-        fn_names = {
-            int(k): v
-            for k, v in (getattr(meta, "extra", None) or {}).get("fn_names", {}).items()
-        }
-        results = finalize_schedule(
-            scheduled, merged, RunContext(rho=rho, fn_names=fn_names)
+        tail.merged = (
+            prior if tail.merged is None else merge_partial_lists(prior, tail.merged, specs)
         )
-        captures, survivals = results["captures"]
-        results["reuse"].scope = "chunk" if degraded else "sample"
+        tail.skipped = int(state["n_events"])
+        tail.n_events += tail.skipped
+        tail.sid_seen = True
+        if self.metrics is not None:
+            self.metrics.counter("cache.incremental_scans").inc()
+        return tail
+
+    def _full_scan(self, src: _Source, sub: list[ResolvedRequest]) -> _Fold:
+        """One fused scan of every pass in ``sub`` over the whole source."""
+        specs = [r.spec for r in sub]
+        if src.path is not None:
+            return self._fold(
+                self._chunk_jobs(self._archive_chunks(src.path)),
+                specs,
+                pooled=self.workers > 1,
+            )
+        events, sample_id = src.events, src.sample_id
+        n = len(events)
+        # cross-event state with no sample boundaries to cut at: one shard
+        whole = sample_id is None and any(
+            get_pass(r.name).whole_without_samples for r in sub
+        )
+        shards = [(0, n)] if (whole and n) else self._plan(n, sample_id)
+        pooled = self.workers > 1 and len(shards) > 1 and n >= _MIN_PARALLEL_EVENTS
+        # the arrays are published once; every shard is a view of that slab
+        slab = self._publish(events, sample_id) if pooled else None
+        try:
+            return self._fold(
+                (
+                    (
+                        events[lo:hi],
+                        sample_id[lo:hi] if sample_id is not None else None,
+                        slab.ref(lo, hi) if slab is not None else None,
+                        None,
+                    )
+                    for lo, hi in shards
+                ),
+                specs,
+                pooled=pooled,
+            )
+        finally:
+            if slab is not None:
+                slab.release()
+
+    # -- the shard-map-merge core --
+
+    def _plan(self, n: int, sample_id: np.ndarray | None) -> list[tuple[int, int]]:
+        with self.timers.stage("plan"):
+            if self.workers <= 1 and self.chunk_size is None:
+                shards = [(0, n)] if n else []
+            elif self.chunk_size is not None:
+                shards = plan_shards(n, sample_id, chunk_size=self.chunk_size)
+            else:
+                size = max(
+                    -(-n // (max(1, self.workers) * _CHUNKS_PER_WORKER)),
+                    _MIN_PARALLEL_EVENTS,
+                )
+                shards = plan_shards(n, sample_id, chunk_size=size)
+        if self.metrics is not None:
+            self.metrics.counter("parallel.plans").inc()
+            self.metrics.counter("parallel.shards").inc(len(shards))
+            h = self.metrics.histogram("parallel.shard_events")
+            for lo, hi in shards:
+                h.observe(hi - lo)
         if self.journal is not None:
             self.journal.emit(
                 "stage",
-                stage="analyze-file",
-                path=str(path),
-                n_events=n_events,
-                rho=rho,
-                passes=[r.name for r in scheduled],
-                chunk_size=size,
+                stage="shard-plan",
+                n_events=n,
+                n_shards=len(shards),
                 workers=self.workers,
-                mode=mode,
-                cached_passes=cached_names,
-                skipped_events=skipped,
-                seconds=time.perf_counter() - t_stream,
+                chunk_size=self.chunk_size,
             )
-        return FileAnalysis(
-            meta=meta,
-            n_events=n_events,
+        return shards
+
+    def _publish(
+        self, events: np.ndarray, sample_id: np.ndarray | None
+    ) -> "SharedSlab | None":
+        """Publish arrays for zero-copy workers; None = use the pickle path.
+
+        Shared memory being unavailable (exhausted ``/dev/shm``, an
+        exotic platform) downgrades the handoff with a journaled warning
+        rather than failing the scan.
+        """
+        try:
+            with self.timers.stage("publish", items=len(events)):
+                return publish_shard(
+                    events, sample_id, journal=self.journal, metrics=self.metrics
+                )
+        except OSError as exc:
+            if self.metrics is not None:
+                self.metrics.counter("shm.publish_failures").inc()
+            if self.journal is not None:
+                self.journal.warning(
+                    f"shared-memory publish failed ({exc}); falling back to "
+                    "pickled shard handoff for this scan",
+                    n_events=len(events),
+                )
+            return None
+
+    def _chunk_jobs(self, chunks):
+        """Fold jobs for streamed ``(events, sample_id)`` chunks.
+
+        With a pool, each chunk rides its own short-lived slab, released
+        as soon as its partials fold — peak shared memory stays bounded
+        by the chunks in flight.
+        """
+        for ev, sid in chunks:
+            slab = self._publish(ev, sid) if self.workers > 1 else None
+            yield ev, sid, (slab.ref(0, len(ev)) if slab is not None else None), slab
+
+    def _fold(self, jobs, specs, *, pooled: bool) -> _Fold:
+        """Fold ``scan_chunk`` over jobs, merging partials in job order.
+
+        Each job is ``(events, sample_id, shard ref or None, slab to
+        release or None)``. Inline, jobs are scanned one by one; pooled,
+        they are submitted as they arrive with at most ``2 * workers``
+        in flight — a ref goes to the zero-copy worker entry, otherwise
+        the slices are pickled.
+        """
+        out = _Fold()
+        pool = self._executor() if pooled else None
+        in_flight: list = []
+        n_partials = 0
+        merge_seconds = 0.0
+
+        def fold(result: tuple[list, dict]) -> None:
+            nonlocal n_partials, merge_seconds
+            partials, stats = result
+            account_scan_stats(stats, metrics=self.metrics, timers=self.timers)
+            t = time.perf_counter()
+            with self.timers.stage("merge", items=1):
+                out.merged = (
+                    partials
+                    if out.merged is None
+                    else merge_partial_lists(out.merged, partials, specs)
+                )
+            merge_seconds += time.perf_counter() - t
+            n_partials += 1
+
+        def fold_next() -> None:
+            fut, slab = in_flight.pop(0)
+            try:
+                result = fut.result()
+            finally:
+                if slab is not None:
+                    slab.release()
+            fold(result)
+
+        t_scan = time.perf_counter()
+        try:
+            for ev, sid, ref, slab in jobs:
+                out.n_events += len(ev)
+                if sid is not None and len(sid):
+                    out.sid_seen = True
+                    out.last_sid = int(sid[-1])
+                if pool is None:
+                    fold(scan_chunk(ev, sid, specs, self.journal))
+                    continue
+                if ref is not None:
+                    fut = pool.submit(scan_chunk_shm, ref, specs, self.journal)
+                else:
+                    fut = pool.submit(scan_chunk, ev, sid, specs, self.journal)
+                in_flight.append((fut, slab))
+                if self.metrics is not None:
+                    self.metrics.gauge("parallel.peak_in_flight").set(len(in_flight))
+                while len(in_flight) >= 2 * self.workers:
+                    fold_next()
+            while in_flight:
+                fold_next()
+        finally:
+            for _, slab in in_flight:
+                if slab is not None:
+                    slab.release()
+        self.timers.add("compute", time.perf_counter() - t_scan, items=out.n_events)
+        if self.metrics is not None:
+            self.metrics.counter("parallel.events").inc(out.n_events)
+            self.metrics.counter(
+                "parallel.runs_pooled" if pooled else "parallel.runs_inline"
+            ).inc()
+            self.metrics.counter("parallel.merges").inc(max(0, n_partials - 1))
+        if self.journal is not None and n_partials:
+            self.journal.emit(
+                "stage",
+                stage="merge",
+                n_partials=n_partials,
+                passes=[name for name, _ in specs],
+                seconds=merge_seconds,
+            )
+        return out
+
+    # -- archive bookkeeping --
+
+    @staticmethod
+    def _archive_context(src: _Source, scheduled, merged, rho, fn_names):
+        """(rho, fn_names) of an archive: explicit values win over stored ones."""
+        if rho is None:
+            diag = merged[[r.name for r in scheduled].index("diagnostics")]
+            implied = diag.a_obs + diag.n_suppressed
+            rho = max((src.meta.n_loads_total / implied) if implied else 1.0, 1.0)
+        if fn_names is None:
+            stored = (getattr(src.meta, "extra", None) or {}).get("fn_names", {})
+            fn_names = {int(k): v for k, v in stored.items()}
+        return rho, fn_names
+
+    def _finish_archive(self, src, scheduled, results, fold, mode, cached_names, rho, t0):
+        """Mark chunk-scoped reuse, journal the degradation and the analysis."""
+        degraded = fold.n_events > 0 and not fold.sid_seen
+        if "reuse" in results:
+            results["reuse"].scope = "chunk" if degraded else "sample"
+        if self.journal is None:
+            return
+        size = self._archive_chunk_size()
+        if degraded:
+            self.journal.warning(
+                "archive stores no sample ids: reuse windows are "
+                "chunk-delimited and results depend on chunk_size",
+                path=str(src.path),
+                chunk_size=size,
+                reuse_scope="chunk",
+            )
+        self.journal.emit(
+            "stage",
+            stage="analyze-file",
+            path=str(src.path),
+            n_events=fold.n_events,
             rho=rho,
-            diagnostics=results["diagnostics"],
-            captures=captures,
-            survivals=survivals,
-            reuse=results["reuse"],
-            pass_results=results,
-            digest=digest,
+            passes=[r.name for r in scheduled],
+            chunk_size=size,
+            workers=self.workers,
             mode=mode,
-            skipped_events=skipped,
+            cached_passes=cached_names,
+            skipped_events=fold.skipped,
+            seconds=time.perf_counter() - t0,
         )
 
 
 @dataclass
-class FileAnalysis:
-    """Merged whole-trace results of :meth:`ParallelEngine.analyze_file`."""
+class Analysis:
+    """What :meth:`ParallelEngine.analyze` returns."""
 
+    #: every scheduled pass's finalized result (dependencies included),
+    #: keyed by pass name
+    results: dict
+    #: the archive's :class:`~repro.trace.tracefile.TraceMeta`; None for
+    #: in-memory sources
     meta: object
     n_events: int
     rho: float
-    diagnostics: FootprintDiagnostics
-    captures: int
-    survivals: int
-    reuse: ReuseHistogram
-    #: every scheduled pass's finalized result, keyed by pass name
-    pass_results: dict = field(default_factory=dict)
     #: content digest the analysis was addressed under (None when the
-    #: archive has no usable health record or no store was configured)
+    #: source has no usable digest or no store was configured)
     digest: str | None = None
     #: how the results were obtained: ``"cached"`` (served whole from
     #: the store), ``"incremental"`` (cached prefix + tail scan), or
-    #: ``"full"`` (cold scan). The streaming service surfaces this in
-    #: query responses so clients can see the incremental path working.
+    #: ``"full"`` (a scan). The streaming service surfaces this in
+    #: ingest acks so clients can see the incremental path working.
     mode: str = "full"
     #: events skipped by the verified-prefix scan in incremental mode
     skipped_events: int = 0
-
-    @property
-    def reuse_scope(self) -> str:
-        """``"sample"`` or ``"chunk"`` — see :attr:`ReuseHistogram.scope`.
-
-        ``"chunk"`` flags that the archive stored no sample ids, so the
-        reuse histogram's windows are chunk-delimited and its numbers
-        depend on the chunk size the analysis ran with.
-        """
-        return self.reuse.scope

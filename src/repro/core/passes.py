@@ -24,12 +24,13 @@ at once instead of re-reading the trace once per metric:
   (``requires`` entries of the form ``"pass:<name>"``), topo-sorts so a
   pass finalizes after its dependencies, and rejects unknown names with
   a listed-alternatives error.
-* :func:`fused_scan` — the serial fused executor: one pass over an
-  ``(events, sample_id)`` chunk iterator (e.g.
-  :func:`repro.trace.tracefile.iter_trace_chunks`) updating every
-  scheduled pass per chunk. :class:`repro.core.parallel.ParallelEngine`
-  runs the identical ``scan_chunk``/``merge`` protocol fanned out over
-  its process pool.
+* :func:`scan_chunk` / :func:`merge_partial_lists` /
+  :func:`finalize_schedule` — the fused executor's three steps: update
+  every scheduled pass over one chunk, merge two chunks' partials, and
+  finalize in dependency order.
+  :meth:`repro.core.parallel.ParallelEngine.analyze` drives them over
+  in-memory shards or archive chunks, inline or across its process
+  pool.
 
 Registering a new metric is ~50 lines: subclass :class:`AnalysisPass`,
 give it a mergeable partial, and call :func:`register_pass` — it then
@@ -43,7 +44,7 @@ from __future__ import annotations
 import difflib
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -89,7 +90,6 @@ __all__ = [
     "scan_chunk",
     "merge_partial_lists",
     "finalize_schedule",
-    "fused_scan",
     "to_jsonable",
     "DiagnosticsPartial",
     "CapturesPartial",
@@ -550,41 +550,6 @@ def finalize_schedule(
     return out
 
 
-def fused_scan(
-    chunks: Iterator[tuple[np.ndarray, np.ndarray | None]],
-    requests: Iterable[str | tuple[str, dict] | ResolvedRequest],
-    *,
-    rho: float = 1.0,
-    fn_names: dict[int, str] | None = None,
-    journal=None,
-    metrics=None,
-    timers=None,
-) -> dict[str, Any]:
-    """Run every requested pass in **one** serial scan over ``chunks``.
-
-    The streaming analogue of calling each legacy metric function in
-    turn — except the trace is read once, shared intermediates are
-    computed once per chunk, and the result of every pass is
-    bit-identical to its serial function. The
-    :class:`~repro.core.parallel.ParallelEngine` offers the same
-    semantics fanned out over a process pool.
-    """
-    scheduled = schedule_passes(requests)
-    specs = [r.spec for r in scheduled]
-    merged: list | None = None
-    for ev, sid in chunks:
-        partials, stats = scan_chunk(ev, sid, specs, journal)
-        account_scan_stats(stats, metrics=metrics, timers=timers)
-        merged = (
-            partials if merged is None else merge_partial_lists(merged, partials, specs)
-        )
-    if merged is None:
-        merged = [get_pass(name).init(params) for name, params in specs]
-    return finalize_schedule(
-        scheduled, merged, RunContext(rho=rho, fn_names=fn_names or {})
-    )
-
-
 def account_scan_stats(stats: dict, *, metrics=None, timers=None) -> None:
     """Fold one chunk's scan stats into obs sinks (shared with the engine)."""
     if metrics is not None:
@@ -978,7 +943,7 @@ class HeatmapPass(AnalysisPass):
     requires = ("nonconstant", "reuse_distances")
     defaults = {"access_block": 64}
     #: bin geometry must be fixed from the whole trace before scanning;
-    #: :meth:`repro.core.parallel.ParallelEngine.heatmap` does that.
+    #: :func:`repro.core.heatmap.heatmap_request` does that.
     needs = ("base", "size", "page_size", "t_edges", "n_pages", "n_bins")
     whole_without_samples = True
 

@@ -20,10 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.diagnostics import FootprintDiagnostics, compute_diagnostics
+from repro.core.diagnostics import FootprintDiagnostics
 from repro.core.interval_tree import access_interval_metrics
 from repro.core.parallel import ParallelEngine
-from repro.core.windows import code_windows
 from repro.core.zoom import ZoomConfig, ZoomRegion, location_zoom
 from repro.instrument.instrumenter import InstrumentResult, instrument_module
 from repro.instrument.rebuild import rebuild_trace
@@ -85,7 +84,6 @@ class MemGazeResult:
     instrumentation: InstrumentResult | None = None
     config: AnalysisConfig | None = None
     engine: "ParallelEngine | None" = None
-    cache_token: int | None = None
     #: content digest of (events, sample_id) — the persistent-cache
     #: address of this trace when the analysis ran with a cache_dir
     trace_digest: str | None = None
@@ -112,8 +110,7 @@ class MemGazeResult:
     def time_intervals(self, n_intervals: int = 8, reuse_block: int | None = None) -> list[dict]:
         """Equal-count access-interval metrics over time (Table VIII).
 
-        When the result carries a parallel engine, repeated calls at the
-        same interval count hit its (window_id, block, metric) cache.
+        Intervals are analyzed through the result's parallel engine.
         """
         rb = reuse_block or (self.config.reuse_block if self.config else 64)
         return access_interval_metrics(
@@ -124,7 +121,6 @@ class MemGazeResult:
             reuse_block=rb,
             sample_id=self.sample_id,
             engine=self.engine,
-            cache_token=self.cache_token,
         )
 
     def hotspots(self, coverage: float = 0.90):
@@ -133,36 +129,21 @@ class MemGazeResult:
 
         return find_hotspots(self.events, self.fn_names, coverage=coverage)
 
-    def run_passes(self, requests) -> dict:
+    def analyze(self, requests) -> dict:
         """Run registered analysis passes over this result's events.
 
-        One fused scan for whatever ``requests`` names (see
-        :func:`repro.core.passes.schedule_passes` for the accepted
-        forms); uses the result's parallel engine — and its partial
-        cache — when the analysis ran with one, a serial
-        :func:`repro.core.passes.fused_scan` otherwise.
+        One fused scan through the result's engine for whatever
+        ``requests`` names (see :func:`repro.core.passes.schedule_passes`
+        for the accepted forms), served from the persistent cache when
+        the analysis ran with a ``cache_dir``. Returns ``{pass name:
+        finalized result}``.
         """
-        if self.engine is not None:
-            window_id = (
-                (self.cache_token, "whole") if self.cache_token is not None else None
-            )
-            return self.engine.run_passes(
-                self.events,
-                requests,
-                sample_id=self.sample_id,
-                rho=self.rho,
-                fn_names=self.fn_names,
-                window_id=window_id,
-                store_key=self.trace_digest,
-            )
-        from repro.core.passes import fused_scan
-
-        return fused_scan(
-            iter([(self.events, self.sample_id)]),
+        return self.engine.analyze(
+            (self.events, self.sample_id, self.trace_digest),
             requests,
             rho=self.rho,
             fn_names=self.fn_names,
-        )
+        ).results
 
     def confidence(self, **kwargs):
         """Per-code-window sampling confidence (undersampling detection)."""
@@ -271,55 +252,34 @@ class MemGaze:
             self.metrics.gauge("pipeline.kappa").set(kappa)
         fn_names = fn_names or {}
         t0 = time.perf_counter()
-        token = None
-        pass_results: dict = {}
+        # one fused scan computes the whole-trace diagnostics, the
+        # per-function code windows and every configured extra pass
+        engine = self.engine
+        digest = None
+        if engine.store is not None:
+            from repro.core.artifacts import ArtifactStore
+
+            digest = ArtifactStore.digest_events(collection.events, collection.sample_id)
         extra = [
             r
             for r in self.config.passes
             if (r if isinstance(r, str) else r[0]) != "diagnostics"
         ]
-        digest = None
-        if self.config.workers != 1 or extra or self.config.cache_dir is not None:
-            # one fused scan computes the whole-trace diagnostics and
-            # every configured extra pass together
-            engine = self.engine
-            token = engine.window_token()
-            if engine.store is not None:
-                from repro.core.artifacts import ArtifactStore
-
-                digest = ArtifactStore.digest_events(
-                    collection.events, collection.sample_id
-                )
-            extra_names = {r if isinstance(r, str) else r[0] for r in extra}
-            requests = [("diagnostics", {"block": self.config.block})] + extra
-            if "windows" not in extra_names:
-                requests.append(("windows", {"block": self.config.block}))
-            results = engine.run_passes(
-                collection.events,
-                requests,
-                sample_id=collection.sample_id,
-                rho=rho,
-                fn_names=fn_names,
-                window_id=(token, "whole"),
-                store_key=digest,
-            )
-            diagnostics = results.pop("diagnostics")
-            # the per-function code windows ride the same fused scan; a
-            # caller-requested windows pass stays visible in pass_results
-            per_function = (
-                results["windows"]
-                if "windows" in extra_names
-                else results.pop("windows")
-            )
-            pass_results = results
-        else:
-            engine = None
-            diagnostics = compute_diagnostics(
-                collection.events, rho=rho, block=self.config.block
-            )
-            per_function = code_windows(
-                collection.events, rho=rho, block=self.config.block, fn_names=fn_names
-            )
+        extra_names = {r if isinstance(r, str) else r[0] for r in extra}
+        requests = [("diagnostics", {"block": self.config.block})] + extra
+        if "windows" not in extra_names:
+            requests.append(("windows", {"block": self.config.block}))
+        results = engine.analyze(
+            (collection.events, collection.sample_id, digest),
+            requests,
+            rho=rho,
+            fn_names=fn_names,
+        ).results
+        diagnostics = results.pop("diagnostics")
+        # a caller-requested windows pass stays visible in pass_results
+        per_function = (
+            results["windows"] if "windows" in extra_names else results.pop("windows")
+        )
         if self.journal is not None:
             self.journal.emit(
                 "stage",
@@ -341,9 +301,8 @@ class MemGaze:
             instrumentation=instrumentation,
             config=self.config,
             engine=engine,
-            cache_token=token,
             trace_digest=digest,
-            pass_results=pass_results,
+            pass_results=results,
         )
 
     def analyze_recorder(

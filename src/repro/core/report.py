@@ -5,9 +5,10 @@ these renderers take the analysis layer's structures and format them with
 humanised quantities (2.3G, 291K) so output is directly comparable to the
 published tables.
 
-The JSON side (:func:`passes_payload`, :func:`full_report_payload`,
-:func:`payload_json`) is the **single** serialization used by both
-``memgaze report --json`` and the streaming service's live queries.
+The JSON side (:func:`passes_payload`, :func:`report_payload`,
+:func:`payload_json`) is the **single** serialization used by
+``memgaze report --json``, the streaming service's live queries and
+``memgaze matrix`` cells.
 Payloads deliberately carry no path, timestamp, or host field — only
 trace content and analysis results — so a live query against a session
 archive and an offline report over the same bytes serialize
@@ -29,7 +30,10 @@ __all__ = [
     "render_function_table",
     "render_region_table",
     "render_interval_table",
+    "REPORT_PASSES",
+    "report_requests",
     "passes_payload",
+    "report_payload",
     "full_report_payload",
     "viz_report_payload",
     "payload_json",
@@ -107,6 +111,45 @@ def render_region_table(
 PAYLOAD_SCHEMA = 1
 
 
+def report_requests(block: int = 1, reuse_block: int = 64) -> list:
+    """The default report pass set at the given footprint / reuse granularities.
+
+    The four headline passes plus the per-function code windows.
+    ``report --json``, live queries, serve ingest and matrix cells all
+    request exactly these, so whatever one of them stores the others are
+    served from.
+    """
+    return [
+        ("diagnostics", {"block": block}),
+        ("hotspot", {}),
+        ("captures", {"block": block}),
+        ("reuse", {"block": reuse_block}),
+        ("windows", {"block": block}),
+    ]
+
+
+#: the default report pass set's names
+REPORT_PASSES = tuple(name for name, _ in report_requests())
+#: the passes that surface under ``payload["passes"]``; ``windows``
+#: surfaces as the ``functions`` mapping instead
+_HEADLINE = REPORT_PASSES[:4]
+
+
+def _payload(module, n_events, n_samples, n_loads_total, rho, names, results) -> dict:
+    """The payload layout every producer shares (see :func:`passes_payload`)."""
+    from repro.core.passes import get_pass
+
+    return {
+        "schema": PAYLOAD_SCHEMA,
+        "module": module,
+        "n_events": int(n_events),
+        "n_samples": int(n_samples),
+        "n_loads_total": int(n_loads_total),
+        "rho": float(rho),
+        "passes": {name: get_pass(name).jsonable(results[name]) for name in names},
+    }
+
+
 def passes_payload(module, collection, rho, requested, results) -> dict:
     """The canonical machine-readable payload for finalized pass results.
 
@@ -116,19 +159,28 @@ def passes_payload(module, collection, rho, requested, results) -> dict:
     analysis results; nothing environmental (paths, times, hosts) may
     appear here, or live-vs-offline equivalence breaks.
     """
-    from repro.core.passes import get_pass
+    counts = (len(collection.events), collection.n_samples, collection.n_loads_total)
+    return _payload(module, *counts, rho, requested, results)
 
-    return {
-        "schema": PAYLOAD_SCHEMA,
-        "module": module,
-        "n_events": int(len(collection.events)),
-        "n_samples": int(collection.n_samples),
-        "n_loads_total": int(collection.n_loads_total),
-        "rho": float(rho),
-        "passes": {
-            name: get_pass(name).jsonable(results[name]) for name in requested
-        },
+
+def report_payload(analysis, *, module, n_samples, n_loads_total, extra=()) -> dict:
+    """The full-report payload of an analysis of :func:`report_requests`.
+
+    The one builder behind ``report --json``, live queries and matrix
+    cells, whether the :class:`~repro.core.parallel.Analysis` came from
+    in-memory events or a streamed (possibly cache-served) archive. The
+    ``windows`` results surface as the ``functions`` mapping; ``extra``
+    pass names join the four headline passes under ``passes``.
+    """
+    from repro.core.passes import to_jsonable
+
+    names = list(_HEADLINE) + [p for p in extra if p not in _HEADLINE]
+    counts = (analysis.n_events, n_samples, n_loads_total)
+    payload = _payload(module, *counts, analysis.rho, names, analysis.results)
+    payload["functions"] = {
+        name: to_jsonable(d) for name, d in sorted(analysis.results["windows"].items())
     }
+    return payload
 
 
 def full_report_payload(
@@ -138,35 +190,29 @@ def full_report_payload(
     fn_names,
     engine,
     *,
-    window_token=None,
     store_key=None,
+    extra_passes=(),
 ) -> dict:
     """The whole-trace ``report --json`` payload (default pass set).
 
-    Runs the four headline passes plus the per-function code windows in
-    one fused scan, through the same engine path the human-readable
-    report uses. The ``windows`` results surface as the payload's
-    ``functions`` mapping (not under ``passes``), so the layout — and
-    the bytes — match the original split computation.
+    Runs :data:`REPORT_PASSES` plus any ``extra_passes`` in one fused
+    engine scan (served from the engine's store when ``store_key``, the
+    collection's content digest, addresses warm partials).
     """
-    from repro.core.passes import to_jsonable
-
-    names = ["diagnostics", "hotspot", "captures", "reuse"]
-    token = window_token if window_token is not None else engine.window_token()
-    results = engine.run_passes(
-        collection.events,
-        names + ["windows"],
-        sample_id=collection.sample_id,
+    extra = [p for p in extra_passes or () if p not in REPORT_PASSES]
+    analysis = engine.analyze(
+        (collection.events, collection.sample_id, store_key),
+        list(REPORT_PASSES) + extra,
         rho=rho,
         fn_names=fn_names,
-        window_id=(token, "whole"),
-        store_key=store_key,
     )
-    payload = passes_payload(module, collection, rho, names, results)
-    payload["functions"] = {
-        name: to_jsonable(d) for name, d in sorted(results["windows"].items())
-    }
-    return payload
+    return report_payload(
+        analysis,
+        module=module,
+        n_samples=collection.n_samples,
+        n_loads_total=collection.n_loads_total,
+        extra=extra_passes or (),
+    )
 
 
 #: Bump when the ``viz`` payload section layout changes.
@@ -215,7 +261,7 @@ def _viz_tree_node(node, depth_left: int) -> dict:
     return out
 
 
-def _viz_section(collection, rho, fn_names, engine, token) -> dict:
+def _viz_section(collection, rho, fn_names, engine) -> dict:
     """The visual-report data: intervals, phases, tree, regions, heatmaps.
 
     Everything here is derived from trace content through deterministic
@@ -227,6 +273,7 @@ def _viz_section(collection, rho, fn_names, engine, token) -> dict:
         ExecutionIntervalTree,
         access_interval_metrics,
     )
+    from repro.core.heatmap import heatmap_request
     from repro.core.phases import detect_phases
     from repro.core.zoom import ZoomConfig, location_zoom, zoom_leaves
 
@@ -250,7 +297,6 @@ def _viz_section(collection, rho, fn_names, engine, token) -> dict:
             reuse_block=64,
             sample_id=sample_id,
             engine=engine,
-            cache_token=token,
         )
     ] if len(events) else []
 
@@ -303,14 +349,14 @@ def _viz_section(collection, rho, fn_names, engine, token) -> dict:
                 }
             )
         for leaf, region in zip(leaves[: p["max_heatmaps"]], regions):
-            hm = engine.heatmap(
+            request = heatmap_request(
                 events,
                 leaf.base,
                 leaf.size,
                 n_pages=p["heatmap_pages"],
                 n_bins=p["heatmap_bins"],
-                sample_id=sample_id,
             )
+            hm = engine.analyze((events, sample_id, None), [request]).results["heatmap"]
             heatmaps.append(
                 {
                     "name": region["name"],
@@ -341,7 +387,6 @@ def viz_report_payload(
     fn_names,
     engine,
     *,
-    window_token=None,
     store_key=None,
     degraded=None,
     extra_passes=None,
@@ -355,38 +400,22 @@ def viz_report_payload(
     and the serve daemon's live dashboard; identical archive bytes give
     identical payload bytes on both paths.
 
-    ``extra_passes`` (e.g. ``["cache_sweep"]``) are run through the same
-    fused engine scan and merged under ``payload["passes"]``. A
-    ``degraded`` dict (from a recovered archive read) is attached only
-    when given, so payloads for clean archives carry no extra key.
+    ``extra_passes`` (e.g. ``["cache_sweep"]``) ride the same fused
+    engine scan as the default pass set and land under
+    ``payload["passes"]``. A ``degraded`` dict (from a recovered archive
+    read) is attached only when given, so payloads for clean archives
+    carry no extra key.
     """
-    token = window_token if window_token is not None else engine.window_token()
     payload = full_report_payload(
         module,
         collection,
         rho,
         fn_names,
         engine,
-        window_token=token,
         store_key=store_key,
+        extra_passes=extra_passes,
     )
-    if extra_passes:
-        from repro.core.passes import get_pass
-
-        requested = [p for p in extra_passes if p not in payload["passes"]]
-        if requested:
-            results = engine.run_passes(
-                collection.events,
-                requested,
-                sample_id=collection.sample_id,
-                rho=rho,
-                fn_names=fn_names,
-                window_id=(token, "whole"),
-                store_key=store_key,
-            )
-            for name in requested:
-                payload["passes"][name] = get_pass(name).jsonable(results[name])
-    payload["viz"] = _viz_section(collection, rho, fn_names, engine, token)
+    payload["viz"] = _viz_section(collection, rho, fn_names, engine)
     if degraded is not None:
         payload["degraded"] = degraded
     return payload

@@ -9,24 +9,20 @@ Definitions (cf. the paper's distinction):
   blocks accessed in that interval — the quantity that predicts cache
   behaviour.
 
-Two exact kernels compute the distance (selectable per call or through
-``MEMGAZE_REUSE_KERNEL``, see ``docs/performance.md``):
+The distance kernel is pure numpy. With ``prev[i]`` the index of the
+previous same-block access inside the window, the distance collapses to
+``D[i] = rank(i) - prev[i] - 1`` where
+``rank(i) = #{j < i in window : prev[j] <= prev[i]}``: every
+``j <= prev[i]`` trivially satisfies ``prev[j] < j <= prev[i]``, and a
+``j`` strictly between ``prev[i]`` and ``i`` satisfies it exactly when
+``j`` is the first access to its block since position ``prev[i]`` —
+i.e. when ``j`` contributes one unique block. The rank sweep is
+:func:`repro._util.rank.count_le_left`. It is an exact integer
+computation, checked bit for bit against the classic per-event
+Fenwick-tree walk that the test suite keeps as its oracle
+(``tests/_util/fenwick_oracle.py``).
 
-* ``"vector"`` (default) — pure numpy. With ``prev[i]`` the index of
-  the previous same-block access inside the window, the distance
-  collapses to ``D[i] = rank(i) - prev[i] - 1`` where
-  ``rank(i) = #{j < i in window : prev[j] <= prev[i]}``: every
-  ``j <= prev[i]`` trivially satisfies ``prev[j] < j <= prev[i]``, and
-  a ``j`` strictly between ``prev[i]`` and ``i`` satisfies it exactly
-  when ``j`` is the first access to its block since position
-  ``prev[i]`` — i.e. when ``j`` contributes one unique block. The rank
-  sweep is :func:`repro._util.rank.count_le_left`.
-* ``"fenwick"`` — the classic per-event Fenwick-tree walk
-  (O(n log n) interpreted steps), kept as the independent reference
-  implementation that the property suite compares the kernel against.
-
-Both kernels are exact integer computations and return bit-identical
-arrays. Both respect sample boundaries when ``sample_id`` is given:
+Distances respect sample boundaries when ``sample_id`` is given:
 tracking state resets at each boundary, so distances are *intra-sample*
 (the paper's preference for cache-scale analysis — inter-sample reuse is
 estimated through footprint growth instead).
@@ -36,12 +32,10 @@ Cold accesses (first touch of a block in a window) get ``-1``.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro._util.fenwick import FenwickTree
 from repro._util.rank import count_le_left
 from repro._util.validate import check_power_of_two
 from repro.core.metrics import block_ids, nonconstant
@@ -51,7 +45,6 @@ __all__ = [
     "reuse_intervals",
     "reuse_distances",
     "stack_distances",
-    "default_reuse_kernel",
     "mean_reuse_distance",
     "max_reuse_distance",
     "inter_sample_distance",
@@ -60,22 +53,6 @@ __all__ = [
     "reuse_histogram",
     "histogram_from_distances",
 ]
-
-#: environment override for the reuse-distance kernel ("vector"/"fenwick");
-#: the CLI's ``--reuse-kernel`` flag sets it so forked pool workers inherit it
-_KERNEL_ENV = "MEMGAZE_REUSE_KERNEL"
-_KERNELS = ("vector", "fenwick")
-
-
-def default_reuse_kernel() -> str:
-    """The kernel used when a call does not pick one explicitly."""
-    kernel = os.environ.get(_KERNEL_ENV, "vector")
-    if kernel not in _KERNELS:
-        raise ValueError(
-            f"{_KERNEL_ENV}={kernel!r} is not a reuse kernel; pick one of {_KERNELS}"
-        )
-    return kernel
-
 
 def _check(events: np.ndarray) -> None:
     if events.dtype != EVENT_DTYPE:
@@ -136,7 +113,7 @@ def stack_distances(ids: np.ndarray, win: np.ndarray) -> np.ndarray:
     crosses a window boundary.
 
     Exact integer arithmetic throughout: the output is bit-identical to
-    the reference Fenwick walk for any input.
+    the classic Fenwick-tree walk for any input.
     """
     ids = np.asarray(ids)
     win = np.asarray(win)
@@ -169,63 +146,23 @@ def stack_distances(ids: np.ndarray, win: np.ndarray) -> np.ndarray:
     return out
 
 
-def _reuse_distances_fenwick(
-    ids: np.ndarray, starts: np.ndarray, n: int
-) -> np.ndarray:
-    """Reference per-event Fenwick walk (kernel ``"fenwick"``).
-
-    One marker bit per position holds "this position is the most recent
-    access to its block"; the distance of an access is the marker count
-    strictly between the previous access to its block and now. Kept as
-    the independently-derived implementation the property suite checks
-    the vector kernel against.
-    """
-    out = np.full(n, -1, dtype=np.int64)
-    ends = np.append(starts[1:], n)
-    for lo, hi in zip(starts, ends):
-        window = ids[lo:hi]
-        m = len(window)
-        tree = FenwickTree(m)
-        last: dict[int, int] = {}
-        for i, b in enumerate(window):
-            b = int(b)
-            prev = last.get(b)
-            if prev is not None:
-                # unique blocks since prev = markers in (prev, i)
-                out[lo + i] = tree.range_sum(prev + 1, i - 1)
-                tree.add(prev, -1)
-            tree.add(i, 1)
-            last[b] = i
-    return out
-
-
 def reuse_distances(
     events: np.ndarray,
     block: int = 1,
     sample_id: np.ndarray | None = None,
-    *,
-    kernel: str | None = None,
 ) -> np.ndarray:
     """Per-access spatio-temporal reuse distance D; -1 for first touches.
 
     D counts unique blocks *strictly between* consecutive accesses to the
-    same block, so an immediate re-access has D = 0. ``kernel`` picks the
-    implementation (``"vector"`` / ``"fenwick"``, see the module
-    docstring); both are exact and bit-identical, defaulting to
-    :func:`default_reuse_kernel`.
+    same block, so an immediate re-access has D = 0.
     """
     _check(events)
     check_power_of_two("block", block)
-    kernel = kernel or default_reuse_kernel()
-    if kernel not in _KERNELS:
-        raise ValueError(f"unknown reuse kernel {kernel!r}; pick one of {_KERNELS}")
     n = len(events)
     if n == 0:
         return np.full(n, -1, dtype=np.int64)
     ids = block_ids(events, block)
     starts = _boundaries(n, sample_id)
-    if kernel == "fenwick":
-        return _reuse_distances_fenwick(ids, starts, n)
     widx = np.zeros(n, dtype=np.int64)
     widx[starts[1:]] = 1
     np.cumsum(widx, out=widx)
@@ -381,7 +318,7 @@ def histogram_from_distances(
 
     This is the shared tail of :func:`reuse_histogram`: the analysis-pass
     framework calls it on distances pulled from the per-chunk artifact
-    context, so several passes can share one Fenwick sweep.
+    context, so several passes share one distance sweep.
     """
     hits = d[d >= 0]
     out = ReuseHistogram.identity(max_exp)

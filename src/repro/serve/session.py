@@ -9,16 +9,19 @@ analysis freshness loop. Every accepted chunk
    (:func:`repro.trace.tracefile.write_trace` with ``atomic=True``), so
    concurrent readers — live queries, an offline ``memgaze report``, a
    crashing daemon's survivors — only ever see complete archives, and
-3. drives :meth:`ParallelEngine.analyze_file` over the archive, which
-   warms the content-addressed :class:`~repro.core.artifacts.ArtifactStore`
-   under the archive's *new* digest via the prefix-incremental path:
-   only the appended tail is scanned, the cached prefix partials merge in.
+3. drives :meth:`ParallelEngine.analyze` over the archive for the
+   default report pass set (:data:`repro.core.report.REPORT_PASSES`),
+   which warms the content-addressed
+   :class:`~repro.core.artifacts.ArtifactStore` under the archive's
+   *new* digest via the prefix-incremental path: only the appended tail
+   is scanned, the cached prefix partials merge in.
 
-A query then loads the archive through the same
+A full-report query then loads the archive through the same
 :func:`repro.trace.loader.load_trace_collection` +
-:meth:`ParallelEngine.run_passes` path the offline CLI uses — the store
-is warm, so the scan is skipped, and the resulting JSON payload is
-byte-identical to ``memgaze report --json`` over the same archive.
+:meth:`ParallelEngine.analyze` path the offline CLI uses — ingest
+stored every pass that payload needs, so no chunk is scanned, and the
+resulting JSON payload is byte-identical to ``memgaze report --json``
+over the same archive.
 
 The :class:`SessionManager` maps stream names to sessions; it does no
 locking because it never needs any. Each shard worker process of the
@@ -40,7 +43,12 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.artifacts import ArtifactStore
-from repro.core.report import full_report_payload, passes_payload, viz_report_payload
+from repro.core.report import (
+    REPORT_PASSES,
+    full_report_payload,
+    passes_payload,
+    viz_report_payload,
+)
 from repro.trace.compress import sample_ratio_from
 from repro.trace.loader import load_trace_collection
 from repro.trace.tracefile import TraceMeta, write_trace
@@ -130,7 +138,7 @@ class ServeSession:
         )
         write_trace(self.archive, all_events, self.meta, all_sids, atomic=True)
 
-        analysis = engine.analyze_file(self.archive)
+        analysis = engine.analyze(self.archive, REPORT_PASSES)
         self.last_mode = analysis.mode
         self.last_skipped = analysis.skipped_events
         return {
@@ -162,37 +170,21 @@ class ServeSession:
         store_key = None
         if loaded.clean and engine.store is not None:
             store_key = ArtifactStore.archive_digest(self.archive)
-        token = engine.window_token()
         if viz:
             payload = viz_report_payload(
-                self.meta.module,
-                col,
-                rho,
-                loaded.fn_names,
-                engine,
-                window_token=token,
-                store_key=store_key,
+                self.meta.module, col, rho, loaded.fn_names, engine, store_key=store_key
             )
         elif passes is None:
             payload = full_report_payload(
-                self.meta.module,
-                col,
-                rho,
-                loaded.fn_names,
-                engine,
-                window_token=token,
-                store_key=store_key,
+                self.meta.module, col, rho, loaded.fn_names, engine, store_key=store_key
             )
         else:
-            results = engine.run_passes(
-                col.events,
+            results = engine.analyze(
+                (col.events, col.sample_id, store_key),
                 list(passes),
-                sample_id=col.sample_id,
                 rho=rho,
                 fn_names=loaded.fn_names,
-                window_id=(token, "whole"),
-                store_key=store_key,
-            )
+            ).results
             payload = passes_payload(self.meta.module, col, rho, passes, results)
         info = {
             "session": self.name,

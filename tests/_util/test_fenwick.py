@@ -1,10 +1,14 @@
-"""Unit and property tests for the Fenwick tree."""
+"""Unit and property tests for the Fenwick tree behind the reuse oracle."""
+
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro._util.fenwick import FenwickTree
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from fenwick_oracle import FenwickTree  # noqa: E402
 
 
 class TestBasics:

@@ -54,20 +54,24 @@ def _write(path, ev, sid, n_loads=None):
     return path
 
 
+#: the archive analyses these tests compare
+FILE_PASSES = ["diagnostics", "captures", "reuse"]
+
+
 def _analysis_tuple(fa):
-    """Everything analyze_file computes, as a comparable value."""
+    """Everything an analysis of FILE_PASSES computes, as a comparable value."""
+    reuse = fa.results["reuse"]
     return (
         fa.n_events,
         fa.rho,
-        fa.diagnostics,
-        fa.captures,
-        fa.survivals,
-        fa.reuse.counts.tolist(),
-        fa.reuse.n_cold,
-        fa.reuse.n_reuse,
-        fa.reuse.d_sum,
-        fa.reuse.d_max,
-        fa.reuse.scope,
+        fa.results["diagnostics"],
+        fa.results["captures"],
+        reuse.counts.tolist(),
+        reuse.n_cold,
+        reuse.n_reuse,
+        reuse.d_sum,
+        reuse.d_max,
+        reuse.scope,
     )
 
 
@@ -185,8 +189,10 @@ class TestWarmAnalyzeFile:
         def run():
             journal = RunJournal(jpath)
             store = ArtifactStore(tmp_path / "cache", journal=journal)
-            with ParallelEngine(workers=1, store=store, journal=journal) as eng:
-                return eng.analyze_file(path, chunk_size=2 * SAMPLE)
+            with ParallelEngine(
+                workers=1, chunk_size=2 * SAMPLE, store=store, journal=journal
+            ) as eng:
+                return eng.analyze(path, FILE_PASSES)
 
         cold, warm = run(), run()
         assert _analysis_tuple(warm) == _analysis_tuple(cold)
@@ -206,11 +212,8 @@ class TestWarmAnalyzeFile:
         def run():
             store = ArtifactStore(tmp_path / "cache")
             with ParallelEngine(workers=1, store=store) as eng:
-                r = eng.run_passes(
-                    ev, ["diagnostics", "reuse"], sample_id=sid, rho=2.0,
-                    window_id=(eng.window_token(), "w"), store_key=digest,
-                )
-                return r, store.cache.hits
+                r = eng.analyze((ev, sid, digest), ["diagnostics", "reuse"], rho=2.0)
+                return r.results, store.cache.hits
         (cold, h0), (warm, h1) = run(), run()
         assert h0 == 0 and h1 > 0, "second engine must hit the disk store"
         assert warm["diagnostics"] == cold["diagnostics"]
@@ -229,12 +232,14 @@ class TestIncrementalAppend:
         def run(path):
             journal = RunJournal(jpath)
             store = ArtifactStore(tmp_path / "cache", journal=journal)
-            with ParallelEngine(workers=workers, store=store, journal=journal) as eng:
-                return eng.analyze_file(path, chunk_size=2 * SAMPLE)
+            with ParallelEngine(
+                workers=workers, chunk_size=2 * SAMPLE, store=store, journal=journal
+            ) as eng:
+                return eng.analyze(path, FILE_PASSES)
 
         run(path0)  # prime the cache with the shorter trace
         warm = run(path1)
-        cold = ParallelEngine(workers=1).analyze_file(path1, chunk_size=2 * SAMPLE)
+        cold = ParallelEngine(workers=1, chunk_size=2 * SAMPLE).analyze(path1, FILE_PASSES)
         return warm, cold, list(read_journal(jpath)), n0
 
     def test_appended_trace_scans_only_the_tail(self, tmp_path):
@@ -266,12 +271,14 @@ class TestIncrementalAppend:
         def run(path):
             journal = RunJournal(jpath)
             store = ArtifactStore(tmp2 / "cache", journal=journal)
-            with ParallelEngine(workers=1, store=store, journal=journal) as eng:
-                return eng.analyze_file(path, chunk_size=2 * SAMPLE)
+            with ParallelEngine(
+                workers=1, chunk_size=2 * SAMPLE, store=store, journal=journal
+            ) as eng:
+                return eng.analyze(path, FILE_PASSES)
 
         run(path0)
         got = run(path1)
-        ref = ParallelEngine(workers=1).analyze_file(path1, chunk_size=2 * SAMPLE)
+        ref = ParallelEngine(workers=1, chunk_size=2 * SAMPLE).analyze(path1, FILE_PASSES)
         assert _analysis_tuple(got) == _analysis_tuple(ref)
         stage = [r for r in read_journal(jpath) if r.get("stage") == "analyze-file"][-1]
         assert stage["mode"] == "full"
@@ -290,10 +297,11 @@ class TestNoSampleIds:
         ev, _ = _trace(8 * SAMPLE)
         path = _write(tmp_path / "bare.npz", ev, None)
         jpath = tmp_path / "j.jsonl"
-        with ParallelEngine(workers=1, journal=RunJournal(jpath)) as eng:
-            fa = eng.analyze_file(path, chunk_size=2 * SAMPLE)
-        assert fa.reuse_scope == "chunk"
-        assert fa.reuse.scope == "chunk"
+        with ParallelEngine(
+            workers=1, chunk_size=2 * SAMPLE, journal=RunJournal(jpath)
+        ) as eng:
+            fa = eng.analyze(path, FILE_PASSES)
+        assert fa.results["reuse"].scope == "chunk"
         warnings = [r for r in read_journal(jpath) if r.get("event") == "warning"]
         (w,) = [w for w in warnings if "no sample ids" in w["message"]]
         assert w["reuse_scope"] == "chunk"
@@ -303,9 +311,11 @@ class TestNoSampleIds:
         ev, sid = _trace(8 * SAMPLE)
         path = _write(tmp_path / "t.npz", ev, sid)
         jpath = tmp_path / "j.jsonl"
-        with ParallelEngine(workers=1, journal=RunJournal(jpath)) as eng:
-            fa = eng.analyze_file(path, chunk_size=2 * SAMPLE)
-        assert fa.reuse_scope == "sample"
+        with ParallelEngine(
+            workers=1, chunk_size=2 * SAMPLE, journal=RunJournal(jpath)
+        ) as eng:
+            fa = eng.analyze(path, FILE_PASSES)
+        assert fa.results["reuse"].scope == "sample"
         warnings = [r for r in read_journal(jpath) if r.get("event") == "warning"]
         assert not warnings
 
@@ -315,8 +325,8 @@ class TestNoSampleIds:
         store = ArtifactStore(tmp_path / "cache")
 
         def run():
-            with ParallelEngine(workers=1, store=store) as eng:
-                return eng.analyze_file(path, chunk_size=2 * SAMPLE)
+            with ParallelEngine(workers=1, chunk_size=2 * SAMPLE, store=store) as eng:
+                return eng.analyze(path, FILE_PASSES)
 
         a = run()
         names_after_cold = store.cache.names("partial-")
@@ -337,8 +347,10 @@ class TestFaultInjection:
         def run():
             journal = RunJournal(jpath)
             store = ArtifactStore(tmp_path / "cache", journal=journal)
-            with ParallelEngine(workers=1, store=store, journal=journal) as eng:
-                return eng.analyze_file(path, chunk_size=3 * SAMPLE)
+            with ParallelEngine(
+                workers=1, chunk_size=3 * SAMPLE, store=store, journal=journal
+            ) as eng:
+                return eng.analyze(path, FILE_PASSES)
 
         cold = run()
         for entry in sorted((tmp_path / "cache").glob("partial-*.mgc")):
@@ -361,9 +373,11 @@ class TestFaultInjection:
         path = _write(tmp_path / "t.npz", ev, sid)
         m = MetricsRegistry()
         store = ArtifactStore(tmp_path / "cache", metrics=m)
-        with ParallelEngine(workers=1, store=store, metrics=m) as eng:
-            eng.analyze_file(path, chunk_size=2 * SAMPLE)
-            eng.analyze_file(path, chunk_size=2 * SAMPLE)
+        with ParallelEngine(
+            workers=1, chunk_size=2 * SAMPLE, store=store, metrics=m
+        ) as eng:
+            eng.analyze(path, FILE_PASSES)
+            eng.analyze(path, FILE_PASSES)
         counters = m.as_dict()["counters"]
         assert counters["cache.stores"]["value"] >= 4  # 3 partials + 1 state
         assert counters["cache.hits"]["value"] >= 3
@@ -403,13 +417,13 @@ class TestConcurrentSharing:
         ev, sid = _trace(8 * SAMPLE)
         path = _write(tmp_path / "t.npz", ev, sid)
         store_a = ArtifactStore(tmp_path / "cache")
-        with ParallelEngine(workers=1, store=store_a) as eng:
-            cold = eng.analyze_file(path, chunk_size=2 * SAMPLE)
+        with ParallelEngine(workers=1, chunk_size=2 * SAMPLE, store=store_a) as eng:
+            cold = eng.analyze(path, FILE_PASSES)
         # a second handle evicts everything mid-flight; the reader engine
         # must fall back to a scan, not crash or serve garbage
         ArtifactStore(tmp_path / "cache").prune(0)
         store_b = ArtifactStore(tmp_path / "cache")
-        with ParallelEngine(workers=1, store=store_b) as eng:
-            warm = eng.analyze_file(path, chunk_size=2 * SAMPLE)
+        with ParallelEngine(workers=1, chunk_size=2 * SAMPLE, store=store_b) as eng:
+            warm = eng.analyze(path, FILE_PASSES)
         assert _analysis_tuple(warm) == _analysis_tuple(cold)
         assert store_b.cache.corrupt == 0

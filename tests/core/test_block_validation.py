@@ -10,9 +10,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.heatmap import access_heatmap
+from repro.core.heatmap import access_heatmap, heatmap_request
 from repro.core.metrics import block_ids, captures_survivals, footprint
-from repro.core.parallel import CapturesPartial, DiagnosticsPartial, ParallelEngine
+from repro.core.parallel import CapturesPartial, DiagnosticsPartial
 from repro.core.reuse import reuse_distances, reuse_histogram, reuse_intervals
 from repro.trace.event import make_events
 
@@ -64,7 +64,7 @@ def test_accepts_powers_of_two(call):
 
 
 def test_engine_heatmap_uses_same_contract():
-    with ParallelEngine(workers=1) as eng:
-        with pytest.raises(ValueError) as err:
-            eng.heatmap(_ev(), 0, 4096, access_block=48)
+    # the engine's heatmap request is validated before any scan is planned
+    with pytest.raises(ValueError) as err:
+        heatmap_request(_ev(), 0, 4096, access_block=48)
     assert str(err.value) == "block must be a positive power of two, got 48"

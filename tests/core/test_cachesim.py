@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core.cachesim import CacheConfig, simulate_cache
+from repro.core.cachesim import (
+    CacheConfig,
+    _simulate_cache_python,
+    _simulate_cache_vector,
+    simulate_cache,
+)
 from repro.core.reuse import reuse_distances
 from repro.trace.event import LoadClass, make_events
 
@@ -108,7 +113,12 @@ class TestDistancePredictsHits:
 
 
 class TestCacheKernelEquivalence:
-    """The set-local stack-distance kernel matches the reference loop."""
+    """The set-local stack-distance kernel matches the per-event loop.
+
+    :func:`simulate_cache` runs the vector kernel unless the config
+    prefetches; the loop stays in the library as the prefetch path, and
+    here it is the reference the kernel must equal field for field.
+    """
 
     def _events(self, rng, n=2500):
         return make_events(
@@ -123,13 +133,17 @@ class TestCacheKernelEquivalence:
         rng = make_rng(f"cache-eq-{ways}-{sets}")
         ev = self._events(rng)
         cfg = CacheConfig(size_bytes=ways * sets * 64, line_bytes=64, ways=ways)
-        a = simulate_cache(ev, cfg, kernel="vector")
-        b = simulate_cache(ev, cfg, kernel="python")
+        a = simulate_cache(ev, cfg)
+        b = _simulate_cache_python(ev, cfg)
         # repr covers every field including the class-count dict order
-        assert repr(a) == repr(b)
+        assert repr(a) == repr(b) == repr(_simulate_cache_vector(ev, cfg))
 
     def test_hierarchy_vector_equals_python(self, make_rng):
-        from repro.core.cachesim import HierarchyConfig, simulate_hierarchy
+        from repro.core.cachesim import (
+            HierarchyConfig,
+            _simulate_hierarchy_python,
+            simulate_hierarchy,
+        )
 
         rng = make_rng("hier-eq")
         ev = self._events(rng)
@@ -141,8 +155,8 @@ class TestCacheKernelEquivalence:
                 size_bytes=256 * 1024, line_bytes=64, ways=8, prefetch_next_line=False
             ),
         )
-        a = simulate_hierarchy(ev, cfg, kernel="vector")
-        b = simulate_hierarchy(ev, cfg, kernel="python")
+        a = simulate_hierarchy(ev, cfg)
+        b = _simulate_hierarchy_python(ev, cfg)
         assert repr(a) == repr(b)
 
     def test_vector_rejects_prefetch(self):
@@ -151,54 +165,24 @@ class TestCacheKernelEquivalence:
             size_bytes=4096, line_bytes=64, ways=4, prefetch_next_line=True
         )
         with pytest.raises(ValueError, match="prefetch"):
-            simulate_cache(ev, cfg, kernel="vector")
+            _simulate_cache_vector(ev, cfg)
 
     def test_auto_falls_back_for_prefetch(self):
-        """auto must pick the python loop when prefetching is on — and
-        still produce a result (no exception)."""
+        """A prefetching config must run the per-event loop — and still
+        produce a result (no exception)."""
         ev = make_events(ip=1, addr=[0, 64, 0], cls=2)
         cfg = CacheConfig(
             size_bytes=4096, line_bytes=64, ways=4, prefetch_next_line=True
         )
-        stats = simulate_cache(ev, cfg, kernel="auto")
+        stats = simulate_cache(ev, cfg)
         assert stats.n_accesses == 3
-
-    def test_env_default(self, monkeypatch):
-        from repro.core.cachesim import default_cache_kernel
-
-        monkeypatch.setenv("MEMGAZE_CACHE_KERNEL", "python")
-        assert default_cache_kernel() == "python"
-        monkeypatch.delenv("MEMGAZE_CACHE_KERNEL")
-        assert default_cache_kernel() == "auto"
-        monkeypatch.setenv("MEMGAZE_CACHE_KERNEL", "bogus")
-        with pytest.raises(ValueError, match="MEMGAZE_CACHE_KERNEL"):
-            default_cache_kernel()
+        assert repr(stats) == repr(_simulate_cache_python(ev, cfg))
 
 
-# -- config-time kernel validation (hoisted out of the scan) ------------------
+# -- schedule-time sweep validation (hoisted out of the scan) -----------------
 
 
 class TestConfigKernelField:
-    def test_unknown_kernel_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="unknown cache kernel"):
-            CacheConfig(size_bytes=4096, line_bytes=64, ways=4, kernel="bogus")
-
-    def test_vector_plus_prefetch_rejected_at_construction(self):
-        """The incompatibility fails when the config is *built*, not on
-        the first simulation call deep inside a worker's scan."""
-        with pytest.raises(ValueError, match="prefetch"):
-            CacheConfig(
-                size_bytes=4096, line_bytes=64, ways=4,
-                prefetch_next_line=True, kernel="vector",
-            )
-
-    def test_config_kernel_drives_simulation(self, make_rng):
-        rng = make_rng("cfg-kernel")
-        ev = make_events(ip=1, addr=rng.integers(0, 1 << 12, 500) * 8, cls=2)
-        cfg = CacheConfig(size_bytes=4096, line_bytes=64, ways=4, kernel="python")
-        ref = simulate_cache(ev, cfg, kernel="python")
-        assert repr(simulate_cache(ev, cfg)) == repr(ref)
-
     def test_sweep_schedule_rejects_prefetch(self):
         from repro.core.passes import schedule_passes
 
@@ -241,7 +225,7 @@ class TestSweepEquivalence:
         # one sample per event so chunk_size controls sharding exactly
         sid = np.arange(len(ev), dtype=np.int32)
         with ParallelEngine(workers=workers, chunk_size=chunk_size) as eng:
-            rows = eng.run_passes(ev, ["cache_sweep"], sample_id=sid)["cache_sweep"]
+            rows = eng.analyze((ev, sid, None), ["cache_sweep"]).results["cache_sweep"]
         grid = sweep_configs()
         assert len(rows) == len(grid) == 8
         for row, cfg in zip(rows, grid):
@@ -280,11 +264,10 @@ class TestSweepEquivalence:
         from repro.core.parallel import ParallelEngine
 
         with ParallelEngine(workers=1, chunk_size=257) as eng:
-            rows = eng.run_passes(
-                ev,
+            rows = eng.analyze(
+                (ev, np.arange(len(ev), dtype=np.int32), None),
                 [("cache_sweep", {"configs": [(8192, 64, 2), (65536, 128, 8)]})],
-                sample_id=np.arange(len(ev), dtype=np.int32),
-            )["cache_sweep"]
+            ).results["cache_sweep"]
         for row, cfg in zip(rows, grid):
             ref = simulate_cache(ev, cfg)
             assert row.n_hits == ref.n_hits and row.n_accesses == ref.n_accesses

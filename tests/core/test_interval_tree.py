@@ -104,3 +104,25 @@ class TestAccessIntervals:
         ev = make_events(ip=1, addr=np.arange(4))
         with pytest.raises(ValueError):
             access_interval_metrics(ev, 0)
+
+    @pytest.mark.parametrize("n", [6, 1000])
+    def test_engine_scans_each_interval_once(self, tmp_path, n):
+        """Both metrics of an interval ride one fused scan; empty
+        intervals are never scanned, and the rows equal the serial ones."""
+        from repro.core.parallel import ParallelEngine
+        from repro.obs.journal import RunJournal, read_journal
+
+        ev = make_events(ip=1, addr=(np.arange(n) * 37) % 512, cls=2)
+        sid = (np.arange(n) // 50).astype(np.int32)
+        journal = RunJournal(tmp_path / "j.jsonl")
+        with ParallelEngine(workers=1, journal=journal) as eng:
+            rows = access_interval_metrics(ev, 8, rho=3.0, sample_id=sid, engine=eng)
+        journal.close()
+        scans = [
+            r for r in read_journal(tmp_path / "j.jsonl") if r["event"] == "shard-analyzed"
+        ]
+        non_empty = [r for r in rows if r["A_obs"]]
+        assert len(scans) == len(non_empty) == min(n, 8)
+        assert all(s["n_passes"] == 2 for s in scans)
+        assert [s["n_events"] for s in scans] == [r["A_obs"] for r in non_empty]
+        assert rows == access_interval_metrics(ev, 8, rho=3.0, sample_id=sid)

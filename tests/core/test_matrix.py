@@ -95,6 +95,16 @@ class TestRunMatrix:
         assert set(warm.modes.values()) == {"cached"}
         assert payload_json(warm.corpus_payload()) == payload_json(cold.corpus_payload())
 
+    def test_engine_owns_chunk_size(self, corpus_dir):
+        """A passed engine streams at its own chunk size; a second one is refused."""
+        from repro.core.parallel import ParallelEngine
+
+        spec = CorpusSpec.from_directory(corpus_dir)
+        with ParallelEngine(workers=1, chunk_size=257) as eng:
+            with pytest.raises(ValueError, match="chunk_size"):
+                run_matrix(spec, engine=eng, chunk_size=4096)
+            assert run_matrix(spec, engine=eng).modes == {"base": "full", "cand": "full"}
+
     def test_journal_and_metrics(self, corpus_dir, tmp_path):
         spec = CorpusSpec.from_directory(corpus_dir)
         jpath = tmp_path / "journal.jsonl"

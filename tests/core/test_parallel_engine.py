@@ -14,12 +14,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro._util.rng import derive_rng
 from repro.core.diagnostics import compute_diagnostics
-from repro.core.heatmap import access_heatmap
+from repro.core.heatmap import access_heatmap, heatmap_request
 from repro.core.metrics import captures_survivals, footprint, footprint_by_class
 from repro.core.parallel import (
     CapturesPartial,
     DiagnosticsPartial,
-    LRUCache,
     ParallelEngine,
     plan_shards,
 )
@@ -45,6 +44,25 @@ def _trace(n=4000, seed=0, n_samples=13, const_frac=0.2):
     )
     sid = np.sort(rng.integers(0, n_samples, n)).astype(np.int32)
     return ev, sid
+
+
+def _analyze(eng, ev, requests, sid=None, **kwargs) -> dict:
+    """Finalized results of an in-memory, unaddressed analysis."""
+    return eng.analyze((ev, sid, None), requests, **kwargs).results
+
+
+def _footprints(d) -> tuple[int, int, int]:
+    """(F, F_str, F_irr) of a diagnostics result."""
+    return d.F, d.F_str, d.F_irr
+
+
+def _serial_footprints(ev, block) -> tuple[int, int, int]:
+    by_cls = footprint_by_class(ev, block)
+    return (
+        footprint(ev, block),
+        by_cls[LoadClass.STRIDED],
+        by_cls[LoadClass.IRREGULAR],
+    )
 
 
 # -- shard planning -----------------------------------------------------------
@@ -152,17 +170,20 @@ class TestParallelEqualsSerial:
     def test_all_metrics(self, workers, block):
         ev, sid = _trace(3000, seed=workers * 31 + block)
         with ParallelEngine(workers=workers, chunk_size=257) as eng:
-            assert eng.footprint(ev, block) == footprint(ev, block)
-            assert eng.footprint_by_class(ev, block) == footprint_by_class(ev, block)
-            assert eng.captures_survivals(ev, block) == captures_survivals(ev, block)
-            assert eng.diagnostics(ev, rho=4.25, block=block) == compute_diagnostics(
-                ev, rho=4.25, block=block
+            res = _analyze(
+                eng,
+                ev,
+                [("diagnostics", {"block": block}), ("captures", {"block": block})],
+                rho=4.25,
             )
+        assert _footprints(res["diagnostics"]) == _serial_footprints(ev, block)
+        assert res["captures"] == captures_survivals(ev, block)
+        assert res["diagnostics"] == compute_diagnostics(ev, rho=4.25, block=block)
 
     def test_reuse_histogram(self, workers, block):
         ev, sid = _trace(2500, seed=workers + block)
         with ParallelEngine(workers=workers, chunk_size=199) as eng:
-            par = eng.reuse_histogram(ev, block, sid)
+            par = _analyze(eng, ev, [("reuse", {"block": block})], sid)["reuse"]
         ser = reuse_histogram(ev, block, sid)
         assert np.array_equal(par.counts, ser.counts)
         assert par.d_sum == ser.d_sum and par.d_max == ser.d_max
@@ -174,9 +195,9 @@ class TestParallelEqualsSerialMore:
     def test_random_window_splits(self, chunk):
         ev, sid = _trace(2500, seed=chunk)
         with ParallelEngine(workers=1, chunk_size=chunk) as eng:
-            assert eng.diagnostics(ev, rho=2.0) == compute_diagnostics(ev, rho=2.0)
-            par = eng.reuse_histogram(ev, 64, sid)
-        assert np.array_equal(par.counts, reuse_histogram(ev, 64, sid).counts)
+            res = _analyze(eng, ev, ["diagnostics", "reuse"], sid, rho=2.0)
+        assert res["diagnostics"] == compute_diagnostics(ev, rho=2.0)
+        assert np.array_equal(res["reuse"].counts, reuse_histogram(ev, 64, sid).counts)
 
     def test_constant_only_trace_counts_one_block(self):
         # the Constant class counts as one footprint unit however it is sharded
@@ -184,51 +205,55 @@ class TestParallelEqualsSerialMore:
             ip=1, addr=np.arange(100), cls=LoadClass.CONSTANT, n_const=2
         )
         with ParallelEngine(workers=1, chunk_size=7) as eng:
-            assert eng.footprint(ev, 64) == footprint(ev, 64) == 1
-            assert eng.captures_survivals(ev, 64) == (0, 0)
-            by_cls = eng.footprint_by_class(ev, 64)
-        assert by_cls[LoadClass.CONSTANT] == 1
-        assert by_cls[LoadClass.STRIDED] == by_cls[LoadClass.IRREGULAR] == 0
+            res = _analyze(
+                eng, ev, [("diagnostics", {"block": 64}), ("captures", {"block": 64})]
+            )
+        assert _footprints(res["diagnostics"]) == _serial_footprints(ev, 64) == (1, 0, 0)
+        assert res["captures"] == (0, 0)
 
     def test_suppressed_constants_seen_across_shards(self):
         # only one shard carries the proxy record's n_const; merged F still +1
         ev = make_events(ip=1, addr=[1, 2, 3, 4], cls=LoadClass.STRIDED)
         ev["n_const"][3] = 5
         with ParallelEngine(workers=1, chunk_size=2) as eng:
-            assert eng.footprint(ev, 1) == footprint(ev, 1) == 5
-            d = eng.diagnostics(ev)
+            d = _analyze(eng, ev, ["diagnostics"])["diagnostics"]
+        assert d.F == footprint(ev, 1) == 5
         assert d == compute_diagnostics(ev)
         assert d.A_implied == 9
 
     def test_empty_trace(self):
         ev, _ = _trace(0)
         with ParallelEngine(workers=2, chunk_size=10) as eng:
-            assert eng.footprint(ev) == 0
-            assert eng.captures_survivals(ev) == (0, 0)
-            assert eng.diagnostics(ev) == compute_diagnostics(ev)
+            res = _analyze(eng, ev, ["diagnostics", "captures"])
+        assert res["diagnostics"].F == 0
+        assert res["captures"] == (0, 0)
+        assert res["diagnostics"] == compute_diagnostics(ev)
 
     def test_heatmap(self):
         ev, sid = _trace(3000, seed=17, const_frac=0.1)
         with ParallelEngine(workers=1, chunk_size=333) as eng:
-            par = eng.heatmap(ev, 0, 1 << 17, sample_id=sid)
+            par = _analyze(eng, ev, [heatmap_request(ev, 0, 1 << 17)], sid)["heatmap"]
         ser = access_heatmap(ev, 0, 1 << 17, sample_id=sid)
         assert np.array_equal(par.counts, ser.counts)
         assert np.array_equal(par.reuse, ser.reuse, equal_nan=True)
         assert np.array_equal(par.t_edges, ser.t_edges)
 
     def test_code_windows(self):
-        ev, _ = _trace(2000, seed=21)
+        ev, sid = _trace(20_000, seed=21)
         fn_names = {i: f"f{i}" for i in range(6)}
         serial = code_windows(ev, rho=3.0, block=64, fn_names=fn_names)
-        with ParallelEngine(workers=2) as eng:
-            par = eng.code_windows(ev, rho=3.0, block=64, fn_names=fn_names)
+        # enough events and shards to take the pooled path
+        with ParallelEngine(workers=2, chunk_size=3000) as eng:
+            par = _analyze(
+                eng, ev, [("windows", {"block": 64})], sid, rho=3.0, fn_names=fn_names
+            )["windows"]
         assert par == serial
 
     def test_reuse_without_sample_ids_single_window(self):
         # no sample ids => one reuse window; sharding must not cut it
         ev, _ = _trace(2000, seed=23)
         with ParallelEngine(workers=1, chunk_size=100) as eng:
-            par = eng.reuse_histogram(ev, 64, None)
+            par = _analyze(eng, ev, ["reuse"])["reuse"]
         ser = reuse_histogram(ev, 64, None)
         assert np.array_equal(par.counts, ser.counts) and par.mean == ser.mean
 
@@ -243,10 +268,11 @@ class TestParallelEqualsSerialMore:
         ev, sid = _trace(max(n, 1), seed=seed)[0][:n], None
         block = 1 << block_exp
         with ParallelEngine(workers=1, chunk_size=chunk) as eng:
-            assert eng.diagnostics(ev, block=block) == compute_diagnostics(
-                ev, block=block
+            res = _analyze(
+                eng, ev, [("diagnostics", {"block": block}), ("captures", {"block": block})]
             )
-            assert eng.captures_survivals(ev, block) == captures_survivals(ev, block)
+        assert res["diagnostics"] == compute_diagnostics(ev, block=block)
+        assert res["captures"] == captures_survivals(ev, block)
 
 
 # -- pool behaviour over the real process boundary ----------------------------
@@ -257,57 +283,16 @@ class TestProcessPool:
         # large enough to clear the pool threshold with several shards
         ev, sid = _trace(40_000, seed=29, n_samples=64)
         with ParallelEngine(workers=2, chunk_size=5000) as eng:
-            d = eng.diagnostics(ev, rho=2.5, block=64, sample_id=sid)
-            h = eng.reuse_histogram(ev, 64, sid)
-        assert d == compute_diagnostics(ev, rho=2.5, block=64)
-        assert np.array_equal(h.counts, reuse_histogram(ev, 64, sid).counts)
+            res = _analyze(
+                eng, ev, [("diagnostics", {"block": 64}), "reuse"], sid, rho=2.5
+            )
+        assert res["diagnostics"] == compute_diagnostics(ev, rho=2.5, block=64)
+        assert np.array_equal(res["reuse"].counts, reuse_histogram(ev, 64, sid).counts)
 
     def test_engine_stats_recorded(self):
         ev, sid = _trace(40_000, seed=31)
         with ParallelEngine(workers=2, chunk_size=5000) as eng:
-            eng.diagnostics(ev, sample_id=sid)
+            _analyze(eng, ev, ["diagnostics"], sid)
             stats = dict(eng.timers.stats)
         assert "compute" in stats and stats["compute"].items == 40_000
         assert "merge" in stats
-
-
-# -- LRU cache ----------------------------------------------------------------
-
-
-class TestLRUCache:
-    def test_basic_get_put(self):
-        c = LRUCache(2)
-        c.put("a", 1)
-        assert c.get("a") == 1 and c.hits == 1
-
-    def test_eviction_order(self):
-        c = LRUCache(2)
-        c.put("a", 1)
-        c.put("b", 2)
-        assert c.get("a") == 1  # refresh a
-        c.put("c", 3)  # evicts b
-        assert c.get("b") is None
-        assert c.get("a") == 1 and c.get("c") == 3
-
-    def test_capacity_validated(self):
-        with pytest.raises(ValueError):
-            LRUCache(0)
-
-    def test_engine_memoizes_by_window_id(self):
-        ev, _ = _trace(500, seed=37)
-        with ParallelEngine(workers=1) as eng:
-            d1 = eng.diagnostics(ev, rho=2.0, window_id=("w", 0))
-            before = eng.cache.misses
-            d2 = eng.diagnostics(ev, rho=2.0, window_id=("w", 0))
-            # same cached partial serves a different rho
-            d3 = eng.diagnostics(ev, rho=5.0, window_id=("w", 0))
-        assert d1 == d2
-        assert d3 == compute_diagnostics(ev, rho=5.0)
-        assert eng.cache.misses == before and eng.cache.hits >= 2
-
-    def test_metric_key_separates_entries(self):
-        ev, _ = _trace(500, seed=41)
-        with ParallelEngine(workers=1) as eng:
-            eng.diagnostics(ev, window_id=("w", 1))
-            eng.captures_survivals(ev, window_id=("w", 1))
-            assert len(eng.cache) == 2

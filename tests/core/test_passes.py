@@ -1,11 +1,11 @@
 """Property tests for the unified analysis-pass framework.
 
-The framework's contract: every registered pass, run through the fused
-executor (serial :func:`~repro.core.passes.fused_scan` or the
-:class:`~repro.core.parallel.ParallelEngine`), produces output
-**bit-identical** to its legacy serial function — for any worker count
-and chunk size — while the trace is scanned once for the whole schedule
-and shared intermediates are computed once per chunk.
+The framework's contract: every registered pass, run through
+:meth:`~repro.core.parallel.ParallelEngine.analyze` over in-memory
+events or a streamed archive, produces output **bit-identical** to its
+legacy serial function — for any worker count and chunk size — while
+the trace is scanned once for the whole schedule and shared
+intermediates are computed once per chunk.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ import pytest
 
 from repro._util.rng import derive_rng
 from repro.core.diagnostics import compute_diagnostics
-from repro.core.heatmap import access_heatmap, heatmap_geometry
+from repro.core.artifacts import ArtifactStore
+from repro.core.heatmap import access_heatmap, heatmap_request
 from repro.core.hotspot import find_hotspots, roi_from_hotspots
 from repro.core.metrics import captures_survivals, footprint, footprint_by_class
 from repro.core.parallel import ParallelEngine, plan_shards
@@ -26,7 +27,6 @@ from repro.core.passes import (
     ChunkContext,
     RunContext,
     UnknownPassError,
-    fused_scan,
     get_pass,
     list_passes,
     register_pass,
@@ -35,9 +35,10 @@ from repro.core.passes import (
     unregister_pass,
 )
 from repro.core.reuse import reuse_histogram
-from repro.trace.event import LoadClass, make_events
+from repro.trace.event import make_events
+from repro.trace.tracefile import TraceMeta, write_trace
 
-WORKERS = [1, 4]
+WORKERS = [1, 2, 4]
 CHUNKS = [17, 257, 5000]
 FN_NAMES = {i: f"f{i}" for i in range(6)}
 
@@ -57,27 +58,23 @@ def _trace(n=3000, seed=0, n_samples=13, const_frac=0.2):
     return ev, sid
 
 
-def _chunks(ev, sid, chunk):
-    """Sample-aligned (events, sample_id) chunks, like iter_trace_chunks."""
-    for lo, hi in plan_shards(len(ev), sid, chunk_size=chunk):
-        yield ev[lo:hi], sid[lo:hi]
-
-
-def _heatmap_request(ev, sid, base=0, size=1 << 17, n_pages=64, n_bins=64):
-    nc = ev[ev["cls"] != int(LoadClass.CONSTANT)]
-    page_size, t_edges = heatmap_geometry(nc, size, n_pages, n_bins)
-    return (
-        "heatmap",
-        {
-            "base": base,
-            "size": size,
-            "page_size": page_size,
-            "t_edges": t_edges,
-            "n_pages": n_pages,
-            "n_bins": n_bins,
-            "access_block": 64,
-        },
+def _archive(tmp_path, ev, sid):
+    """Write ``(ev, sid)`` as a trace archive; returns its path."""
+    path = tmp_path / "t.npz"
+    write_trace(
+        path, ev, TraceMeta(module="passes-test", period=400, buffer_capacity=64),
+        sample_id=sid,
     )
+    return path
+
+
+def _run(eng, ev, requests, sid=None, **kwargs) -> dict:
+    """Finalized results of an in-memory, unaddressed analysis."""
+    return eng.analyze((ev, sid, None), requests, **kwargs).results
+
+
+def _heatmap_request(ev, sid):
+    return heatmap_request(ev, 0, 1 << 17)
 
 
 def _all_requests(ev, sid):
@@ -113,44 +110,44 @@ def _assert_matches_serial(results, ev, sid, rho=1.0):
 
 
 class TestFusedEqualsSerial:
-    @pytest.mark.parametrize("chunk", CHUNKS)
-    def test_fused_scan_all_passes(self, chunk):
-        ev, sid = _trace(3000, seed=chunk)
-        results = fused_scan(
-            _chunks(ev, sid, chunk), _all_requests(ev, sid), fn_names=FN_NAMES
-        )
-        _assert_matches_serial(results, ev, sid)
-
     @pytest.mark.parametrize("workers", WORKERS)
     @pytest.mark.parametrize("chunk", CHUNKS)
-    def test_engine_run_passes_all_passes(self, workers, chunk):
+    def test_engine_run_passes_all_passes(self, tmp_path, workers, chunk):
+        # both sources: in-memory shards and the archive's streamed chunks
         ev, sid = _trace(3000, seed=workers * 101 + chunk)
+        path = _archive(tmp_path, ev, sid)
+        requests = _all_requests(ev, sid)
         with ParallelEngine(workers=workers, chunk_size=chunk) as eng:
-            results = eng.run_passes(
-                ev, _all_requests(ev, sid), sample_id=sid, fn_names=FN_NAMES
-            )
-        _assert_matches_serial(results, ev, sid)
+            memory = _run(eng, ev, requests, sid, fn_names=FN_NAMES)
+            archive = eng.analyze(path, requests, rho=1.0, fn_names=FN_NAMES)
+        _assert_matches_serial(memory, ev, sid)
+        _assert_matches_serial(archive.results, ev, sid)
+        assert archive.n_events == len(ev) and archive.mode == "full"
+        assert archive.results["reuse"].scope == "sample"
 
     @pytest.mark.parametrize("workers", WORKERS)
     def test_pool_path_bit_identical(self, workers):
         # large enough to clear the pool threshold with several shards
         ev, sid = _trace(40_000, seed=3, n_samples=64)
         with ParallelEngine(workers=workers, chunk_size=5000) as eng:
-            results = eng.run_passes(
-                ev, _all_requests(ev, sid), sample_id=sid, fn_names=FN_NAMES, rho=2.5
+            results = _run(
+                eng, ev, _all_requests(ev, sid), sid, fn_names=FN_NAMES, rho=2.5
             )
         _assert_matches_serial(results, ev, sid, rho=2.5)
 
     def test_rho_reaches_finalize(self):
         ev, sid = _trace(1000, seed=9)
-        results = fused_scan(_chunks(ev, sid, 100), ["diagnostics"], rho=4.25)
+        with ParallelEngine(workers=1, chunk_size=100) as eng:
+            results = _run(eng, ev, ["diagnostics"], sid, rho=4.25)
         assert results["diagnostics"] == compute_diagnostics(ev, rho=4.25, block=1)
 
     def test_footprint_helpers_still_match(self):
         ev, sid = _trace(2000, seed=11)
         with ParallelEngine(workers=1, chunk_size=123) as eng:
-            assert eng.footprint(ev, 64, sid) == footprint(ev, 64)
-            assert eng.footprint_by_class(ev, 64, sid) == footprint_by_class(ev, 64)
+            d = _run(eng, ev, [("diagnostics", {"block": 64})], sid)["diagnostics"]
+        by_cls = footprint_by_class(ev, 64)
+        assert d.F == footprint(ev, 64)
+        assert (d.F_str, d.F_irr) == (by_cls[1], by_cls[2])
 
 
 class TestEdgeCases:
@@ -164,7 +161,8 @@ class TestEdgeCases:
             "roi",
             _heatmap_request(ev, sid),
         ]
-        results = fused_scan(iter([]), requests)
+        with ParallelEngine(workers=1) as eng:
+            results = _run(eng, ev, requests)
         assert results["diagnostics"] == compute_diagnostics(ev)
         assert results["captures"] == (0, 0)
         assert results["hotspot"] == []
@@ -172,7 +170,7 @@ class TestEdgeCases:
         assert results["reuse"].n_reuse == 0 and results["reuse"].n_cold == 0
         assert results["heatmap"].counts.sum() == 0
         with ParallelEngine(workers=2, chunk_size=10) as eng:
-            eng_results = eng.run_passes(ev, requests, sample_id=sid)
+            eng_results = _run(eng, ev, requests, sid)
         assert eng_results["diagnostics"] == results["diagnostics"]
         assert eng_results["hotspot"] == []
 
@@ -182,10 +180,11 @@ class TestEdgeCases:
         ev, _ = _trace(500, seed=21)
         sid = np.zeros(500, dtype=np.int32)
         with ParallelEngine(workers=1, chunk_size=50) as eng:
-            results = eng.run_passes(
+            results = _run(
+                eng,
                 ev,
                 [("diagnostics", {"block": 64}), ("reuse", {"block": 64}), "hotspot"],
-                sample_id=sid,
+                sid,
                 fn_names=FN_NAMES,
             )
         assert results["diagnostics"] == compute_diagnostics(ev, block=64)
@@ -195,9 +194,8 @@ class TestEdgeCases:
 
     def test_single_event_trace(self):
         ev, sid = _trace(1, seed=23)
-        results = fused_scan(
-            _chunks(ev, sid, 4), ["diagnostics", "captures", "hotspot"]
-        )
+        with ParallelEngine(workers=1, chunk_size=4) as eng:
+            results = _run(eng, ev, ["diagnostics", "captures", "hotspot"], sid)
         assert results["diagnostics"] == compute_diagnostics(ev)
         assert results["captures"] == captures_survivals(ev, 1)
 
@@ -206,7 +204,7 @@ class TestEdgeCases:
         # must refuse to cut it even with a tiny chunk size
         ev, _ = _trace(2000, seed=25)
         with ParallelEngine(workers=1, chunk_size=100) as eng:
-            results = eng.run_passes(ev, [("reuse", {"block": 64})], sample_id=None)
+            results = _run(eng, ev, [("reuse", {"block": 64})])
         ser = reuse_histogram(ev, 64, None)
         assert np.array_equal(results["reuse"].counts, ser.counts)
 
@@ -325,11 +323,7 @@ class TestSharedIntermediates:
         ev, sid = _trace(2000, seed=37)
         reg = MetricsRegistry()
         with ParallelEngine(workers=1, chunk_size=257, metrics=reg) as eng:
-            eng.run_passes(
-                ev,
-                [("diagnostics", {"block": 64}), ("captures", {"block": 64})],
-                sample_id=sid,
-            )
+            _run(eng, ev, [("diagnostics", {"block": 64}), ("captures", {"block": 64})], sid)
         snap = reg.as_dict()["counters"]
         assert snap["passes.artifact_hits"]["value"] > 0
         assert snap["passes.chunks_scanned"]["value"] > 0
@@ -337,7 +331,7 @@ class TestSharedIntermediates:
     def test_per_pass_stage_timers_recorded(self):
         ev, sid = _trace(2000, seed=39)
         with ParallelEngine(workers=1, chunk_size=500) as eng:
-            eng.run_passes(ev, ["diagnostics", "hotspot"], sample_id=sid)
+            _run(eng, ev, ["diagnostics", "hotspot"], sid)
             stats = dict(eng.timers.stats)
         assert "pass:diagnostics" in stats and "pass:hotspot" in stats
 
@@ -352,7 +346,7 @@ class TestSingleScan:
         ev, sid = _trace(3000, seed=41)
         journal = RunJournal(tmp_path / "j.jsonl")
         with ParallelEngine(workers=1, chunk_size=257, journal=journal) as eng:
-            eng.run_passes(ev, _all_requests(ev, sid), sample_id=sid)
+            _run(eng, ev, _all_requests(ev, sid), sid)
         journal.close()
         recs = [json.loads(l) for l in (tmp_path / "j.jsonl").read_text().splitlines()]
         scans = [r for r in recs if r["event"] == "shard-analyzed"]
@@ -363,18 +357,19 @@ class TestSingleScan:
 
     def test_analyze_file_reads_each_chunk_once(self, tmp_path):
         from repro.obs.journal import RunJournal
-        from repro.trace.tracefile import TraceMeta, write_trace
 
         ev, sid = _trace(5000, seed=43)
-        path = tmp_path / "t.npz"
-        write_trace(
-            path, ev, TraceMeta(module="passes-test", period=400, buffer_capacity=64),
-            sample_id=sid,
-        )
+        path = _archive(tmp_path, ev, sid)
         journal = RunJournal(tmp_path / "j.jsonl")
-        with ParallelEngine(workers=1, journal=journal) as eng:
-            res = eng.analyze_file(
-                path, block=64, chunk_size=1000, passes=["hotspot"]
+        with ParallelEngine(workers=1, chunk_size=1000, journal=journal) as eng:
+            res = eng.analyze(
+                path,
+                [
+                    ("diagnostics", {"block": 64}),
+                    ("captures", {"block": 64}),
+                    "reuse",
+                    "hotspot",
+                ],
             )
         journal.close()
         recs = [json.loads(l) for l in (tmp_path / "j.jsonl").read_text().splitlines()]
@@ -383,20 +378,27 @@ class TestSingleScan:
         # 4 metrics over the stream, yet each chunk read and scanned once
         assert len(reads) == len(scans) > 1
         assert all(r["n_passes"] == 4 for r in scans)
-        assert res.diagnostics == compute_diagnostics(ev, rho=res.rho, block=64)
-        assert res.pass_results["hotspot"] == find_hotspots(ev)
+        assert res.results["diagnostics"] == compute_diagnostics(
+            ev, rho=res.rho, block=64
+        )
+        assert res.results["hotspot"] == find_hotspots(ev)
 
-    def test_cache_serves_repeat_queries_without_rescan(self):
+    def test_cache_serves_repeat_queries_without_rescan(self, tmp_path):
         from repro.obs.metrics import MetricsRegistry
 
         ev, sid = _trace(2000, seed=45)
+        source = (ev, sid, ArtifactStore.digest_events(ev, sid))
         reg = MetricsRegistry()
-        with ParallelEngine(workers=1, chunk_size=300, metrics=reg) as eng:
-            eng.run_passes(ev, ["diagnostics"], sample_id=sid, window_id=("w", 0))
+        store = ArtifactStore(tmp_path / "cache")
+        with ParallelEngine(workers=1, chunk_size=300, metrics=reg, store=store) as eng:
+            first = eng.analyze(source, ["diagnostics"])
             scanned = reg.as_dict()["counters"]["passes.chunks_scanned"]["value"]
-            eng.run_passes(ev, ["diagnostics"], sample_id=sid, window_id=("w", 0))
-            again = reg.as_dict()["counters"]["passes.chunks_scanned"]["value"]
-        assert again == scanned  # cache hit: zero new chunk scans
+            again = eng.analyze(source, ["diagnostics"], rho=3.0)
+            rescanned = reg.as_dict()["counters"]["passes.chunks_scanned"]["value"]
+        assert rescanned == scanned  # store hit: zero new chunk scans
+        assert (first.mode, again.mode) == ("full", "cached")
+        # the same stored partial serves a different rho
+        assert again.results["diagnostics"] == compute_diagnostics(ev, rho=3.0)
 
 
 # -- the extension protocol: write your own pass ------------------------------
@@ -431,12 +433,11 @@ class TestCustomPass:
         try:
             ev, sid = _trace(2500, seed=47)
             expected = int((ev["cls"] == 1).sum()) / len(ev)
-            serial = fused_scan(_chunks(ev, sid, 100), ["strided-share"])
-            assert serial["strided-share"] == expected
+            with ParallelEngine(workers=1, chunk_size=100) as eng:
+                alone = _run(eng, ev, ["strided-share"], sid)
+            assert alone["strided-share"] == expected
             with ParallelEngine(workers=1, chunk_size=199) as eng:
-                fused = eng.run_passes(
-                    ev, ["strided-share", "diagnostics"], sample_id=sid
-                )
+                fused = _run(eng, ev, ["strided-share", "diagnostics"], sid)
             assert fused["strided-share"] == expected
             assert fused["diagnostics"] == compute_diagnostics(ev)
         finally:
@@ -465,7 +466,8 @@ class TestCustomPass:
         register_pass(TopShare())
         try:
             ev, sid = _trace(1500, seed=49)
-            results = fused_scan(_chunks(ev, sid, 200), ["top-share"])
+            with ParallelEngine(workers=1, chunk_size=200) as eng:
+                results = _run(eng, ev, ["top-share"], sid)
             assert results["top-share"] == find_hotspots(ev)[0].share
         finally:
             unregister_pass("top-share")

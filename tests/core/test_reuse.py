@@ -1,5 +1,8 @@
 """Unit and property tests for reuse intervals and reuse distance."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +15,9 @@ from repro.core.reuse import (
     reuse_intervals,
 )
 from repro.trace.event import make_events
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "_util"))
+from fenwick_oracle import reuse_distances_fenwick  # noqa: E402
 
 
 def _ev(addrs, cls=2):
@@ -126,7 +132,7 @@ def test_distance_bounded_by_footprint(addrs):
 
 
 class TestKernelEquivalence:
-    """The vectorised kernel and the Fenwick reference are bit-identical."""
+    """The vectorised kernel and the Fenwick oracle are bit-identical."""
 
     def _random_trace(self, rng, n=3000):
         ev = _ev(rng.integers(0, 200, n))
@@ -137,16 +143,16 @@ class TestKernelEquivalence:
     def test_vector_equals_fenwick(self, make_rng, block):
         rng = make_rng(f"kernel-eq-{block}")
         ev, sid = self._random_trace(rng)
-        v = reuse_distances(ev, block, sid, kernel="vector")
-        f = reuse_distances(ev, block, sid, kernel="fenwick")
+        v = reuse_distances(ev, block, sid)
+        f = reuse_distances_fenwick(ev, block, sid)
         assert np.array_equal(v, f)
 
     def test_vector_equals_fenwick_no_samples(self, make_rng):
         rng = make_rng("kernel-eq-flat")
         ev = _ev(rng.integers(0, 50, 2000))
         assert np.array_equal(
-            reuse_distances(ev, kernel="vector"),
-            reuse_distances(ev, kernel="fenwick"),
+            reuse_distances(ev),
+            reuse_distances_fenwick(ev),
         )
 
     def test_non_monotone_sample_ids(self, make_rng):
@@ -156,24 +162,9 @@ class TestKernelEquivalence:
         ev = _ev(rng.integers(0, 30, 500))
         sid = rng.integers(0, 5, 500).astype(np.int32)  # deliberately unsorted
         assert np.array_equal(
-            reuse_distances(ev, 1, sid, kernel="vector"),
-            reuse_distances(ev, 1, sid, kernel="fenwick"),
+            reuse_distances(ev, 1, sid),
+            reuse_distances_fenwick(ev, 1, sid),
         )
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError, match="kernel"):
-            reuse_distances(_ev([1, 2]), kernel="gpu")
-
-    def test_env_default(self, monkeypatch):
-        from repro.core.reuse import default_reuse_kernel
-
-        monkeypatch.setenv("MEMGAZE_REUSE_KERNEL", "fenwick")
-        assert default_reuse_kernel() == "fenwick"
-        monkeypatch.delenv("MEMGAZE_REUSE_KERNEL")
-        assert default_reuse_kernel() == "vector"
-        monkeypatch.setenv("MEMGAZE_REUSE_KERNEL", "bogus")
-        with pytest.raises(ValueError, match="MEMGAZE_REUSE_KERNEL"):
-            default_reuse_kernel()
 
 
 @settings(max_examples=60)
@@ -183,5 +174,5 @@ class TestKernelEquivalence:
 )
 def test_vector_kernel_matches_naive(addrs, block):
     """Property: the vectorised kernel equals the O(n^2) reference."""
-    got = reuse_distances(_ev(addrs), block=block, kernel="vector")
+    got = reuse_distances(_ev(addrs), block=block)
     assert list(got) == _naive_distance(addrs, block)

@@ -169,34 +169,46 @@ class TestRegistry:
         assert name not in _live_segments()
 
 
+REQUESTS = ["diagnostics", "captures", "reuse", "hotspot", "roi"]
+
+
+def _fail_publish(*args, **kwargs):
+    raise OSError("no space left on device")
+
+
+def _same_results(a: dict, b: dict) -> None:
+    assert repr(a["diagnostics"]) == repr(b["diagnostics"])
+    assert a["captures"] == b["captures"]
+    assert np.array_equal(a["reuse"].counts, b["reuse"].counts)
+    assert repr(a["roi"]) == repr(b["roi"])
+
+
 class TestEngineLifecycle:
     def test_run_passes_releases_segments(self):
         ev, sid = _trace()
         before = _live_segments()
-        with ParallelEngine(workers=2, chunk_size=8192, shm=True) as engine:
-            engine.run_passes(ev, ["diagnostics", "captures", "reuse"], sample_id=sid)
+        with ParallelEngine(workers=2, chunk_size=8192) as engine:
+            engine.analyze((ev, sid, None), ["diagnostics", "captures", "reuse"])
             assert active_segments() == []
         assert _live_segments() - before == set()
 
-    def test_shm_matches_pickle(self):
+    def test_shm_matches_pickle(self, monkeypatch):
         ev, sid = _trace()
-        requests = ["diagnostics", "captures", "reuse", "hotspot", "roi"]
-        with ParallelEngine(workers=2, chunk_size=8192, shm=True) as e:
-            a = e.run_passes(ev, requests, sample_id=sid)
-        with ParallelEngine(workers=2, chunk_size=8192, shm=False) as e:
-            b = e.run_passes(ev, requests, sample_id=sid)
-        assert repr(a["diagnostics"]) == repr(b["diagnostics"])
-        assert a["captures"] == b["captures"]
-        assert np.array_equal(a["reuse"].counts, b["reuse"].counts)
-        assert repr(a["roi"]) == repr(b["roi"])
+        with ParallelEngine(workers=2, chunk_size=8192) as e:
+            a = e.analyze((ev, sid, None), REQUESTS).results
+        # a failing publish is the pickle handoff's only way in
+        monkeypatch.setattr("repro.core.parallel.publish_shard", _fail_publish)
+        with ParallelEngine(workers=2, chunk_size=8192) as e:
+            b = e.analyze((ev, sid, None), REQUESTS).results
+        _same_results(a, b)
 
     def test_analyze_file_releases_segments(self, tmp_path):
         ev, sid = _trace()
         path = tmp_path / "t.npz"
         write_trace(path, ev, TraceMeta(module="shm-test", period=1000), sample_id=sid)
         before = _live_segments()
-        with ParallelEngine(workers=2, chunk_size=8192, shm=True) as engine:
-            fa = engine.analyze_file(path)
+        with ParallelEngine(workers=2, chunk_size=8192) as engine:
+            fa = engine.analyze(path, ["diagnostics", "captures", "reuse"])
         assert fa.n_events == len(ev)
         assert active_segments() == []
         assert _live_segments() - before == set()
@@ -213,8 +225,8 @@ class TestEngineLifecycle:
 
         def run(idx: int) -> None:
             try:
-                with ParallelEngine(workers=2, chunk_size=8192, shm=True) as e:
-                    results[idx] = e.analyze_file(path)
+                with ParallelEngine(workers=2, chunk_size=8192) as e:
+                    results[idx] = e.analyze(path, ["diagnostics", "reuse"])
             except BaseException as exc:  # noqa: BLE001 - report in main thread
                 errors.append(exc)
 
@@ -226,21 +238,39 @@ class TestEngineLifecycle:
         assert not errors
         a, b = results[0], results[1]
         assert a.n_events == b.n_events == len(ev)
-        assert repr(a.diagnostics) == repr(b.diagnostics)
-        assert np.array_equal(a.reuse.counts, b.reuse.counts)
+        assert repr(a.results["diagnostics"]) == repr(b.results["diagnostics"])
+        assert np.array_equal(a.results["reuse"].counts, b.results["reuse"].counts)
         assert active_segments() == []
         assert _live_segments() - before == set()
 
-    def test_shm_kill_switch_env(self, monkeypatch):
-        monkeypatch.setenv("MEMGAZE_SHM", "0")
-        assert ParallelEngine(workers=2).shm is False
-        monkeypatch.setenv("MEMGAZE_SHM", "off")
-        assert ParallelEngine(workers=2).shm is False
-        monkeypatch.delenv("MEMGAZE_SHM")
-        assert ParallelEngine(workers=2).shm is True
-        # explicit argument beats the environment
-        monkeypatch.setenv("MEMGAZE_SHM", "0")
-        assert ParallelEngine(workers=2, shm=True).shm is True
+    @pytest.mark.parametrize("source", ["memory", "archive"])
+    def test_publish_failure_falls_back_to_pickle(self, tmp_path, monkeypatch, source):
+        from repro.obs.journal import RunJournal, read_journal
+
+        ev, sid = _trace()
+        path = tmp_path / "t.npz"
+        write_trace(path, ev, TraceMeta(module="shm-test", period=1000), sample_id=sid)
+        src = (ev, sid, None) if source == "memory" else path
+        with ParallelEngine(workers=2, chunk_size=8192) as e:
+            ref = e.analyze(src, REQUESTS, rho=1.0).results
+
+        monkeypatch.setattr("repro.core.parallel.publish_shard", _fail_publish)
+        metrics = MetricsRegistry()
+        journal = RunJournal(tmp_path / "j.jsonl")
+        with ParallelEngine(
+            workers=2, chunk_size=8192, metrics=metrics, journal=journal
+        ) as e:
+            got = e.analyze(src, REQUESTS, rho=1.0).results
+        journal.close()
+        _same_results(got, ref)
+        failures = metrics.as_dict()["counters"]["shm.publish_failures"]["value"]
+        lines = list(read_journal(tmp_path / "j.jsonl"))
+        reads = [r for r in lines if r.get("event") == "chunk-read"]
+        # one publish per scan in memory, one per streamed chunk from disk
+        assert failures == (1 if source == "memory" else len(reads)) > 0
+        warnings = [r for r in lines if r.get("event") == "warning"]
+        assert len(warnings) == failures
+        assert all("falling back to pickled shard handoff" in w["message"] for w in warnings)
 
 
 # -- worker crash -------------------------------------------------------------
@@ -285,12 +315,11 @@ class TestWorkerCrash:
         try:
             ev, sid = _trace()
             before = _live_segments()
-            with ParallelEngine(workers=2, chunk_size=8192, shm=True) as engine:
+            with ParallelEngine(workers=2, chunk_size=8192) as engine:
                 with pytest.raises(BrokenProcessPool):
-                    engine.run_passes(
-                        ev,
+                    engine.analyze(
+                        (ev, sid, None),
                         [("test-kill-worker", {"parent_pid": os.getpid()})],
-                        sample_id=sid,
                     )
             assert active_segments() == []
             assert _live_segments() - before == set()

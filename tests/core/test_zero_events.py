@@ -2,9 +2,9 @@
 
 An empty trace is not an error: a filtered window, an all-constant
 sample, or a freshly created archive can all present zero events to any
-metric. Every serial function, every registered pass (through the fused
-scan and the engine), and the streamed :meth:`analyze_file` path must
-return their merge identities — and the report CLI must say "trace is
+metric. Every serial function, every registered pass (through
+:meth:`ParallelEngine.analyze` over in-memory events and over a streamed
+archive) must return their merge identities — and the report CLI must say "trace is
 empty" instead of dividing by zero.
 """
 
@@ -150,14 +150,14 @@ class TestEveryPass:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_engine_run_passes_empty(self, name, workers):
         with ParallelEngine(workers=workers) as eng:
-            results = eng.run_passes(
-                EMPTY, [_request(name)], sample_id=EMPTY_SID, rho=2.0
-            )
+            results = eng.analyze(
+                (EMPTY, EMPTY_SID, None), [_request(name)], rho=2.0
+            ).results
         assert name in results
 
     def test_reuse_result_is_identity(self):
         with ParallelEngine(workers=1) as eng:
-            h = eng.run_passes(EMPTY, ["reuse"], sample_id=EMPTY_SID)["reuse"]
+            h = eng.analyze((EMPTY, EMPTY_SID, None), ["reuse"]).results["reuse"]
         assert isinstance(h, ReuseHistogram)
         assert h.merge(ReuseHistogram.identity()).d_sum == 0
         assert h.scope == "sample"
@@ -202,19 +202,21 @@ class TestEmptyArchive:
     def test_analyze_file_empty(self, tmp_path, with_sid, workers):
         path = self._write_empty(tmp_path, with_sid)
         with ParallelEngine(workers=workers) as eng:
-            fa = eng.analyze_file(path)
+            fa = eng.analyze(path, ["diagnostics", "captures", "reuse"])
+        res = fa.results
         assert fa.n_events == 0
-        assert fa.captures == 0 and fa.survivals == 0
+        assert res["captures"] == (0, 0)
         assert fa.rho == 1.0
-        assert math.isfinite(fa.diagnostics.dF)
-        assert fa.reuse.n_reuse == 0 and fa.reuse.mean == 0.0
-        assert fa.reuse_scope == "sample", "an empty trace is not degraded"
+        assert math.isfinite(res["diagnostics"].dF)
+        assert res["reuse"].n_reuse == 0 and res["reuse"].mean == 0.0
+        assert res["reuse"].scope == "sample", "an empty trace is not degraded"
 
     def test_analyze_file_empty_with_extra_passes(self, tmp_path):
         path = self._write_empty(tmp_path, True)
         with ParallelEngine(workers=1) as eng:
-            fa = eng.analyze_file(path, passes=["hotspot", "roi"])
-        assert fa.pass_results["hotspot"] == []
+            fa = eng.analyze(path, ["hotspot", "roi"])
+        assert fa.results["hotspot"] == []
+        assert fa.results["roi"].ranges == []
 
     def test_report_cli_says_empty(self, tmp_path, capsys):
         from repro.cli import main

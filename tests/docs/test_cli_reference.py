@@ -44,7 +44,9 @@ def test_reference_covers_every_subcommand():
 
 
 def test_reference_documents_new_toggles():
-    """The shm / kernel toggles this repo adds must be in the reference."""
+    """The engine toggles are in the reference; the removed switches
+    (shm handoff, reference kernels) are not."""
     text = CLI_DOC.read_text(encoding="utf-8")
-    assert "--shm" in text and "--no-shm" in text
-    assert "--reuse-kernel" in text and "fenwick" in text
+    assert "--workers" in text and "--chunk-size" in text
+    for gone in ("--shm", "--no-shm", "--reuse-kernel", "--cache-kernel"):
+        assert gone not in text

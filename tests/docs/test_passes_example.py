@@ -3,7 +3,7 @@
 The handbook promises that its ``StridedShare`` listing is a complete,
 working pass. This test extracts that exact code block from the
 markdown, executes it (which registers the pass), and runs it through
-the fused executor and the parallel engine — so editing the example
+the parallel engine's fused scan — so editing the example
 into something that no longer runs, or renaming the APIs it uses,
 fails the build instead of shipping broken documentation.
 """
@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core.parallel import ParallelEngine
-from repro.core.passes import fused_scan, unregister_pass
+from repro.core.passes import unregister_pass
 from repro.trace.event import LoadClass, make_events
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -58,7 +58,8 @@ def _trace(n=30_000, seed=3):
 
 def test_example_registers_and_runs_fused(strided_share_pass):
     ev, sid = _trace()
-    results = fused_scan(iter([(ev, sid)]), ["strided-share", "diagnostics"])
+    with ParallelEngine(workers=1) as eng:
+        results = eng.analyze((ev, sid, None), ["strided-share", "diagnostics"]).results
     want = int((ev["cls"] == int(LoadClass.STRIDED)).sum()) / len(ev)
     assert results["strided-share"] == want
 
@@ -69,13 +70,13 @@ def test_example_is_bit_identical_across_workers(strided_share_pass):
     values = []
     for workers in (1, 4):
         with ParallelEngine(workers=workers, chunk_size=7_000) as eng:
-            r = eng.run_passes(ev, ["strided-share"], sample_id=sid)
+            r = eng.analyze((ev, sid, None), ["strided-share"]).results
         values.append(r["strided-share"])
     assert values[0] == values[1]
 
 
 def test_example_empty_trace(strided_share_pass):
     empty = make_events(ip=[], addr=[], cls=[])
-    results = fused_scan(iter([]), ["strided-share"])
+    with ParallelEngine(workers=1) as eng:
+        results = eng.analyze((empty, None, None), ["strided-share"]).results
     assert results["strided-share"] == 0.0
-    del empty

@@ -149,26 +149,6 @@ class TestPasses:
         assert "pass: cache_sweep" in out
         assert "hit ratio" in out and "predicted" in out
 
-    def test_cache_kernel_flag_round_trips(self, trace_file, capsys, monkeypatch):
-        monkeypatch.delenv("MEMGAZE_CACHE_KERNEL", raising=False)
-        for kernel in ("vector", "python"):
-            rc = main(
-                ["report", str(trace_file), "--passes", "cache_sweep",
-                 "--cache-kernel", kernel]
-            )
-            assert rc == 0
-        capsys.readouterr()
-
-    def test_bad_cache_kernel_env_is_a_clean_exit(self, trace_file, monkeypatch):
-        """A typo'd MEMGAZE_CACHE_KERNEL must be the CLI's uniform
-        SystemExit with the alternatives listed, not a bare ValueError."""
-        monkeypatch.setenv("MEMGAZE_CACHE_KERNEL", "bogus")
-        with pytest.raises(SystemExit) as exc:
-            main(["report", str(trace_file), "--passes", "cache_sweep"])
-        msg = str(exc.value)
-        assert msg.startswith("memgaze report:")
-        assert "auto" in msg and "vector" in msg and "python" in msg
-
     def test_unknown_pass_exits_with_alternatives(self, trace_file):
         with pytest.raises(SystemExit) as exc:
             main(["report", str(trace_file), "--passes", "diagnostic"])
@@ -232,7 +212,7 @@ class TestObservability:
         assert rc == 0
         assert "stage timings" in capsys.readouterr().out
         data = json.loads(metrics.read_text())
-        assert {"trace", "run", "metrics", "stages", "cache"} <= set(data)
+        assert {"trace", "run", "metrics", "stages"} <= set(data)
         counters = data["metrics"]["counters"]
         assert counters["parallel.events"]["value"] > 0
         assert counters["parallel.plans"]["value"] > 0
