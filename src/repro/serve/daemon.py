@@ -38,10 +38,10 @@ response telling the client to reopen.
 Graceful shutdown (``stop``): stop accepting connections, drain every
 worker's queue, stop each worker (which flushes and closes its
 sessions and hands back its metrics for an exact merge), journal the
-final metrics snapshot. Because sessions publish their archive
-atomically on *every* ingest, even a SIGKILL leaves archives that
-``memgaze validate-trace`` accepts — graceful shutdown just guarantees
-nothing queued is dropped.
+final metrics snapshot. Because every ingest appends its chunk to the
+session archive and publishes it atomically (temp file + rename), even
+a SIGKILL leaves archives that ``memgaze validate-trace`` accepts —
+graceful shutdown just guarantees nothing queued is dropped.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ from repro.serve.protocol import (
     pack_frame,
     read_frame,
 )
+from repro.serve.session import is_session_name
 from repro.serve.shard import ServeOpError, ShardWorker, WorkerCrashed, route_session
 from repro.trace.tracefile import TraceMeta
 
@@ -356,9 +357,15 @@ class TraceServer:
         Names come from the shared ``sessions/`` directory plus every
         worker's open set, so sessions closed in an earlier daemon run
         are still browsable (a query re-opens them by rehydration).
+        Only valid session names count: a writer's ``.<name>.tmp.npz``
+        left by a worker killed mid-publish is not a session.
         """
         root = Path(self.config.root) / "sessions"
-        on_disk = {p.stem for p in root.glob("*.npz")} if root.exists() else set()
+        on_disk = (
+            {p.stem for p in root.glob("*.npz") if is_session_name(p.stem)}
+            if root.exists()
+            else set()
+        )
         open_names: set[str] = set()
         for w in self.workers:
             open_names |= w.sessions

@@ -16,8 +16,9 @@ single-executor daemon held in one thread: a
 ParallelEngine`, and an :class:`~repro.core.artifacts.ArtifactStore`
 over the shared ``<root>/cache``. Sharing the directories is safe
 because the routing is deterministic (no two workers ever touch the
-same session archive), archive publication is atomic
-(``write_trace(..., atomic=True)``), the artifact cache writes via
+same session archive), each ingest's append to a session archive is
+published atomically (:meth:`~repro.trace.tracefile.TraceAppender.
+publish`: temp file + ``os.replace``), the artifact cache writes via
 ``os.replace``, and the run journal appends with ``O_APPEND``.
 
 The wire between daemon and worker is one duplex pipe carrying small

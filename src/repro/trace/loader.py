@@ -36,7 +36,7 @@ from repro.trace.health import KIND_TRUNCATION, Finding
 from repro.trace.sampler import SamplingConfig
 from repro.trace.tracefile import TraceFormatError, TraceMeta, read_trace
 
-__all__ = ["LoadedTrace", "load_trace_collection"]
+__all__ = ["LoadedTrace", "load_trace_collection", "trace_collection"]
 
 
 @dataclass
@@ -93,6 +93,22 @@ def load_trace_collection(path, journal=None) -> LoadedTrace:
                 reason="still-growing",
                 n_events=len(events),
             )
+    return trace_collection(
+        events, meta, sample_id, clean=clean, growing=growing, findings=findings
+    )
+
+
+def trace_collection(events, meta: TraceMeta, sample_id, **health) -> LoadedTrace:
+    """The :class:`LoadedTrace` of trace arrays already in memory.
+
+    The one recipe from ``(events, meta, sample_id)`` to a collection:
+    :func:`load_trace_collection` applies it to what it read, and the
+    streaming service to the arrays a session holds, so a live query
+    analyzes exactly what an offline report of the archive would. A
+    trace without sample ids gets all-zero ids (one window). ``health``
+    passes the load-health fields (``clean`` / ``growing`` /
+    ``findings``) through.
+    """
     if sample_id is None:
         sample_id = np.zeros(len(events), dtype=np.int32)
     collection = CollectionResult(
@@ -106,11 +122,4 @@ def load_trace_collection(path, journal=None) -> LoadedTrace:
         ),
     )
     fn_names = {int(k): v for k, v in meta.extra.get("fn_names", {}).items()}
-    return LoadedTrace(
-        collection=collection,
-        meta=meta,
-        fn_names=fn_names,
-        clean=clean,
-        growing=growing,
-        findings=findings,
-    )
+    return LoadedTrace(collection=collection, meta=meta, fn_names=fn_names, **health)
