@@ -197,7 +197,8 @@ def full_report_payload(
 
     Runs :data:`REPORT_PASSES` plus any ``extra_passes`` in one fused
     engine scan (served from the engine's store when ``store_key``, the
-    collection's content digest, addresses warm partials).
+    collection's content digest or health record, addresses warm
+    partials).
     """
     extra = [p for p in extra_passes or () if p not in REPORT_PASSES]
     analysis = engine.analyze(
