@@ -40,7 +40,6 @@ import struct
 import zipfile
 import zlib
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -49,6 +48,7 @@ from repro.trace.event import EVENT_DTYPE
 from repro.trace.tracefile import (
     TraceFormatError,
     TraceMeta,
+    _archive_path,
     _parse_meta,
 )
 
@@ -129,11 +129,6 @@ class HealthReport:
         return "\n".join(lines)
 
 
-def _actual_path(path) -> Path:
-    path = Path(path)
-    return path if path.suffix == ".npz" else path.with_name(path.name + ".npz")
-
-
 # -- low-level sequential zip scan --------------------------------------------
 
 _LOCAL_SIG = b"PK\x03\x04"
@@ -143,10 +138,10 @@ _LOCAL_HEADER = struct.Struct("<4s5H3I2H")
 def _scan_members(blob: bytes) -> dict[str, tuple[bytes, bool]]:
     """Sequentially decode zip members by their local headers.
 
-    numpy streams members with sizes deferred to a trailing data
-    descriptor (general-purpose flag bit 3), so a member's length is
-    discovered by running its DEFLATE stream to the end marker rather
-    than trusting the header. Returns ``{name: (payload, complete)}``;
+    A member's length is discovered by running its DEFLATE stream to
+    the end marker rather than trusting the header (zip writers may
+    defer sizes to a trailing data descriptor, general-purpose flag
+    bit 3). Returns ``{name: (payload, complete)}``;
     ``complete`` is False when the stream ended prematurely — the
     partial payload is still returned.
     """
@@ -344,7 +339,7 @@ def _verified_prefix(
 
 def _audit_archive(path) -> _Audit:
     """One full pass: structural checks, metadata, verified event prefix."""
-    actual = _actual_path(path)
+    actual = _archive_path(path)
     report = HealthReport(path=str(actual))
     audit = _Audit(report=report)
     try:
@@ -461,7 +456,7 @@ def recover_read(
     """
     from repro.trace.tracefile import read_trace
 
-    actual = _actual_path(path)
+    actual = _archive_path(path)
     try:
         events, meta, sample_id = read_trace(actual)
         return events, meta, sample_id, []
