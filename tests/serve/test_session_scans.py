@@ -47,3 +47,36 @@ def test_query_after_ingest_scans_no_chunk(tmp_path, make_rng, build_archive, ca
             assert payload_json(payload) == capsys.readouterr().out.rstrip("\n")
     assert session.n_events == len(events)
     assert np.array_equal(read_trace(session.archive)[0], events)
+
+
+def test_reopened_session_deflates_nothing_until_it_appends(
+    tmp_path, make_rng, build_archive, monkeypatch
+):
+    import repro.trace.tracefile as tracefile
+
+    src = tmp_path / "src.npz"
+    build_archive(src, make_rng(), n_samples=8, per_sample=400)
+    events, meta, sample_id = read_trace(src)
+    half = 4 * 400
+    store = ArtifactStore(tmp_path / "cache")
+    manager = SessionManager(tmp_path / "sessions")
+    with ParallelEngine(workers=1, store=store) as engine:
+        manager.open("s", meta).ingest(events[:half], sample_id[:half], engine)
+        manager.close("s")
+        published = manager.root.joinpath("s.npz").read_bytes()
+
+        deflated = []
+        real = tracefile._deflate
+        monkeypatch.setattr(
+            tracefile, "_deflate", lambda data, **kw: deflated.append(len(data)) or real(data, **kw)
+        )
+        session = manager.open("s", meta)
+        session.query(None, engine)
+        assert deflated == [], "reopen + query recompressed the trace"
+        assert session.archive.read_bytes() == published
+
+        ack = session.ingest(events[half:], sample_id[half:], engine)
+        assert ack["mode"] == "incremental"
+        assert deflated, "the first publish after a reopen deflates the adopted prefix"
+    ev, _, sid = read_trace(session.archive)
+    assert np.array_equal(ev, events) and np.array_equal(sid, sample_id)
