@@ -39,8 +39,7 @@ from repro.core.reuse import reuse_distances
 from repro.core.shm import active_segments, attach_shard, publish_shard
 from repro.core.windows import trace_window_metrics
 from repro.core.zoom import location_zoom
-from repro.obs.journal import RunJournal
-from repro.obs.metrics import MetricsRegistry
+from repro.obs import Obs
 from repro.trace.collector import collect_sampled_trace
 from repro.trace.event import make_events
 from repro.trace.packing import pack_strided_runs
@@ -169,7 +168,7 @@ def _fingerprint(fa):
     )
 
 
-def _cold_run(path, *, workers, baseline_mark=None, journal=None, metrics=None):
+def _cold_run(path, *, workers, baseline_mark=None, obs=None):
     """One cold archive ``analyze``: fresh engine, fresh pool, no cache.
 
     Given ``baseline_mark`` (a file path) it runs the pickle + Fenwick
@@ -196,9 +195,7 @@ def _cold_run(path, *, workers, baseline_mark=None, journal=None, metrics=None):
             stack.enter_context(
                 mock.patch("repro.core.passes.reuse_distances", fenwick_in_worker)
             )
-        with ParallelEngine(
-            workers=workers, chunk_size=_CHUNK, journal=journal, metrics=metrics
-        ) as eng:
+        with ParallelEngine(workers=workers, chunk_size=_CHUNK, obs=obs) as eng:
             with Timer() as t:
                 fa = eng.analyze(path, _PASSES)
     return fa, t.elapsed
@@ -217,8 +214,7 @@ def test_cold_throughput_shm_vector_vs_pickle_fenwick(cold_archive, tmp_path):
     """
     _require_fork()
     journal_path = os.environ.get("MEMGAZE_BENCH_JOURNAL")
-    journal = RunJournal(journal_path) if journal_path else None
-    metrics = MetricsRegistry() if journal_path else None
+    obs = Obs.open(journal_path, metrics=bool(journal_path))
 
     # warm-up: fault the archive into the page cache so run order
     # cannot bias the comparison
@@ -227,22 +223,20 @@ def test_cold_throughput_shm_vector_vs_pickle_fenwick(cold_archive, tmp_path):
     mark = tmp_path / "fenwick-ran-in-worker"
     old, t_old = _cold_run(cold_archive, workers=4, baseline_mark=mark)
     assert mark.exists(), "baseline workers did not run the Fenwick oracle"
-    new, t_new = _cold_run(cold_archive, workers=4, journal=journal, metrics=metrics)
+    new, t_new = _cold_run(cold_archive, workers=4, obs=obs)
     assert _fingerprint(new) == _fingerprint(old)
     assert active_segments() == []
 
     speedup = t_old / max(t_new, 1e-9)
     n = N_COLD
-    if journal is not None:
-        journal.emit(
-            "throughput-run",
-            n_events=n,
-            pickle_fenwick_seconds=t_old,
-            shm_vector_seconds=t_new,
-            speedup=speedup,
-        )
-        journal.record_metrics(metrics)
-        journal.close()
+    obs.emit(
+        "throughput-run",
+        n_events=n,
+        pickle_fenwick_seconds=t_old,
+        shm_vector_seconds=t_new,
+        speedup=speedup,
+    )
+    obs.close()
     save_result(
         "perf_throughput_cold",
         "cold archive analyze, 4 workers: pickle+fenwick vs shm+vector\n"

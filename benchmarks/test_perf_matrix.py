@@ -25,8 +25,7 @@ from repro._util.timers import Timer
 from repro.core.corpus import CorpusSpec
 from repro.core.matrix import run_matrix
 from repro.core.report import payload_json
-from repro.obs.journal import RunJournal, read_journal
-from repro.obs.metrics import MetricsRegistry
+from repro.obs import MetricsRegistry, Obs, RunJournal, read_journal
 from repro.trace.event import make_events
 from repro.trace.tracefile import TraceMeta, write_trace
 
@@ -73,15 +72,10 @@ def test_matrix_warm_vs_cold(tmp_path):
     jpath = os.environ.get("MEMGAZE_BENCH_JOURNAL") or (tmp_path / "matrix.jsonl")
 
     def run():
-        journal = RunJournal(jpath)
+        obs = Obs(RunJournal(jpath), MetricsRegistry())
         with Timer() as t:
-            result = run_matrix(
-                spec,
-                cache_dir=tmp_path / "cache",
-                journal=journal,
-                metrics=MetricsRegistry(),
-            )
-        journal.close()
+            result = run_matrix(spec, cache_dir=tmp_path / "cache", obs=obs)
+        obs.close()
         return result, t.elapsed
 
     cold, t_cold = run()

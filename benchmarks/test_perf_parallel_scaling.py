@@ -10,9 +10,10 @@ Two claims are pinned here:
    function per metric) on a >= 10M-event trace. The speedup
    assertion needs real cores, so it skips on machines with fewer than
    4 CPUs (the exactness assertions always run);
-3. **observability overhead** — attaching a run journal and metrics
-   registry to the engine costs < 3% wall clock (the hooks sit on
-   stage/shard boundaries, never per-event paths).
+3. **observability overhead** — giving the engine an observability
+   handle with a run journal and a metrics registry costs < 3% wall
+   clock against the null handle (the hooks sit on stage/shard
+   boundaries, never per-event paths).
 
 Every analysis runs through :meth:`ParallelEngine.analyze`. Trace size
 is tunable via ``MEMGAZE_BENCH_EVENTS`` (default 10M for the timed
@@ -35,8 +36,7 @@ from repro.core.diagnostics import compute_diagnostics
 from repro.core.metrics import captures_survivals
 from repro.core.parallel import ParallelEngine
 from repro.core.reuse import reuse_histogram
-from repro.obs.journal import RunJournal
-from repro.obs.metrics import MetricsRegistry
+from repro.obs import MetricsRegistry, Obs, RunJournal
 from repro.trace.event import make_events
 
 N_TIMED = int(os.environ.get("MEMGAZE_BENCH_EVENTS", 10_000_000))
@@ -123,9 +123,8 @@ def test_parallel_scaling_4_workers(benchmark):
         serial = _serial_suite(ev, sid)
 
     journal_path = os.environ.get("MEMGAZE_BENCH_JOURNAL")
-    journal = RunJournal(journal_path) if journal_path else None
-    metrics = MetricsRegistry() if journal_path else None
-    eng = ParallelEngine(workers=4, journal=journal, metrics=metrics)
+    obs = Obs.open(journal_path, metrics=bool(journal_path))
+    eng = ParallelEngine(workers=4, obs=obs)
     try:
         # warm the pool up
         eng.analyze((ev[:200_000], sid[:200_000], None), ["diagnostics"])
@@ -143,17 +142,14 @@ def test_parallel_scaling_4_workers(benchmark):
     assert np.array_equal(parallel[2].counts, serial[2].counts)
 
     speedup = t_serial.elapsed / max(t_parallel.elapsed, 1e-9)
-    if journal is not None:
-        journal.record_timers(eng.timers)
-        journal.record_metrics(metrics)
-        journal.emit(
-            "scaling-run",
-            n_events=len(ev),
-            serial_seconds=t_serial.elapsed,
-            parallel_seconds=t_parallel.elapsed,
-            speedup=speedup,
-        )
-        journal.close()
+    obs.emit(
+        "scaling-run",
+        n_events=len(ev),
+        serial_seconds=t_serial.elapsed,
+        parallel_seconds=t_parallel.elapsed,
+        speedup=speedup,
+    )
+    obs.close()
     save_result(
         "perf_parallel_scaling",
         "parallel sharded analysis engine, synthetic trace\n"
@@ -180,11 +176,10 @@ def test_fused_scan_not_slower_than_per_metric(tmp_path):
     rounds = 5
 
     journal_path = os.environ.get("MEMGAZE_BENCH_JOURNAL")
-    journal = RunJournal(journal_path) if journal_path else None
-    metrics = MetricsRegistry()
+    obs = Obs.open(journal_path, metrics=True)
     per_times, fused_times = [], []
     fused = None
-    with ParallelEngine(workers=1, journal=journal, metrics=metrics) as eng:
+    with ParallelEngine(workers=1, obs=obs) as eng:
         for r in range(-1, rounds):  # round -1 is warm-up
             # no digest -> nothing is served from a store; every round rescans
             with Timer() as t_per:
@@ -194,9 +189,6 @@ def test_fused_scan_not_slower_than_per_metric(tmp_path):
             if r >= 0:
                 per_times.append(t_per.elapsed)
                 fused_times.append(t_fused.elapsed)
-        if journal is not None:
-            journal.record_timers(eng.timers)
-            journal.record_metrics(metrics)
 
     # same bits, fewer scans
     assert fused[0] == baseline[0]
@@ -204,18 +196,16 @@ def test_fused_scan_not_slower_than_per_metric(tmp_path):
     assert np.array_equal(fused[2].counts, baseline[2].counts)
 
     t_per, t_fused = min(per_times), min(fused_times)
-    counters = metrics.as_dict()["counters"]
-    shared = counters["passes.artifact_hits"]["value"]
-    if journal is not None:
-        journal.emit(
-            "fused-scan-run",
-            n_events=len(ev),
-            per_metric_seconds=t_per,
-            fused_seconds=t_fused,
-            speedup=t_per / max(t_fused, 1e-9),
-            artifact_hits=shared,
-        )
-        journal.close()
+    shared = obs.counter("passes.artifact_hits").value
+    obs.emit(
+        "fused-scan-run",
+        n_events=len(ev),
+        per_metric_seconds=t_per,
+        fused_seconds=t_fused,
+        speedup=t_per / max(t_fused, 1e-9),
+        artifact_hits=shared,
+    )
+    obs.close()
     save_result(
         "perf_fused_scan",
         "fused pass schedule vs per-metric scans (3 metrics, 1 worker)\n"
@@ -277,13 +267,12 @@ def test_cache_warmup_cold_vs_warm(tmp_path):
     jpath = os.environ.get("MEMGAZE_BENCH_JOURNAL") or (tmp_path / "cache.jsonl")
 
     def run():
-        journal = RunJournal(jpath)
-        store = ArtifactStore(tmp_path / "cache", journal=journal,
-                              metrics=MetricsRegistry())
-        with ParallelEngine(workers=1, store=store, journal=journal) as eng:
+        obs = Obs(RunJournal(jpath), MetricsRegistry())
+        store = ArtifactStore(tmp_path / "cache", obs=obs)
+        with ParallelEngine(workers=1, store=store, obs=obs) as eng:
             with Timer() as t:
                 fa = eng.analyze(path, _FILE_PASSES)
-        journal.close()
+        obs.close()
         return fa, t.elapsed
 
     cold, t_cold = run()
@@ -326,14 +315,12 @@ def test_cache_incremental_append(tmp_path):
     chunk = 64 * 1024
 
     def run(path, t):
-        journal = RunJournal(jpath)
-        store = ArtifactStore(tmp_path / "cache", journal=journal)
-        with ParallelEngine(
-            workers=1, chunk_size=chunk, store=store, journal=journal
-        ) as eng:
+        obs = Obs(RunJournal(jpath))
+        store = ArtifactStore(tmp_path / "cache", obs=obs)
+        with ParallelEngine(workers=1, chunk_size=chunk, store=store, obs=obs) as eng:
             with t:
                 fa = eng.analyze(path, _FILE_PASSES)
-        journal.close()
+        obs.close()
         return fa
 
     run(short, Timer())  # prime the cache with the shorter trace
@@ -366,12 +353,13 @@ def test_cache_incremental_append(tmp_path):
 
 @pytest.mark.perf
 def test_obs_overhead(tmp_path):
-    """Journal + metrics instrumentation must cost < 3% wall clock.
+    """A journal + metrics handle must cost < 3% wall clock over the null one.
 
     The hooks sit on stage/shard boundaries, so their cost is bounded by
-    shard count, not trace size. Bare and instrumented analyses run
-    interleaved and the minimum of several rounds is compared, which
-    damps scheduler noise far below the 3% budget being verified.
+    shard count, not trace size. Bare (default handle: no journal, null
+    registry) and instrumented analyses run interleaved and the minimum
+    of several rounds is compared, which damps scheduler noise far below
+    the 3% budget being verified.
     """
     ev, sid = _synthetic_trace(N_EXACT)
     rounds = 5
@@ -383,24 +371,21 @@ def test_obs_overhead(tmp_path):
         return t.elapsed
 
     bare_times, instr_times = [], []
-    with ParallelEngine(workers=1) as bare:
-        journal = RunJournal(tmp_path / "overhead.jsonl")
-        with ParallelEngine(
-            workers=1, journal=journal, metrics=MetricsRegistry()
-        ) as instr:
-            run_suite(bare), run_suite(instr)  # warm-up round
-            for _ in range(rounds):
-                bare_times.append(run_suite(bare))
-                instr_times.append(run_suite(instr))
-        journal.close()
+    obs = Obs.open(tmp_path / "overhead.jsonl", metrics=True)
+    with ParallelEngine(workers=1) as bare, ParallelEngine(workers=1, obs=obs) as instr:
+        run_suite(bare), run_suite(instr)  # warm-up round
+        for _ in range(rounds):
+            bare_times.append(run_suite(bare))
+            instr_times.append(run_suite(instr))
+    obs.close()
 
     t_bare, t_instr = min(bare_times), min(instr_times)
     overhead = (t_instr - t_bare) / t_bare
     n_lines = sum(1 for _ in open(tmp_path / "overhead.jsonl"))
     save_result(
         "obs_overhead",
-        "observability overhead: journal + metrics on the analysis engine\n"
-        f"events:               {len(ev):,}\n"
+        "observability overhead: journal + metrics handle on the analysis engine\n"
+        f"events:               {len(ev):,}  (cpus: {os.cpu_count()})\n"
         f"rounds:               best of {rounds} (interleaved)\n"
         f"bare suite:           {t_bare * 1e3:9.1f} ms\n"
         f"instrumented suite:   {t_instr * 1e3:9.1f} ms\n"

@@ -34,8 +34,7 @@ import pytest
 
 from benchmarks.conftest import save_result
 from repro._util.timers import Timer
-from repro.obs.journal import RunJournal
-from repro.obs.metrics import MetricsRegistry
+from repro.obs import MetricsRegistry, Obs, RunJournal
 from repro.serve.client import ServeBusy, ServeClient
 from repro.serve.daemon import ServeConfig, TraceServer
 from repro.serve.shard import route_session
@@ -190,7 +189,7 @@ def _run_load(tmp_path, serve_workers: int, journal) -> dict:
         serve_workers=serve_workers,
     )
     harness = _Harness(
-        config, journal=journal, metrics=metrics, query_hook=query_hook
+        config, obs=Obs(journal, metrics), query_hook=query_hook
     )
     port = harness.start()
     try:

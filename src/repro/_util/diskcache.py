@@ -22,11 +22,10 @@ Misses return the module-level :data:`MISS` sentinel — entries may
 legitimately hold falsy values (empty arrays, zero counts), so ``None``
 cannot signal absence.
 
-Observability is duck-typed and optional: pass anything with the
-:class:`~repro.obs.journal.RunJournal` / \
-:class:`~repro.obs.metrics.MetricsRegistry` emit/counter surface and
-hits, misses, stores, evictions, corrupt entries and byte volumes are
-accounted under ``cache.*`` (see ``docs/caching.md`` for the catalog).
+Hits, misses, stores, evictions, corrupt entries and byte volumes are
+reported through the ``obs`` handle (:class:`repro.obs.Obs`): journal
+lines, and counters under ``cache.*`` (see ``docs/caching.md`` for the
+catalog).
 """
 
 from __future__ import annotations
@@ -38,6 +37,8 @@ import struct
 import tempfile
 import zlib
 from pathlib import Path
+
+from repro.obs.handle import NULL_OBS, Obs
 
 __all__ = ["MISS", "DiskCache"]
 
@@ -64,15 +65,13 @@ class DiskCache:
         root,
         *,
         max_bytes: int | None = None,
-        journal=None,
-        metrics=None,
+        obs: Obs = NULL_OBS,
     ) -> None:
         self.root = Path(root)
         if max_bytes is not None and max_bytes <= 0:
             raise ValueError(f"max_bytes must be > 0, got {max_bytes}")
         self.max_bytes = max_bytes
-        self.journal = journal
-        self.metrics = metrics
+        self.obs = obs
         self.hits = 0
         self.misses = 0
         self.stores = 0
@@ -82,14 +81,12 @@ class DiskCache:
     # -- accounting -----------------------------------------------------------
 
     def _count(self, counter: str, n: int = 1) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(f"cache.{counter}").inc(n)
+        self.obs.counter(f"cache.{counter}").inc(n)
 
     def _miss(self, name: str, reason: str) -> None:
         self.misses += 1
         self._count("misses")
-        if self.journal is not None:
-            self.journal.emit("cache", op="miss", name=name, reason=reason)
+        self.obs.emit("cache", op="miss", name=name, reason=reason)
 
     # -- entry paths ----------------------------------------------------------
 
@@ -140,18 +137,16 @@ class DiskCache:
         self.hits += 1
         self._count("hits")
         self._count("bytes_read", len(blob))
-        if self.journal is not None:
-            self.journal.emit("cache", op="hit", name=name, bytes=len(blob))
+        self.obs.emit("cache", op="hit", name=name, bytes=len(blob))
         return value
 
     def _drop_corrupt(self, name: str, path: Path, detail: str):
         """A damaged entry: journal it, remove it, report a miss."""
         self.corrupt += 1
         self._count("corrupt")
-        if self.journal is not None:
-            self.journal.warning(
-                f"corrupt cache entry dropped: {detail}", name=name, path=str(path)
-            )
+        self.obs.warning(
+            f"corrupt cache entry dropped: {detail}", name=name, path=str(path)
+        )
         try:
             path.unlink()
         except OSError:
@@ -179,8 +174,7 @@ class DiskCache:
         self.stores += 1
         self._count("stores")
         self._count("bytes_written", len(blob))
-        if self.journal is not None:
-            self.journal.emit("cache", op="store", name=name, bytes=len(blob))
+        self.obs.emit("cache", op="store", name=name, bytes=len(blob))
         if self.max_bytes is not None:
             self._evict(self.max_bytes)
 
@@ -229,10 +223,7 @@ class DiskCache:
         if removed:
             self.evictions += removed
             self._count("evictions", removed)
-            if self.journal is not None:
-                self.journal.emit(
-                    "cache", op="evict", n_entries=removed, bytes_kept=total
-                )
+            self.obs.emit("cache", op="evict", n_entries=removed, bytes_kept=total)
         return removed
 
     def prune(self, max_bytes: int) -> int:

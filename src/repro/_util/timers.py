@@ -7,9 +7,9 @@ call count, and an optional item count, from which it reports
 throughput (items/s). The parallel analysis engine records its
 plan/scatter/compute/merge stages here, and ``memgaze report --stats``
 prints the rendered table. :meth:`StageTimers.as_records` is the bridge
-into the observability layer: the run journal
-(:meth:`repro.obs.journal.RunJournal.record_timers`) and the
-``--metrics`` JSON export both consume it.
+into the observability layer: the run journal's ``stage-summary``
+lines (:meth:`repro.obs.Obs.close`) and the ``--metrics`` JSON export
+both consume it.
 """
 
 from __future__ import annotations
@@ -139,9 +139,9 @@ class StageTimers:
     def as_records(self) -> list[dict]:
         """One plain-JSON record per stage — the journal/metrics bridge.
 
-        :meth:`~repro.obs.journal.RunJournal.record_timers` emits each
-        record as a ``stage-summary`` journal line, and the CLI's
-        ``--metrics`` export embeds them under ``"stages"``.
+        :meth:`repro.obs.Obs.close` emits each record as a
+        ``stage-summary`` journal line, and the CLI's ``--metrics``
+        export embeds them under ``"stages"``.
         """
         return [{"stage": name, **s.as_dict()} for name, s in self.stats.items()]
 

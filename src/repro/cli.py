@@ -71,6 +71,7 @@ from repro.core.report import (
 )
 from repro.core.zoom import ZoomConfig, location_zoom, zoom_leaves
 from repro.core.workingset import working_set_curve
+from repro.obs.handle import NULL_OBS, Obs
 from repro.trace.collector import collect_sampled_trace
 from repro.trace.compress import compression_ratio, sample_ratio_from
 from repro.trace.sampler import SamplingConfig
@@ -129,32 +130,28 @@ def _run_workload(name: str, scale: int, seed: int):
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    journal = _open_journal(args)
-    events, n_loads, fn_names, label = _run_workload(args.workload, args.scale, args.seed)
-    cfg = SamplingConfig(
-        period=args.period,
-        buffer_capacity=args.buffer,
-        fill_jitter=0.0 if args.deterministic else 0.15,
-        seed=args.seed,
-    )
-    if journal is not None:
-        with journal.stage("trace", workload=args.workload, period=cfg.period,
-                           buffer_capacity=cfg.buffer_capacity, mode=args.mode):
+    with Obs.open(args.journal) as obs:
+        events, n_loads, fn_names, label = _run_workload(args.workload, args.scale, args.seed)
+        cfg = SamplingConfig(
+            period=args.period,
+            buffer_capacity=args.buffer,
+            fill_jitter=0.0 if args.deterministic else 0.15,
+            seed=args.seed,
+        )
+        with obs.stage("trace", workload=args.workload, period=cfg.period,
+                       buffer_capacity=cfg.buffer_capacity, mode=args.mode):
             col = collect_sampled_trace(events, n_loads, cfg, mode=args.mode)
-    else:
-        col = collect_sampled_trace(events, n_loads, cfg, mode=args.mode)
-    meta = TraceMeta(
-        module=label,
-        kind="sampled",
-        period=cfg.period,
-        buffer_capacity=cfg.buffer_capacity,
-        n_loads_total=n_loads,
-        n_samples=col.n_samples,
-        extra={"fn_names": {str(k): v for k, v in fn_names.items()}, "mode": args.mode},
-    )
-    size = write_trace(args.output, col.events, meta, col.sample_id)
-    if journal is not None:
-        journal.emit(
+        meta = TraceMeta(
+            module=label,
+            kind="sampled",
+            period=cfg.period,
+            buffer_capacity=cfg.buffer_capacity,
+            n_loads_total=n_loads,
+            n_samples=col.n_samples,
+            extra={"fn_names": {str(k): v for k, v in fn_names.items()}, "mode": args.mode},
+        )
+        size = write_trace(args.output, col.events, meta, col.sample_id)
+        obs.emit(
             "trace-written",
             path=str(args.output),
             bytes=size,
@@ -164,7 +161,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             rho=sample_ratio_from(col),
             kappa=compression_ratio(col.events),
         )
-        journal.close()
     frac = len(col.events) / max(1, len(events))
     print(f"{label}: {n_loads:,} loads, {len(events):,} records")
     print(
@@ -173,16 +169,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     )
     print(f"wrote {args.output} ({size:,} bytes)")
     return 0
-
-
-def _open_journal(args) -> "object | None":
-    """Build a :class:`RunJournal` when ``--journal`` was given."""
-    path = getattr(args, "journal", None)
-    if not path:
-        return None
-    from repro.obs.journal import RunJournal
-
-    return RunJournal(path)
 
 
 def _require_trace_path(path, command: str = "memgaze") -> None:
@@ -197,7 +183,7 @@ def _require_trace_path(path, command: str = "memgaze") -> None:
     raise SystemExit(f"{command}: no such trace archive: {path}")
 
 
-def _load(path, journal=None) -> "LoadedTrace":
+def _load(path, obs: Obs = NULL_OBS) -> "LoadedTrace":
     """Read a trace archive through the shared loader, reporting degradation.
 
     Delegates to :func:`repro.trace.loader.load_trace_collection` — the
@@ -220,7 +206,7 @@ def _load(path, journal=None) -> "LoadedTrace":
 
     _require_trace_path(path)
     try:
-        loaded = load_trace_collection(path, journal=journal)
+        loaded = load_trace_collection(path, obs)
     except TraceFormatError as exc:
         raise SystemExit(f"memgaze: unrecoverable trace archive: {exc}") from exc
     n_events = len(loaded.collection.events)
@@ -286,24 +272,21 @@ def _default_cache_dir() -> Path:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    journal = _open_journal(args)
-    metrics = None
-    if args.metrics:
-        from repro.obs.metrics import MetricsRegistry
+    # the handle and the engine close on every exit path, errors included
+    with Obs.open(args.journal, bool(args.metrics)) as obs:
+        loaded = _load(args.trace, obs)
+        if len(loaded.collection.events) == 0:
+            print("trace is empty")
+            return 1
+        engine, store_key = _report_engine(args, loaded.clean, obs)
+        with engine:
+            _print_report(args, loaded, engine, store_key)
+            _report_tail(args, engine)
+    return 0
 
-        metrics = MetricsRegistry()
-    loaded = _load(args.trace, journal=journal)
-    col, meta, fn_names, clean = (
-        loaded.collection,
-        loaded.meta,
-        loaded.fn_names,
-        loaded.clean,
-    )
-    if len(col.events) == 0:
-        print("trace is empty")
-        return 1
-    rho = sample_ratio_from(col)
 
+def _report_engine(args, clean: bool, obs: Obs) -> "tuple[ParallelEngine, str | None]":
+    """The report's engine, with the analysis cache when enabled, and its key."""
     # --cache-dir alone enables the cache; --no-cache always wins
     use_cache = args.cache is True or (
         args.cache is None and args.cache_dir is not None
@@ -313,29 +296,30 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if use_cache:
         from repro.core.artifacts import ArtifactStore
 
-        store = ArtifactStore(
-            args.cache_dir or _default_cache_dir(), journal=journal, metrics=metrics
-        )
+        store = ArtifactStore(args.cache_dir or _default_cache_dir(), obs=obs)
         if clean:
             store_key = ArtifactStore.archive_digest(args.trace)
-            if store_key is None and journal is not None:
-                journal.warning(
+            if store_key is None:
+                obs.warning(
                     "archive has no usable health record; analysis cache disabled",
                     path=str(args.trace),
                 )
-        elif journal is not None:
-            journal.warning(
+        else:
+            obs.warning(
                 "damaged archive: only a recovered prefix is analyzed, so the "
                 "analysis cache is disabled for this run",
                 path=str(args.trace),
             )
     engine = ParallelEngine(
-        workers=args.workers,
-        chunk_size=args.chunk_size,
-        store=store,
-        journal=journal,
-        metrics=metrics,
+        workers=args.workers, chunk_size=args.chunk_size, store=store, obs=obs
     )
+    return engine, store_key
+
+
+def _print_report(args, loaded: "LoadedTrace", engine: ParallelEngine, store_key) -> None:
+    """Print the report sections (or write the ``--html`` page)."""
+    col, meta, fn_names = loaded.collection, loaded.meta, loaded.fn_names
+    rho = sample_ratio_from(col)
     source = (col.events, col.sample_id, store_key)
 
     if args.html:
@@ -367,8 +351,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         out = Path(args.html)
         out.write_text(text, encoding="utf-8")
         print(f"wrote {out} ({len(text.encode('utf-8')):,} bytes)")
-        _report_tail(args, engine, journal, metrics)
-        return 0
+        return
 
     if args.json:
         # the canonical machine-readable payload — built by the same
@@ -388,8 +371,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         except (UnknownPassError, ValueError) as exc:
             raise SystemExit(f"memgaze report: {exc}") from exc
         print(payload_json(payload))
-        _report_tail(args, engine, journal, metrics)
-        return 0
+        return
 
     if args.passes:
         requested = [s.strip() for s in args.passes.split(",") if s.strip()]
@@ -403,8 +385,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         for name in requested:
             print(f"\n== pass: {name} ==")
             print(get_pass(name).render(results[name]))
-        _report_tail(args, engine, journal, metrics)
-        return 0
+        return
 
     everything = not (
         args.functions
@@ -501,40 +482,24 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 f"{c.n_samples_present}/{c.n_samples_total} samples{flag}"
             )
 
-    _report_tail(args, engine, journal, metrics)
-    return 0
 
-
-def _report_tail(args, engine, journal, metrics) -> None:
-    """Shared ``report`` epilogue: stats, journal/metrics export, shutdown."""
+def _report_tail(args, engine: ParallelEngine) -> None:
+    """Shared ``report`` epilogue: the ``--stats`` table and ``--metrics`` export."""
+    timers = engine.obs.timers
     if args.stats:
         print()
-        print(engine.timers.report(title="analysis stage timings"))
+        print(timers.report(title="analysis stage timings"))
         if engine.store is not None:
             s = engine.store.stats()
             print(
                 f"  disk cache: {s['hits']} hits / {s['misses']} misses "
                 f"({s['entries']} entries, {s['bytes']:,} bytes at {s['root']})"
             )
-    if journal is not None:
-        journal.record_timers(engine.timers)
-        if metrics is not None:
-            journal.record_metrics(metrics)
     if args.metrics:
-        export = {
-            "trace": str(args.trace),
-            "run": journal.run_id if journal is not None else None,
-            "metrics": metrics.as_dict(),
-            "stages": engine.timers.as_records(),
-        }
-        if engine.store is not None:
-            export["disk_cache"] = engine.store.stats()
-        with open(args.metrics, "w", encoding="utf-8") as fh:
-            json.dump(export, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    if journal is not None:
-        journal.close()
-    engine.close()
+        disk = {} if engine.store is None else {"disk_cache": engine.store.stats()}
+        engine.obs.export(
+            args.metrics, trace=str(args.trace), stages=timers.as_records(), **disk
+        )
 
 
 def _cmd_passes(args: argparse.Namespace) -> int:
@@ -574,15 +539,8 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 def _cmd_matrix(args: argparse.Namespace) -> int:
     """Analyze a corpus of archives and gate regressions (``memgaze matrix``)."""
     from repro.core.corpus import CorpusSpec, CorpusSpecError
-    from repro.core.diff import ThresholdError, Thresholds, corpus_diff
-    from repro.core.matrix import run_matrix
+    from repro.core.diff import ThresholdError, Thresholds
 
-    journal = _open_journal(args)
-    metrics = None
-    if args.metrics:
-        from repro.obs.metrics import MetricsRegistry
-
-        metrics = MetricsRegistry()
     try:
         spec = CorpusSpec.load(args.spec, baseline=args.baseline)
     except CorpusSpecError as exc:
@@ -602,6 +560,17 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
             thresholds = Thresholds.from_file(args.gate)
         except ThresholdError as exc:
             raise SystemExit(f"memgaze matrix: {exc}") from exc
+    obs = Obs.open(args.journal, bool(args.metrics))
+    try:
+        return _matrix(args, spec, thresholds, obs)
+    finally:
+        obs.close(stages=False)  # matrix prints no stage table, so journals none
+
+
+def _matrix(args, spec, thresholds, obs: Obs) -> int:
+    """Run, diff, gate and print one corpus matrix, reporting through ``obs``."""
+    from repro.core.diff import ThresholdError, corpus_diff
+    from repro.core.matrix import run_matrix
 
     # --cache-dir alone enables the cache; --no-cache always wins
     use_cache = args.cache is True or (
@@ -614,8 +583,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
             cache_dir=cache_dir,
             workers=args.workers,
             chunk_size=args.chunk_size,
-            journal=journal,
-            metrics=metrics,
+            obs=obs,
         )
     except TraceFormatError as exc:
         raise SystemExit(
@@ -632,17 +600,15 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
         raise SystemExit(f"memgaze matrix: {exc}") from exc
     verdict = diff.verdict_payload()
     regressed = [c.label for c in diff.cells if c.regressed]
-    if metrics is not None:
-        metrics.counter("matrix.regressions").inc(len(regressed))
-    if journal is not None:
-        journal.emit(
-            "matrix-verdict",
-            corpus=spec.name,
-            baseline=diff.baseline,
-            verdict=diff.verdict,
-            gated=args.gate is not None,
-            regressed_cells=regressed,
-        )
+    obs.counter("matrix.regressions").inc(len(regressed))
+    obs.emit(
+        "matrix-verdict",
+        corpus=spec.name,
+        baseline=diff.baseline,
+        verdict=diff.verdict,
+        gated=args.gate is not None,
+        regressed_cells=regressed,
+    )
     if args.verdict:
         with open(args.verdict, "w", encoding="utf-8") as fh:
             fh.write(payload_json(verdict) + "\n")
@@ -666,20 +632,9 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
         print(diff.render(top=args.top))
 
     if args.metrics:
-        export = {
-            "spec": str(args.spec),
-            "run": journal.run_id if journal is not None else None,
-            "metrics": metrics.as_dict(),
-            "modes": dict(result.modes),
-            "verdict": diff.verdict,
-        }
-        with open(args.metrics, "w", encoding="utf-8") as fh:
-            json.dump(export, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    if journal is not None:
-        if metrics is not None:
-            journal.record_metrics(metrics)
-        journal.close()
+        obs.export(
+            args.metrics, spec=str(args.spec), modes=dict(result.modes), verdict=diff.verdict
+        )
     return 1 if (args.gate and diff.verdict == "regressed") else 0
 
 
@@ -771,11 +726,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import signal
 
-    from repro.obs.metrics import MetricsRegistry
     from repro.serve.daemon import ServeConfig, TraceServer
 
-    journal = _open_journal(args)
-    metrics = MetricsRegistry()
     serve_workers = args.serve_workers
     if serve_workers is None:
         serve_workers = int(os.environ.get("MEMGAZE_SERVE_WORKERS", "1"))
@@ -792,8 +744,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         dashboard_port=args.dashboard_port,
     )
 
-    async def run() -> None:
-        server = TraceServer(config, journal=journal, metrics=metrics)
+    async def run(obs: Obs) -> None:
+        server = TraceServer(config, obs=obs)
         await server.start()
         loop = asyncio.get_running_loop()
         for sig in (signal.SIGINT, signal.SIGTERM):
@@ -821,9 +773,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             )
         await server.serve_until_stopped()
 
-    asyncio.run(run())
-    if journal is not None:
-        journal.close()
+    # the daemon always counts; its graceful stop closes the handle
+    with Obs.open(args.journal, metrics=True) as obs:
+        asyncio.run(run(obs))
     print("memgaze serve: stopped")
     return 0
 

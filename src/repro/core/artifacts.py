@@ -48,6 +48,7 @@ import json
 import numpy as np
 
 from repro._util.diskcache import MISS, DiskCache
+from repro.obs.handle import NULL_OBS, Obs
 
 __all__ = ["MISS", "SCHEMA_VERSION", "freeze_params", "ArtifactStore"]
 
@@ -107,13 +108,9 @@ class ArtifactStore:
         root,
         *,
         max_bytes: int | None = DEFAULT_MAX_BYTES,
-        journal=None,
-        metrics=None,
+        obs: Obs = NULL_OBS,
     ) -> None:
-        self.cache = DiskCache(
-            root, max_bytes=max_bytes, journal=journal, metrics=metrics
-        )
-        self.journal = journal
+        self.cache = DiskCache(root, max_bytes=max_bytes, obs=obs)
 
     # -- digests --------------------------------------------------------------
 

@@ -21,6 +21,7 @@ import time
 from repro.core.corpus import CellResult, CorpusResult, CorpusSpec, cell_payload
 from repro.core.parallel import ParallelEngine
 from repro.core.report import report_requests
+from repro.obs.handle import Obs
 
 __all__ = ["run_matrix"]
 
@@ -33,13 +34,12 @@ def run_matrix(
     cache_max_bytes: int | None = None,
     workers: int = 1,
     chunk_size: int | None = None,
-    journal=None,
-    metrics=None,
+    obs: Obs | None = None,
 ) -> CorpusResult:
     """Analyze every cell of ``spec`` and aggregate the results.
 
-    Pass ``engine`` to reuse a configured engine (its store/journal/
-    metrics and chunk size win; passing ``chunk_size`` with it is a
+    Pass ``engine`` to reuse a configured engine (its store, ``obs`` and
+    chunk size win; passing ``chunk_size`` or ``obs`` with it is a
     ``ValueError``); otherwise one engine is built from the keyword
     knobs, with a persistent :class:`ArtifactStore` when ``cache_dir`` is
     given. Cells run in spec order; each archive streams through
@@ -47,9 +47,10 @@ def run_matrix(
     (:func:`~repro.core.report.report_requests` at the cell's block
     sizes) fused into one scan.
     """
-    if engine is not None and chunk_size is not None:
-        raise ValueError("run_matrix: pass chunk_size to the engine, not with it")
+    if engine is not None and (chunk_size is not None or obs is not None):
+        raise ValueError("run_matrix: pass chunk_size and obs to the engine, not with it")
     if engine is None:
+        obs = Obs() if obs is None else obs
         store = None
         if cache_dir is not None:
             from repro.core.artifacts import DEFAULT_MAX_BYTES, ArtifactStore
@@ -59,19 +60,12 @@ def run_matrix(
                 max_bytes=(
                     cache_max_bytes if cache_max_bytes is not None else DEFAULT_MAX_BYTES
                 ),
-                journal=journal,
-                metrics=metrics,
+                obs=obs,
             )
         engine = ParallelEngine(
-            workers=workers,
-            chunk_size=chunk_size,
-            store=store,
-            journal=journal,
-            metrics=metrics,
+            workers=workers, chunk_size=chunk_size, store=store, obs=obs
         )
-    else:
-        journal = journal if journal is not None else engine.journal
-        metrics = metrics if metrics is not None else engine.metrics
+    obs = engine.obs
 
     result = CorpusResult(spec=spec)
     t_run = time.perf_counter()
@@ -91,31 +85,28 @@ def run_matrix(
             seconds=seconds,
             digest=analysis.digest,
         )
-        if metrics is not None:
-            metrics.counter("matrix.cells").inc()
-            metrics.counter(f"matrix.cells_{analysis.mode}").inc()
-            metrics.counter("matrix.events").inc(analysis.n_events)
-        if journal is not None:
-            journal.emit(
-                "matrix-cell",
-                corpus=spec.name,
-                label=cell.label,
-                trace=str(cell.trace),
-                mode=analysis.mode,
-                n_events=analysis.n_events,
-                skipped_events=analysis.skipped_events,
-                seconds=seconds,
-            )
-    if journal is not None:
-        modes = [r.mode for r in result.cells.values()]
-        journal.emit(
-            "matrix-run",
+        obs.counter("matrix.cells").inc()
+        obs.counter(f"matrix.cells_{analysis.mode}").inc()
+        obs.counter("matrix.events").inc(analysis.n_events)
+        obs.emit(
+            "matrix-cell",
             corpus=spec.name,
-            baseline=spec.baseline,
-            n_cells=len(result.cells),
-            n_cached=modes.count("cached"),
-            n_incremental=modes.count("incremental"),
-            n_full=modes.count("full"),
-            seconds=time.perf_counter() - t_run,
+            label=cell.label,
+            trace=str(cell.trace),
+            mode=analysis.mode,
+            n_events=analysis.n_events,
+            skipped_events=analysis.skipped_events,
+            seconds=seconds,
         )
+    modes = [r.mode for r in result.cells.values()]
+    obs.emit(
+        "matrix-run",
+        corpus=spec.name,
+        baseline=spec.baseline,
+        n_cells=len(result.cells),
+        n_cached=modes.count("cached"),
+        n_incremental=modes.count("incremental"),
+        n_full=modes.count("full"),
+        seconds=time.perf_counter() - t_run,
+    )
     return result

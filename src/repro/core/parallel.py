@@ -49,22 +49,20 @@ Exactness argument, per pass:
   once, from merged integer totals, by the same expressions the serial
   code uses — identical operands, identical results.
 
-Per-stage wall-clock and throughput land in a
-:class:`~repro._util.timers.StageTimers` (surfaced by ``memgaze report
---stats``), including a ``pass:<name>`` stage per scheduled pass.
-
-Observability is opt-in and zero-cost when off: pass a
-:class:`~repro.obs.journal.RunJournal` and the engine journals its
-shard plans, merges and archive analyses — pool workers journal their
-own ``shard-analyzed`` lines directly (the journal's ``O_APPEND``
-writer is process-safe and pickles down to a path). Pass a
-:class:`~repro.obs.metrics.MetricsRegistry` and the engine counts
-shards, events, merges, and artifact-cache hits/misses
-(``passes.artifact_hits`` / ``passes.artifact_misses``) and fills the
-``parallel.shard_events`` histogram; the zero-copy handoff adds
-``shm.*`` counters and journal lines (segment publish/release, so a
-leaked segment is visible as a counter imbalance); ``memgaze report
---journal/--metrics`` exports both.
+The engine reports through one :class:`~repro.obs.Obs` handle, its
+``obs`` argument. Per-stage wall-clock and throughput land in the
+handle's stage timers (surfaced by ``memgaze report --stats``),
+including a ``pass:<name>`` stage per scheduled pass. With a journal,
+the engine journals its shard plans, merges and archive analyses, and
+pool workers journal their own ``shard-analyzed`` lines directly (the
+handle pickles down to the journal's path and its bound fields). With
+a registry, the engine counts shards, events, merges, and
+artifact-cache hits/misses (``passes.artifact_hits`` /
+``passes.artifact_misses``) and fills the ``parallel.shard_events``
+histogram; the zero-copy handoff adds ``shm.*`` counters and journal
+lines (segment publish/release, so a leaked segment is visible as a
+counter imbalance); ``memgaze report --journal/--metrics`` exports
+both. Without them the handle's null forms do nothing.
 """
 
 from __future__ import annotations
@@ -77,14 +75,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro._util.timers import StageTimers
 from repro.core.artifacts import MISS, ArtifactStore
 from repro.core.passes import (
     CapturesPartial,
     DiagnosticsPartial,
     ResolvedRequest,
     RunContext,
-    account_scan_stats,
     finalize_schedule,
     get_pass,
     merge_partial_lists,
@@ -92,6 +88,7 @@ from repro.core.passes import (
     schedule_passes,
 )
 from repro.core.shm import ShardRef, SharedSlab, attach_shard, publish_shard
+from repro.obs.handle import Obs
 
 __all__ = [
     "plan_shards",
@@ -165,7 +162,7 @@ def plan_shards(
     return shards
 
 
-def scan_chunk_shm(ref: ShardRef, specs, journal):
+def scan_chunk_shm(ref: ShardRef, specs, obs: Obs):
     """Worker entry for the zero-copy path: attach, then scan as usual.
 
     The attached views alias the parent's pages; ``scan_chunk`` and the
@@ -175,7 +172,7 @@ def scan_chunk_shm(ref: ShardRef, specs, journal):
     returns.
     """
     events, sid = attach_shard(ref)
-    return scan_chunk(events, sid, specs, journal)
+    return scan_chunk(events, sid, specs, obs)
 
 
 # -- analysis sources ---------------------------------------------------------
@@ -246,6 +243,9 @@ class ParallelEngine:
     output is bit-identical to the serial functions in
     :mod:`repro.core.metrics` / :mod:`repro.core.reuse` /
     :mod:`repro.core.heatmap` / :mod:`repro.core.hotspot`.
+
+    ``obs`` defaults to a fresh :class:`~repro.obs.Obs`, so every engine
+    built without one keeps its own stage timers.
     """
 
     def __init__(
@@ -254,9 +254,7 @@ class ParallelEngine:
         chunk_size: int | None = None,
         *,
         store: "ArtifactStore | None" = None,
-        timers: StageTimers | None = None,
-        journal=None,
-        metrics=None,
+        obs: Obs | None = None,
     ) -> None:
         self.workers = workers if workers is not None else (os.cpu_count() or 1)
         if self.workers < 0:
@@ -266,13 +264,7 @@ class ParallelEngine:
         #: read from and written to it whenever a source carries a
         #: content digest; None keeps the engine purely in-memory
         self.store = store
-        self.timers = timers if timers is not None else StageTimers()
-        #: optional RunJournal — shard plans, merges and per-shard worker
-        #: lines are journaled when set (None = no journaling at all)
-        self.journal = journal
-        #: optional MetricsRegistry — pipeline counters/histograms land
-        #: here when set (None = no metric accounting at all)
-        self.metrics = metrics
+        self.obs = Obs() if obs is None else obs
         self._pool: Executor | None = None
 
     # -- lifecycle --
@@ -422,8 +414,8 @@ class ParallelEngine:
             src.health = read_trace_health(path)
             if src.health is not None:
                 src.digest = ArtifactStore.digest_health(src.health)
-            if src.digest is None and self.journal is not None:
-                self.journal.warning(
+            if src.digest is None:
+                self.obs.warning(
                     "archive has no usable health record; analysis cache disabled",
                     path=str(path),
                 )
@@ -438,8 +430,7 @@ class ParallelEngine:
         return iter_trace_chunks(
             path,
             chunk_size=self._archive_chunk_size(),
-            metrics=self.metrics,
-            journal=self.journal,
+            obs=self.obs,
             skip=skip,
         )
 
@@ -534,13 +525,12 @@ class ParallelEngine:
         if reason is not None:
             if src.path is not None:
                 chunks.close()
-            if self.journal is not None:
-                self.journal.warning(
-                    f"incremental re-analysis abandoned: {reason}; "
-                    "falling back to a full rescan",
-                    path=str(src.path),
-                    state_n_events=n,
-                )
+            self.obs.warning(
+                f"incremental re-analysis abandoned: {reason}; "
+                "falling back to a full rescan",
+                path=str(src.path),
+                state_n_events=n,
+            )
             return None
         if src.path is None:
             tail = self._scan_arrays(src.events[n:], src.sample_id[n:], sub)
@@ -556,8 +546,7 @@ class ParallelEngine:
         tail.skipped = n
         tail.n_events += n
         tail.sid_seen = True
-        if self.metrics is not None:
-            self.metrics.counter("cache.incremental_scans").inc()
+        self.obs.counter("cache.incremental_scans").inc()
         return tail
 
     @staticmethod
@@ -623,7 +612,7 @@ class ParallelEngine:
     # -- the shard-map-merge core --
 
     def _plan(self, n: int, sample_id: np.ndarray | None) -> list[tuple[int, int]]:
-        with self.timers.stage("plan"):
+        with self.obs.timed("plan"):
             if self.workers <= 1 and self.chunk_size is None:
                 shards = [(0, n)] if n else []
             elif self.chunk_size is not None:
@@ -634,21 +623,19 @@ class ParallelEngine:
                     _MIN_PARALLEL_EVENTS,
                 )
                 shards = plan_shards(n, sample_id, chunk_size=size)
-        if self.metrics is not None:
-            self.metrics.counter("parallel.plans").inc()
-            self.metrics.counter("parallel.shards").inc(len(shards))
-            h = self.metrics.histogram("parallel.shard_events")
-            for lo, hi in shards:
-                h.observe(hi - lo)
-        if self.journal is not None:
-            self.journal.emit(
-                "stage",
-                stage="shard-plan",
-                n_events=n,
-                n_shards=len(shards),
-                workers=self.workers,
-                chunk_size=self.chunk_size,
-            )
+        self.obs.counter("parallel.plans").inc()
+        self.obs.counter("parallel.shards").inc(len(shards))
+        h = self.obs.histogram("parallel.shard_events")
+        for lo, hi in shards:
+            h.observe(hi - lo)
+        self.obs.emit(
+            "stage",
+            stage="shard-plan",
+            n_events=n,
+            n_shards=len(shards),
+            workers=self.workers,
+            chunk_size=self.chunk_size,
+        )
         return shards
 
     def _publish(
@@ -661,19 +648,15 @@ class ParallelEngine:
         rather than failing the scan.
         """
         try:
-            with self.timers.stage("publish", items=len(events)):
-                return publish_shard(
-                    events, sample_id, journal=self.journal, metrics=self.metrics
-                )
+            with self.obs.timed("publish", items=len(events)):
+                return publish_shard(events, sample_id, obs=self.obs)
         except OSError as exc:
-            if self.metrics is not None:
-                self.metrics.counter("shm.publish_failures").inc()
-            if self.journal is not None:
-                self.journal.warning(
-                    f"shared-memory publish failed ({exc}); falling back to "
-                    "pickled shard handoff for this scan",
-                    n_events=len(events),
-                )
+            self.obs.counter("shm.publish_failures").inc()
+            self.obs.warning(
+                f"shared-memory publish failed ({exc}); falling back to "
+                "pickled shard handoff for this scan",
+                n_events=len(events),
+            )
             return None
 
     def _chunk_jobs(self, chunks):
@@ -705,9 +688,13 @@ class ParallelEngine:
         def fold(result: tuple[list, dict]) -> None:
             nonlocal n_partials, merge_seconds
             partials, stats = result
-            account_scan_stats(stats, metrics=self.metrics, timers=self.timers)
+            self.obs.counter("passes.chunks_scanned").inc()
+            self.obs.counter("passes.artifact_hits").inc(stats["artifact_hits"])
+            self.obs.counter("passes.artifact_misses").inc(stats["artifact_misses"])
+            for name, seconds in stats["pass_seconds"].items():
+                self.obs.add(f"pass:{name}", seconds, items=stats["n_events"])
             t = time.perf_counter()
-            with self.timers.stage("merge", items=1):
+            with self.obs.timed("merge", items=1):
                 out.merged = (
                     partials
                     if out.merged is None
@@ -733,15 +720,14 @@ class ParallelEngine:
                     out.sid_seen = True
                     out.last_sid = int(sid[-1])
                 if pool is None:
-                    fold(scan_chunk(ev, sid, specs, self.journal))
+                    fold(scan_chunk(ev, sid, specs, self.obs))
                     continue
                 if ref is not None:
-                    fut = pool.submit(scan_chunk_shm, ref, specs, self.journal)
+                    fut = pool.submit(scan_chunk_shm, ref, specs, self.obs)
                 else:
-                    fut = pool.submit(scan_chunk, ev, sid, specs, self.journal)
+                    fut = pool.submit(scan_chunk, ev, sid, specs, self.obs)
                 in_flight.append((fut, slab))
-                if self.metrics is not None:
-                    self.metrics.gauge("parallel.peak_in_flight").set(len(in_flight))
+                self.obs.gauge("parallel.peak_in_flight").set(len(in_flight))
                 while len(in_flight) >= 2 * self.workers:
                     fold_next()
             while in_flight:
@@ -750,15 +736,12 @@ class ParallelEngine:
             for _, slab in in_flight:
                 if slab is not None:
                     slab.release()
-        self.timers.add("compute", time.perf_counter() - t_scan, items=out.n_events)
-        if self.metrics is not None:
-            self.metrics.counter("parallel.events").inc(out.n_events)
-            self.metrics.counter(
-                "parallel.runs_pooled" if pooled else "parallel.runs_inline"
-            ).inc()
-            self.metrics.counter("parallel.merges").inc(max(0, n_partials - 1))
-        if self.journal is not None and n_partials:
-            self.journal.emit(
+        self.obs.add("compute", time.perf_counter() - t_scan, items=out.n_events)
+        self.obs.counter("parallel.events").inc(out.n_events)
+        self.obs.counter("parallel.runs_pooled" if pooled else "parallel.runs_inline").inc()
+        self.obs.counter("parallel.merges").inc(max(0, n_partials - 1))
+        if n_partials:
+            self.obs.emit(
                 "stage",
                 stage="merge",
                 n_partials=n_partials,
@@ -786,18 +769,16 @@ class ParallelEngine:
         degraded = fold.n_events > 0 and not fold.sid_seen
         if "reuse" in results:
             results["reuse"].scope = "chunk" if degraded else "sample"
-        if self.journal is None:
-            return
         size = self._archive_chunk_size()
         if degraded:
-            self.journal.warning(
+            self.obs.warning(
                 "archive stores no sample ids: reuse windows are "
                 "chunk-delimited and results depend on chunk_size",
                 path=str(src.path),
                 chunk_size=size,
                 reuse_scope="chunk",
             )
-        self.journal.emit(
+        self.obs.emit(
             "stage",
             stage="analyze-file",
             path=str(src.path),

@@ -72,6 +72,7 @@ from repro.core.reuse import (
     histogram_from_distances,
     reuse_distances,
 )
+from repro.obs.handle import NULL_OBS, Obs
 from repro.trace.event import LoadClass
 
 __all__ = [
@@ -489,7 +490,7 @@ def scan_chunk(
     events: np.ndarray,
     sample_id: np.ndarray | None,
     specs: Iterable[tuple[str, dict]],
-    journal=None,
+    obs: Obs = NULL_OBS,
 ) -> tuple[list, dict]:
     """Update every scheduled pass over one chunk (runs in pool workers).
 
@@ -497,9 +498,9 @@ def scan_chunk(
     are computed once per chunk regardless of how many passes read them.
     Returns ``(partials, stats)`` where ``stats`` carries the chunk's
     artifact-cache counters and per-pass wall clock for the caller's
-    timers/metrics. With a journal, the evaluating process appends its
-    own ``shard-analyzed`` line (the journal's ``O_APPEND`` writes are
-    atomic, so pool workers interleave safely).
+    timers/metrics. The evaluating process journals its own
+    ``shard-analyzed`` line through ``obs`` (the journal's ``O_APPEND``
+    writes are atomic, so pool workers interleave safely).
     """
     t0 = time.perf_counter()
     ctx = ChunkContext(events, sample_id)
@@ -516,16 +517,15 @@ def scan_chunk(
         "artifact_misses": ctx.misses,
         "pass_seconds": pass_seconds,
     }
-    if journal is not None:
-        journal.emit(
-            "shard-analyzed",
-            n_events=len(events),
-            n_passes=len(partials),
-            passes=[name for name, _ in specs],
-            artifact_hits=ctx.hits,
-            artifact_misses=ctx.misses,
-            seconds=time.perf_counter() - t0,
-        )
+    obs.emit(
+        "shard-analyzed",
+        n_events=len(events),
+        n_passes=len(partials),
+        passes=[name for name, _ in specs],
+        artifact_hits=ctx.hits,
+        artifact_misses=ctx.misses,
+        seconds=time.perf_counter() - t0,
+    )
     return partials, stats
 
 
@@ -548,17 +548,6 @@ def finalize_schedule(
         out[req.name] = result
         ctx.results[key] = result
     return out
-
-
-def account_scan_stats(stats: dict, *, metrics=None, timers=None) -> None:
-    """Fold one chunk's scan stats into obs sinks (shared with the engine)."""
-    if metrics is not None:
-        metrics.counter("passes.chunks_scanned").inc()
-        metrics.counter("passes.artifact_hits").inc(stats["artifact_hits"])
-        metrics.counter("passes.artifact_misses").inc(stats["artifact_misses"])
-    if timers is not None:
-        for name, seconds in stats["pass_seconds"].items():
-            timers.add(f"pass:{name}", seconds, items=stats["n_events"])
 
 
 # -- mergeable partials -------------------------------------------------------

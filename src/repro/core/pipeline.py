@@ -28,6 +28,7 @@ from repro.instrument.instrumenter import InstrumentResult, instrument_module
 from repro.instrument.rebuild import rebuild_trace
 from repro.isa.interp import Interpreter
 from repro.isa.program import Module
+from repro.obs.handle import Obs
 from repro.simmem.address_space import AddressSpace
 from repro.simmem.recorder import AccessRecorder
 from repro.trace.collector import CollectionResult, collect_sampled_trace
@@ -163,18 +164,15 @@ class MemGazeResult:
 class MemGaze:
     """The tool facade: run and analyze either execution path.
 
-    ``journal`` (a :class:`~repro.obs.journal.RunJournal`) and
-    ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`) are
-    optional observability sinks: when given, every pipeline stage —
-    collection, analysis, and the parallel engine's shard
-    plan/analyze/merge — reports through them; when ``None`` (the
-    default) no instrumentation work happens at all.
+    Every pipeline stage — collection, analysis, and the parallel
+    engine's shard plan/analyze/merge — reports through ``obs`` (a
+    :class:`~repro.obs.Obs`; a fresh one, journaling and counting
+    nothing, by default).
     """
 
-    def __init__(self, config: AnalysisConfig, *, journal=None, metrics=None) -> None:
+    def __init__(self, config: AnalysisConfig, *, obs: Obs | None = None) -> None:
         self.config = config
-        self.journal = journal
-        self.metrics = metrics
+        self.obs = Obs() if obs is None else obs
         self._engine: ParallelEngine | None = None
 
     @property
@@ -185,7 +183,7 @@ class MemGaze:
             if self.config.cache_dir is not None:
                 from repro.core.artifacts import ArtifactStore
 
-                kwargs = {"journal": self.journal, "metrics": self.metrics}
+                kwargs = {"obs": self.obs}
                 if self.config.cache_max_bytes is not None:
                     kwargs["max_bytes"] = self.config.cache_max_bytes
                 store = ArtifactStore(self.config.cache_dir, **kwargs)
@@ -193,8 +191,7 @@ class MemGaze:
                 workers=self.config.workers,
                 chunk_size=self.config.chunk_size,
                 store=store,
-                journal=self.journal,
-                metrics=self.metrics,
+                obs=self.obs,
             )
         return self._engine
 
@@ -232,24 +229,22 @@ class MemGaze:
         )
         rho = sample_ratio_from(collection)
         kappa = compression_ratio(collection.events)
-        if self.journal is not None:
-            self.journal.emit(
-                "stage",
-                stage="trace",
-                n_observed=len(events),
-                n_sampled=len(collection.events),
-                n_samples=collection.n_samples,
-                period=self.config.sampling.period,
-                buffer_capacity=self.config.sampling.buffer_capacity,
-                rho=rho,
-                kappa=kappa,
-                seconds=time.perf_counter() - t0,
-            )
-        if self.metrics is not None:
-            self.metrics.counter("pipeline.analyses").inc()
-            self.metrics.counter("pipeline.events_sampled").inc(len(collection.events))
-            self.metrics.gauge("pipeline.rho").set(rho)
-            self.metrics.gauge("pipeline.kappa").set(kappa)
+        self.obs.emit(
+            "stage",
+            stage="trace",
+            n_observed=len(events),
+            n_sampled=len(collection.events),
+            n_samples=collection.n_samples,
+            period=self.config.sampling.period,
+            buffer_capacity=self.config.sampling.buffer_capacity,
+            rho=rho,
+            kappa=kappa,
+            seconds=time.perf_counter() - t0,
+        )
+        self.obs.counter("pipeline.analyses").inc()
+        self.obs.counter("pipeline.events_sampled").inc(len(collection.events))
+        self.obs.gauge("pipeline.rho").set(rho)
+        self.obs.gauge("pipeline.kappa").set(kappa)
         fn_names = fn_names or {}
         t0 = time.perf_counter()
         # one fused scan computes the whole-trace diagnostics, the
@@ -280,16 +275,15 @@ class MemGaze:
         per_function = (
             results["windows"] if "windows" in extra_names else results.pop("windows")
         )
-        if self.journal is not None:
-            self.journal.emit(
-                "stage",
-                stage="analyze",
-                n_events=len(collection.events),
-                n_functions=len(per_function),
-                block=self.config.block,
-                workers=self.config.workers,
-                seconds=time.perf_counter() - t0,
-            )
+        self.obs.emit(
+            "stage",
+            stage="analyze",
+            n_events=len(collection.events),
+            n_functions=len(per_function),
+            block=self.config.block,
+            workers=self.config.workers,
+            seconds=time.perf_counter() - t0,
+        )
         return MemGazeResult(
             collection=collection,
             rho=rho,

@@ -54,6 +54,7 @@ from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
 
+from repro.obs.handle import NULL_OBS, Obs
 from repro.trace.event import EVENT_DTYPE
 
 __all__ = [
@@ -172,8 +173,7 @@ class SharedSlab:
         n_events: int,
         sid_dtype: str | None,
         sid_offset: int,
-        journal=None,
-        metrics=None,
+        obs: Obs = NULL_OBS,
     ) -> None:
         self._shm = shm
         self.name = shm.name
@@ -181,8 +181,7 @@ class SharedSlab:
         self.nbytes = shm.size
         self._sid_dtype = sid_dtype
         self._sid_offset = sid_offset
-        self._journal = journal
-        self._metrics = metrics
+        self._obs = obs
         self._released = False
 
     def ref(self, lo: int, hi: int) -> ShardRef:
@@ -204,11 +203,9 @@ class SharedSlab:
             return
         _REGISTRY.untrack(self.name)
         self._destroy()
-        if self._metrics is not None:
-            self._metrics.counter("shm.segments_released").inc()
-            self._metrics.gauge("shm.active_segments").set(len(active_segments()))
-        if self._journal is not None:
-            self._journal.emit("shm", action="release", name=self.name)
+        self._obs.counter("shm.segments_released").inc()
+        self._obs.gauge("shm.active_segments").set(len(active_segments()))
+        self._obs.emit("shm", action="release", name=self.name)
 
     def _destroy(self) -> None:
         if self._released:
@@ -225,8 +222,7 @@ def publish_shard(
     events: np.ndarray,
     sample_id: np.ndarray | None = None,
     *,
-    journal=None,
-    metrics=None,
+    obs: Obs = NULL_OBS,
 ) -> SharedSlab:
     """Copy ``(events, sample_id)`` into a fresh named segment.
 
@@ -252,23 +248,12 @@ def publish_shard(
     if sid is not None and len(sid):
         sview = np.ndarray(len(sid), dtype=sid.dtype, buffer=shm.buf, offset=sid_offset)
         sview[:] = sid
-    slab = SharedSlab(
-        shm,
-        n,
-        None if sid is None else sid.dtype.str,
-        sid_offset,
-        journal=journal,
-        metrics=metrics,
-    )
+    slab = SharedSlab(shm, n, None if sid is None else sid.dtype.str, sid_offset, obs)
     _REGISTRY.track(slab)
-    if metrics is not None:
-        metrics.counter("shm.segments_created").inc()
-        metrics.counter("shm.bytes_published").inc(total)
-        metrics.gauge("shm.active_segments").set(len(active_segments()))
-    if journal is not None:
-        journal.emit(
-            "shm", action="publish", name=slab.name, n_events=n, nbytes=total
-        )
+    obs.counter("shm.segments_created").inc()
+    obs.counter("shm.bytes_published").inc(total)
+    obs.gauge("shm.active_segments").set(len(active_segments()))
+    obs.emit("shm", action="publish", name=slab.name, n_events=n, nbytes=total)
     return slab
 
 

@@ -33,40 +33,13 @@ import json
 import os
 import time
 from pathlib import Path
-from types import TracebackType
 from typing import Any, Iterator
 
-__all__ = ["RunJournal", "BoundJournal", "read_journal"]
+__all__ = ["RunJournal", "read_journal"]
 
 
 def _new_run_id() -> str:
     return f"{os.getpid():x}-{time.time_ns():x}"
-
-
-class _JournalStage:
-    """Context manager that journals a stage's elapsed time on exit."""
-
-    def __init__(self, journal: "RunJournal", stage: str, fields: dict) -> None:
-        self._journal = journal
-        self._stage = stage
-        self._fields = fields
-        self._start = 0.0
-
-    def __enter__(self) -> "_JournalStage":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(
-        self,
-        exc_type: type[BaseException] | None,
-        exc: BaseException | None,
-        tb: TracebackType | None,
-    ) -> None:
-        fields = dict(self._fields)
-        fields["seconds"] = time.perf_counter() - self._start
-        if exc is not None:
-            fields["error"] = f"{type(exc).__name__}: {exc}"
-        self._journal.emit("stage", stage=self._stage, **fields)
 
 
 class RunJournal:
@@ -120,88 +93,6 @@ class RunJournal:
         record.update(fields)
         line = json.dumps(record, default=str) + "\n"
         os.write(self._descriptor(), line.encode("utf-8"))
-
-    def stage(self, stage: str, **fields: Any) -> _JournalStage:
-        """Journal a timed stage region::
-
-            with journal.stage("shard-plan", n_shards=8):
-                ...
-        """
-        return _JournalStage(self, stage, fields)
-
-    def warning(self, message: str, **fields: Any) -> None:
-        """Journal a degradation the run survived (recovery, fallback)."""
-        self.emit("warning", message=message, **fields)
-
-    def record_timers(self, timers, **fields: Any) -> None:
-        """Bridge a :class:`~repro._util.timers.StageTimers` registry in.
-
-        Emits one ``stage-summary`` line per accumulated stage, carrying
-        its total seconds, call count, items, and throughput.
-        """
-        for rec in timers.as_records():
-            self.emit("stage-summary", **rec, **fields)
-
-    def record_metrics(self, registry, **fields: Any) -> None:
-        """Journal a metrics registry snapshot as one ``metrics`` line."""
-        self.emit("metrics", metrics=registry.as_dict(), **fields)
-
-    def bind(self, **fields: Any) -> "BoundJournal":
-        """A view of this journal that adds ``fields`` to every line.
-
-        See :class:`BoundJournal`; the streaming service binds
-        ``session=<name>`` so one daemon journal is filterable per
-        client stream.
-        """
-        return BoundJournal(self, fields)
-
-
-class BoundJournal:
-    """A journal view that stamps fixed fields onto every line.
-
-    ``journal.bind(session="s1")`` gives the streaming service (or any
-    multi-tenant caller) a handle it can pass anywhere a
-    :class:`RunJournal` goes — the engine, ``iter_trace_chunks``, pool
-    workers — and every emitted line carries the bound fields, so one
-    shared journal file can be filtered per session after the fact.
-    Binding nests (``bind(a=1).bind(b=2)``) and call-site fields win
-    over bound ones. Pickles like the underlying journal: only the
-    address and the bound fields cross process boundaries.
-    """
-
-    def __init__(self, journal: "RunJournal", fields: dict) -> None:
-        self._journal = journal
-        self._fields = dict(fields)
-
-    @property
-    def path(self):
-        return self._journal.path
-
-    @property
-    def run_id(self) -> str:
-        return self._journal.run_id
-
-    def bind(self, **fields: Any) -> "BoundJournal":
-        """A further-bound view (the new fields win on key collision)."""
-        return BoundJournal(self._journal, {**self._fields, **fields})
-
-    def emit(self, event: str, **fields: Any) -> None:
-        self._journal.emit(event, **{**self._fields, **fields})
-
-    def stage(self, stage: str, **fields: Any) -> _JournalStage:
-        return _JournalStage(self, stage, fields)
-
-    def warning(self, message: str, **fields: Any) -> None:
-        self.emit("warning", message=message, **fields)
-
-    def record_timers(self, timers, **fields: Any) -> None:
-        self._journal.record_timers(timers, **{**self._fields, **fields})
-
-    def record_metrics(self, registry, **fields: Any) -> None:
-        self._journal.record_metrics(registry, **{**self._fields, **fields})
-
-    def close(self) -> None:
-        """No-op: the underlying journal owns the descriptor."""
 
 
 def read_journal(path) -> Iterator[dict]:

@@ -50,7 +50,7 @@ import asyncio
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro._util.timers import StageTimers
+from repro.obs.handle import Obs
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.protocol import (
     DEFAULT_MAX_FRAME_BYTES,
@@ -105,21 +105,22 @@ class TraceServer:
     process* — a test that blocks in one holds exactly that shard,
     fills its bounded queues, and observes deterministic load-shedding
     (or, with the other shards, the absence of head-of-line blocking).
+
+    ``obs`` (a fresh :class:`~repro.obs.Obs` by default) is the daemon's
+    journal, registry and ``serve-ingest`` timer; graceful shutdown
+    closes it, journaling the final summary.
     """
 
     def __init__(
         self,
         config: ServeConfig | None = None,
         *,
-        journal=None,
-        metrics=None,
+        obs: Obs | None = None,
         ingest_hook=None,
         query_hook=None,
     ) -> None:
         self.config = config or ServeConfig()
-        self.journal = journal
-        self.metrics = metrics
-        self.timers = StageTimers()
+        self.obs = Obs() if obs is None else obs
         self._ingest_hook = ingest_hook
         self._query_hook = query_hook
         self.port: int | None = None
@@ -154,7 +155,7 @@ class TraceServer:
             ShardWorker(
                 i,
                 root,
-                journal=self.journal,
+                obs=self.obs,
                 engine_kwargs=engine_kwargs,
                 ingest_hook=self._ingest_hook,
                 query_hook=self._query_hook,
@@ -175,24 +176,21 @@ class TraceServer:
             self._dashboard = DashboardServer(
                 query=self._dashboard_query,
                 sessions=self._dashboard_sessions,
-                journal=self.journal,
-                metrics=self.metrics,
+                obs=self.obs,
             )
             self.dashboard_port = await self._dashboard.start(
                 cfg.host, cfg.dashboard_port
             )
-        if self.metrics is not None:
-            self.metrics.gauge("serve.workers").set(cfg.serve_workers)
-        if self.journal is not None:
-            self.journal.emit(
-                "serve-start",
-                host=cfg.host,
-                port=self.port,
-                root=str(root),
-                queue_size=cfg.queue_size,
-                session_queue_size=cfg.session_queue_size,
-                serve_workers=cfg.serve_workers,
-            )
+        self.obs.gauge("serve.workers").set(cfg.serve_workers)
+        self.obs.emit(
+            "serve-start",
+            host=cfg.host,
+            port=self.port,
+            root=str(root),
+            queue_size=cfg.queue_size,
+            session_queue_size=cfg.session_queue_size,
+            serve_workers=cfg.serve_workers,
+        )
 
     async def serve_until_stopped(self) -> None:
         """Run until :meth:`stop` (or a ``shutdown`` frame) fires."""
@@ -222,21 +220,15 @@ class TraceServer:
             try:
                 reply = await loop.run_in_executor(w.executor, w.stop)
             except WorkerCrashed:
-                if self.journal is not None:
-                    self.journal.warning(
-                        "serve worker died before graceful stop", worker=w.index
-                    )
+                self.obs.warning("serve worker died before graceful stop", worker=w.index)
                 continue
             finally:
                 w.executor.shutdown(wait=True)
             flushed += len(reply.get("closed", []))
-            if self.metrics is not None and reply.get("metrics"):
-                self.metrics.merge(MetricsRegistry.from_dict(reply["metrics"]))
-        if self.journal is not None:
-            self.journal.emit("serve-stop", sessions_flushed=flushed)
-            self.journal.record_timers(self.timers)
-            if self.metrics is not None:
-                self.journal.record_metrics(self.metrics)
+            if reply.get("metrics"):
+                self.obs.metrics.merge(MetricsRegistry.from_dict(reply["metrics"]))
+        self.obs.emit("serve-stop", sessions_flushed=flushed)
+        self.obs.close()
 
     # -- routing and dispatch --------------------------------------------------
 
@@ -289,28 +281,20 @@ class TraceServer:
             if future is not None and not future.cancelled():
                 future.set_exception(error)
             elif op == "ingest":
-                if self.journal is not None:
-                    self.journal.warning(
-                        f"ingest failed: {reply.get('etype')}: "
-                        f"{reply.get('error')}",
-                        session=name,
-                    )
-                if self.metrics is not None:
-                    self.metrics.counter("serve.ingest_errors").inc()
+                self.obs.warning(
+                    f"ingest failed: {reply.get('etype')}: {reply.get('error')}",
+                    session=name,
+                )
+                self.obs.counter("serve.ingest_errors").inc()
             return
         if op == "ingest":
-            self.timers.add(
-                "serve-ingest", reply["seconds"], items=reply["n_chunk_events"]
-            )
-            if self.metrics is not None:
-                self.metrics.counter("serve.accepted").inc()
-                self.metrics.counter("serve.events_ingested").inc(
-                    reply["n_chunk_events"]
-                )
-                self.metrics.counter(f"serve.worker.{worker.index}.ingests").inc()
-        elif op == "query" and self.metrics is not None:
-            self.metrics.counter("serve.queries").inc()
-            self.metrics.counter(f"serve.worker.{worker.index}.queries").inc()
+            self.obs.add("serve-ingest", reply["seconds"], items=reply["n_chunk_events"])
+            self.obs.counter("serve.accepted").inc()
+            self.obs.counter("serve.events_ingested").inc(reply["n_chunk_events"])
+            self.obs.counter(f"serve.worker.{worker.index}.ingests").inc()
+        elif op == "query":
+            self.obs.counter("serve.queries").inc()
+            self.obs.counter(f"serve.worker.{worker.index}.queries").inc()
         if future is not None and not future.cancelled():
             future.set_result(reply)
 
@@ -320,18 +304,16 @@ class TraceServer:
         """A shard died mid-op: fail the op, respawn, keep serving."""
         op, name = req["op"], req.get("name")
         lost = sorted(worker.sessions)
-        if self.journal is not None:
-            self.journal.warning(
-                "serve worker crashed; respawning (its open sessions need "
-                "reopening — archives on disk are preserved)",
-                worker=worker.index,
-                op=op,
-                session=name,
-                sessions_lost=lost,
-            )
-        if self.metrics is not None:
-            self.metrics.counter("serve.worker.restarts").inc()
-            self.metrics.counter(f"serve.worker.{worker.index}.crashes").inc()
+        self.obs.warning(
+            "serve worker crashed; respawning (its open sessions need "
+            "reopening — archives on disk are preserved)",
+            worker=worker.index,
+            op=op,
+            session=name,
+            sessions_lost=lost,
+        )
+        self.obs.counter("serve.worker.restarts").inc()
+        self.obs.counter(f"serve.worker.{worker.index}.crashes").inc()
         worker.respawn()
         self._gauge_sessions()
         if future is not None and not future.cancelled():
@@ -342,12 +324,8 @@ class TraceServer:
                 )
             )
         elif op == "ingest":
-            if self.journal is not None:
-                self.journal.warning(
-                    "queued append lost to a worker crash", session=name
-                )
-            if self.metrics is not None:
-                self.metrics.counter("serve.ingest_errors").inc()
+            self.obs.warning("queued append lost to a worker crash", session=name)
+            self.obs.counter("serve.ingest_errors").inc()
 
     # -- dashboard callbacks (see repro.viz.dashboard) -------------------------
 
@@ -406,19 +384,16 @@ class TraceServer:
     # -- gauges ----------------------------------------------------------------
 
     def _gauge_depth(self, worker: ShardWorker | None = None) -> None:
-        if self.metrics is None:
-            return
-        self.metrics.gauge("serve.queue_depth").set(self._queued_total)
+        self.obs.gauge("serve.queue_depth").set(self._queued_total)
         if worker is not None and worker.queue is not None:
-            self.metrics.gauge(f"serve.worker.{worker.index}.queue_depth").set(
+            self.obs.gauge(f"serve.worker.{worker.index}.queue_depth").set(
                 worker.queue.qsize()
             )
 
     def _gauge_sessions(self) -> None:
-        if self.metrics is not None:
-            self.metrics.gauge("serve.sessions_active").set(
-                sum(len(w.sessions) for w in self.workers)
-            )
+        self.obs.gauge("serve.sessions_active").set(
+            sum(len(w.sessions) for w in self.workers)
+        )
 
     # -- backpressure ----------------------------------------------------------
 
@@ -426,18 +401,16 @@ class TraceServer:
         """Reject one append with an explicit, observable ``busy``."""
         cfg = self.config
         depth = self._session_queued.get(name, 0)
-        if self.metrics is not None:
-            self.metrics.counter("serve.shed").inc()
-            self.metrics.counter(f"serve.shed.session.{name}").inc()
-        if self.journal is not None:
-            self.journal.warning(
-                "ingest queue full — append load-shed",
-                session=name,
-                n_events=int(n_events),
-                queue_size=cfg.queue_size,
-                queue_depth=depth,
-                reason="queue-full" if scope == "global" else "session-queue-full",
-            )
+        self.obs.counter("serve.shed").inc()
+        self.obs.counter(f"serve.shed.session.{name}").inc()
+        self.obs.warning(
+            "ingest queue full — append load-shed",
+            session=name,
+            n_events=int(n_events),
+            queue_size=cfg.queue_size,
+            queue_depth=depth,
+            reason="queue-full" if scope == "global" else "session-queue-full",
+        )
         return {
             "type": "busy",
             "retry_ms": cfg.retry_ms,

@@ -56,6 +56,7 @@ from repro.core.report import (
     passes_payload,
     viz_report_payload,
 )
+from repro.obs.handle import NULL_OBS, Obs
 from repro.trace.compress import sample_ratio_from
 from repro.trace.event import EVENT_DTYPE
 from repro.trace.loader import LoadedTrace, trace_collection
@@ -106,11 +107,11 @@ class _Growing:
 class ServeSession:
     """One client stream: a growing archive plus its analysis freshness."""
 
-    def __init__(self, name: str, root: Path, meta: TraceMeta, journal=None) -> None:
+    def __init__(self, name: str, root: Path, meta: TraceMeta, obs: Obs = NULL_OBS) -> None:
         self.name = _check_name(name)
         self.archive = root / f"{self.name}.npz"
         self.meta = meta
-        self.journal = journal
+        self.obs = obs
         self._writer = TraceAppender(self.archive, meta)
         self._events = _Growing(EVENT_DTYPE)
         self._sids: _Growing | None = _Growing(np.int32)
@@ -179,8 +180,8 @@ class ServeSession:
         """
         degrades = sample_id is None and self._sids is not None and self.n_chunks
         self._append(np.asarray(events), sample_id)
-        if degrades and self.journal is not None:
-            self.journal.warning(
+        if degrades:
+            self.obs.warning(
                 "chunk carries no sample ids: session archive "
                 "degrades to sid-less (one reuse window, no "
                 "incremental re-analysis)",
@@ -261,11 +262,10 @@ class ServeSession:
 class SessionManager:
     """Name → session map plus the shared archive directory."""
 
-    def __init__(self, root, journal=None, metrics=None) -> None:
+    def __init__(self, root, obs: Obs = NULL_OBS) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.journal = journal
-        self.metrics = metrics
+        self.obs = obs
         self.sessions: dict[str, ServeSession] = {}
 
     def open(self, name: str, meta: TraceMeta) -> ServeSession:
@@ -279,19 +279,15 @@ class SessionManager:
         existing = self.sessions.get(name)
         if existing is not None:
             return existing
-        bound = self.journal.bind(session=name) if self.journal is not None else None
-        session = ServeSession(name, self.root, meta, journal=bound)
+        session = ServeSession(name, self.root, meta, obs=self.obs.bind(session=name))
         rehydrated = session.rehydrate()
         self.sessions[name] = session
-        if self.metrics is not None:
-            self.metrics.gauge("serve.sessions_active").set(len(self.sessions))
-        if bound is not None:
-            bound.emit(
-                "session-open",
-                archive=str(session.archive),
-                rehydrated=rehydrated,
-                n_events=session.n_events,
-            )
+        session.obs.emit(
+            "session-open",
+            archive=str(session.archive),
+            rehydrated=rehydrated,
+            n_events=session.n_events,
+        )
         return session
 
     def get(self, name: str) -> ServeSession:
@@ -306,10 +302,7 @@ class SessionManager:
         session.closed = True
         info = session.summary()
         del self.sessions[name]
-        if self.metrics is not None:
-            self.metrics.gauge("serve.sessions_active").set(len(self.sessions))
-        if session.journal is not None:
-            session.journal.emit("session-close", **info)
+        session.obs.emit("session-close", **info)
         return info
 
     def close_all(self) -> list[dict]:

@@ -43,6 +43,8 @@ import zlib
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+from repro.obs.handle import NULL_OBS, Obs
+
 __all__ = [
     "route_session",
     "ServeOpError",
@@ -76,7 +78,7 @@ class WorkerCrashed(ServeOpError):
 def _mp_context():
     # fork keeps test seams (closures over mp.Event) and the inherited
     # journal descriptor working; spawn is the non-unix fallback, where
-    # hooks and journals must pickle
+    # hooks and the obs handle must pickle
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
@@ -85,7 +87,7 @@ def _worker_main(
     conn,
     index: int,
     root,
-    journal,
+    obs,
     engine_kwargs: dict,
     ingest_hook,
     query_hook,
@@ -95,7 +97,9 @@ def _worker_main(
     Requests for one worker are answered strictly in arrival order —
     the per-session ordering guarantee lives here. The loop survives
     per-operation exceptions (they become error replies) and exits on
-    ``stop`` or on pipe EOF (daemon death).
+    ``stop`` or on pipe EOF (daemon death). The worker journals through
+    the daemon's journal but counts into a registry of its own, which
+    the ``stop`` reply hands back for the daemon to merge.
     """
     from repro.core.artifacts import ArtifactStore
     from repro.core.parallel import ParallelEngine
@@ -104,12 +108,10 @@ def _worker_main(
     from repro.serve.session import SessionManager
 
     root = Path(root)
-    metrics = MetricsRegistry()
-    store = ArtifactStore(root / "cache", journal=journal, metrics=metrics)
-    engine = ParallelEngine(
-        store=store, journal=journal, metrics=metrics, **engine_kwargs
-    )
-    manager = SessionManager(root / "sessions", journal=journal, metrics=None)
+    obs = Obs(obs.journal, MetricsRegistry())
+    store = ArtifactStore(root / "cache", obs=obs)
+    engine = ParallelEngine(store=store, obs=obs, **engine_kwargs)
+    manager = SessionManager(root / "sessions", obs)
 
     while True:
         try:
@@ -122,7 +124,7 @@ def _worker_main(
                 closed = manager.close_all()
                 engine.close()
                 conn.send(
-                    {"ok": True, "closed": closed, "metrics": metrics.as_dict()}
+                    {"ok": True, "closed": closed, "metrics": obs.metrics.as_dict()}
                 )
                 break
             name = req.get("name")
@@ -140,8 +142,7 @@ def _worker_main(
                 t0 = time.perf_counter()
                 info = session.ingest(req["events"], req["sample_id"], engine)
                 seconds = time.perf_counter() - t0
-                if session.journal is not None:
-                    session.journal.emit("chunk-ingested", **info)
+                session.obs.emit("chunk-ingested", **info)
                 reply = {
                     "ok": True,
                     "info": info,
@@ -188,14 +189,14 @@ class ShardWorker:
         index: int,
         root,
         *,
-        journal=None,
+        obs: Obs = NULL_OBS,
         engine_kwargs: dict | None = None,
         ingest_hook=None,
         query_hook=None,
     ) -> None:
         self.index = index
         self._root = root
-        self._journal = journal
+        self._obs = obs
         self._engine_kwargs = dict(engine_kwargs or {})
         self._ingest_hook = ingest_hook
         self._query_hook = query_hook
@@ -221,7 +222,7 @@ class ShardWorker:
                 child,
                 self.index,
                 str(self._root),
-                self._journal,
+                self._obs,
                 self._engine_kwargs,
                 self._ingest_hook,
                 self._query_hook,

@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro._util.crc import crc32_chunks
+from repro.obs.handle import NULL_OBS, Obs
 from repro.trace.event import EVENT_DTYPE
 from repro.trace.tracefile import (
     TraceFormatError,
@@ -374,7 +375,9 @@ def _audit_archive(path) -> _Audit:
         try:
             dtype, declared, data = _parse_npy(payload)
         except ValueError as e:
-            report.add(KIND_SCHEMA, f"events member unreadable: {e}", member="events")
+            # a member cut short inside its npy header is a truncation
+            kind = KIND_SCHEMA if complete else KIND_TRUNCATION
+            report.add(kind, f"events member unreadable: {e}", member="events")
             return audit
         if dtype != EVENT_DTYPE:
             report.add(
@@ -414,7 +417,9 @@ def _audit_archive(path) -> _Audit:
                 )
         except ValueError as e:
             report.add(
-                KIND_SCHEMA, f"sample_id member unreadable: {e}", member="sample_id"
+                KIND_SCHEMA if sid_complete else KIND_TRUNCATION,
+                f"sample_id member unreadable: {e}",
+                member="sample_id",
             )
     elif report.findings and n_kept:
         # damage elsewhere may have consumed a sample_id the writer
@@ -443,15 +448,14 @@ def validate(path) -> HealthReport:
 
 
 def recover_read(
-    path, journal=None
+    path, obs: Obs = NULL_OBS
 ) -> tuple[np.ndarray, TraceMeta, np.ndarray | None, list[Finding]]:
     """Best-effort load of a damaged archive: the verified event prefix.
 
     Tries the normal eager read first; on any structural failure falls
     back to the audit pass, drops corrupt tail chunks, and returns
     ``(events, meta, sample_id, findings)``. Every finding is journaled
-    as a warning when a :class:`~repro.obs.journal.RunJournal` is
-    passed. Raises :class:`TraceFormatError` only when nothing usable
+    through ``obs`` as a warning. Raises :class:`TraceFormatError` only when nothing usable
     survives (no readable metadata at all).
     """
     from repro.trace.tracefile import read_trace
@@ -472,20 +476,19 @@ def recover_read(
         audit.events if audit.events is not None else np.empty(0, dtype=EVENT_DTYPE)
     )
     findings = audit.report.findings
-    if journal is not None:
-        for f in findings:
-            journal.warning(
-                f"trace recovery: {f.detail}",
-                path=str(actual),
-                kind=f.kind,
-                member=f.member,
-                chunk=f.chunk,
-            )
-        journal.emit(
-            "trace-recovered",
+    for f in findings:
+        obs.warning(
+            f"trace recovery: {f.detail}",
             path=str(actual),
-            n_events=len(events),
-            n_expected=audit.report.n_events_expected,
-            n_findings=len(findings),
+            kind=f.kind,
+            member=f.member,
+            chunk=f.chunk,
         )
+    obs.emit(
+        "trace-recovered",
+        path=str(actual),
+        n_events=len(events),
+        n_expected=audit.report.n_events_expected,
+        n_findings=len(findings),
+    )
     return events, audit.meta, audit.sample_id, findings

@@ -31,6 +31,7 @@ from zipfile import BadZipFile
 
 import numpy as np
 
+from repro.obs.handle import NULL_OBS, Obs
 from repro.trace.collector import CollectionResult
 from repro.trace.health import KIND_TRUNCATION, Finding
 from repro.trace.sampler import SamplingConfig
@@ -57,7 +58,7 @@ class LoadedTrace:
     findings: list[Finding] = field(default_factory=list)
 
 
-def load_trace_collection(path, journal=None) -> LoadedTrace:
+def load_trace_collection(path, obs: Obs = NULL_OBS) -> LoadedTrace:
     """Load a trace archive, recovering the verified prefix on damage.
 
     A healthy archive goes through the fast eager read. A damaged one
@@ -65,8 +66,8 @@ def load_trace_collection(path, journal=None) -> LoadedTrace:
     checksum-verified event prefix is returned, and the findings
     classify what was wrong. When *every* finding is truncation, the
     damage is consistent with an archive still being written (a live
-    trace collector, a copy in flight): ``growing`` is set and the
-    journal carries one ``still-growing`` warning instead of treating
+    trace collector, a copy in flight): ``growing`` is set and ``obs``
+    journals one ``still-growing`` warning instead of treating
     the partial tail as corruption.
 
     Raises :class:`~repro.trace.tracefile.TraceFormatError` only when
@@ -81,12 +82,12 @@ def load_trace_collection(path, journal=None) -> LoadedTrace:
         from repro.trace.health import recover_read
 
         clean = False
-        events, meta, sample_id, findings = recover_read(path, journal=journal)
+        events, meta, sample_id, findings = recover_read(path, obs)
         growing = bool(findings) and all(
             f.kind == KIND_TRUNCATION for f in findings
         )
-        if growing and journal is not None:
-            journal.warning(
+        if growing:
+            obs.warning(
                 "archive tail is incomplete but undamaged — it appears to "
                 "be still growing; analyzing the verified prefix",
                 path=str(path),

@@ -73,6 +73,7 @@ from typing import Iterator
 import numpy as np
 
 from repro._util.crc import byte_view, crc32_chunks, crc32_combine, crc32_of
+from repro.obs.handle import NULL_OBS, Obs
 from repro.trace.event import EVENT_DTYPE
 
 __all__ = [
@@ -581,8 +582,7 @@ def _skip_prefix(
     ev_stream: "_MemberStream",
     sid_stream: "_MemberStream | None",
     skip: PrefixSkip,
-    metrics,
-    journal,
+    obs: Obs,
 ) -> None:
     """Discard ``skip.n_events`` from the streams, checksumming as it goes."""
     if skip.n_events <= 0:
@@ -608,10 +608,8 @@ def _skip_prefix(
             skip.sample_id_crc.append(crc32_of(sid))
             skip.last_sample_id = int(sid[-1])
         remaining -= take
-    if metrics is not None:
-        metrics.counter("trace.events_skipped").inc(skip.n_events)
-    if journal is not None:
-        journal.emit("chunk-skip", n_events=skip.n_events)
+    obs.counter("trace.events_skipped").inc(skip.n_events)
+    obs.emit("chunk-skip", n_events=skip.n_events)
 
 
 def iter_trace_chunks(
@@ -619,8 +617,7 @@ def iter_trace_chunks(
     chunk_size: int = 1 << 20,
     *,
     align_samples: bool = True,
-    metrics=None,
-    journal=None,
+    obs: Obs = NULL_OBS,
     skip: PrefixSkip | None = None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
     """Yield ``(events, sample_id)`` chunks of a trace archive, streaming.
@@ -633,13 +630,11 @@ def iter_trace_chunks(
 
     A missing ``events`` member raises :class:`TraceFormatError` naming
     the archive and the member, instead of ``zipfile``'s bare
-    ``KeyError``. Passing a
-    :class:`~repro.obs.metrics.MetricsRegistry` as ``metrics`` counts
+    ``KeyError``. Through ``obs`` (a :class:`~repro.obs.Obs`) it counts
     chunks, events, and decompressed bytes read under
     ``trace.chunks_read`` / ``trace.events_read`` /
-    ``trace.bytes_read``; a :class:`~repro.obs.journal.RunJournal` as
-    ``journal`` appends one ``chunk-read`` line per chunk (with
-    ``n_events`` and ``nbytes``), so the journal proves how many times
+    ``trace.bytes_read`` and journals one ``chunk-read`` line per chunk
+    (with ``n_events`` and ``nbytes``), so the journal proves how many times
     the trace was actually read — a fused multi-pass analysis shows one
     line per chunk, not chunks x passes — and how many bytes each
     zero-copy publish will move (see ``docs/performance.md``).
@@ -666,7 +661,7 @@ def iter_trace_chunks(
         )
         try:
             if skip is not None:
-                _skip_prefix(ev_stream, sid_stream, skip, metrics, journal)
+                _skip_prefix(ev_stream, sid_stream, skip, obs)
             carry_ev = np.empty(0, dtype=ev_stream.dtype)
             carry_sid = (
                 np.empty(0, dtype=sid_stream.dtype) if sid_stream is not None else None
@@ -693,12 +688,10 @@ def iter_trace_chunks(
                     carry_ev, carry_sid = ev[cut:], sid[cut:]
                     ev, sid = ev[:cut], sid[:cut]
                 nbytes = ev.nbytes + (sid.nbytes if sid is not None else 0)
-                if metrics is not None:
-                    metrics.counter("trace.chunks_read").inc()
-                    metrics.counter("trace.events_read").inc(len(ev))
-                    metrics.counter("trace.bytes_read").inc(nbytes)
-                if journal is not None:
-                    journal.emit("chunk-read", n_events=len(ev), nbytes=nbytes)
+                obs.counter("trace.chunks_read").inc()
+                obs.counter("trace.events_read").inc(len(ev))
+                obs.counter("trace.bytes_read").inc(nbytes)
+                obs.emit("chunk-read", n_events=len(ev), nbytes=nbytes)
                 yield ev, sid
                 if done:
                     break

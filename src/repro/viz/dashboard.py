@@ -35,6 +35,8 @@ import html
 import json
 from urllib.parse import parse_qs, urlsplit
 
+from repro.obs.handle import NULL_OBS, Obs
+
 __all__ = ["DashboardServer"]
 
 _INDEX_TMPL = """<!DOCTYPE html>
@@ -83,11 +85,10 @@ class DashboardServer:
     state of its own — it is a renderer over the query protocol.
     """
 
-    def __init__(self, *, query, sessions, journal=None, metrics=None) -> None:
+    def __init__(self, *, query, sessions, obs: Obs = NULL_OBS) -> None:
         self._query = query
         self._sessions = sessions
-        self.journal = journal
-        self.metrics = metrics
+        self.obs = obs
         self.port: int | None = None
         self._server: asyncio.AbstractServer | None = None
 
@@ -95,8 +96,7 @@ class DashboardServer:
         """Bind and listen; returns the bound port."""
         self._server = await asyncio.start_server(self._handle, host, port)
         self.port = self._server.sockets[0].getsockname()[1]
-        if self.journal is not None:
-            self.journal.emit("dashboard-start", host=host, port=self.port)
+        self.obs.emit("dashboard-start", host=host, port=self.port)
         return self.port
 
     async def stop(self) -> None:
@@ -118,8 +118,7 @@ class DashboardServer:
                 line = await asyncio.wait_for(reader.readline(), timeout=10.0)
                 if line in (b"\r\n", b"\n", b""):
                     break
-            if self.metrics is not None:
-                self.metrics.counter("serve.dashboard.requests").inc()
+            self.obs.counter("serve.dashboard.requests").inc()
             if method != "GET":
                 await self._send(writer, 405, "text/plain", b"method not allowed\n")
                 return
@@ -172,14 +171,12 @@ class DashboardServer:
         except KeyError as exc:
             return 404, "text/plain", f"{exc.args[0]}\n".encode("utf-8")
         except Exception as exc:  # surface, don't kill the daemon loop
-            if self.metrics is not None:
-                self.metrics.counter("serve.dashboard.errors").inc()
-            if self.journal is not None:
-                self.journal.warning(
-                    f"dashboard request failed: {type(exc).__name__}: {exc}",
-                    path=url.path,
-                    session=name,
-                )
+            self.obs.counter("serve.dashboard.errors").inc()
+            self.obs.warning(
+                f"dashboard request failed: {type(exc).__name__}: {exc}",
+                path=url.path,
+                session=name,
+            )
             return 503, "text/plain", f"{type(exc).__name__}: {exc}\n".encode("utf-8")
 
     def _index(self) -> bytes:

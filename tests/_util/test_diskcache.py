@@ -17,8 +17,7 @@ import numpy as np
 import pytest
 
 from repro._util.diskcache import MISS, DiskCache
-from repro.obs.journal import RunJournal, read_journal
-from repro.obs.metrics import MetricsRegistry
+from repro.obs import MetricsRegistry, Obs, RunJournal, read_journal
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "obs"))
 import faults  # noqa: E402
@@ -77,7 +76,7 @@ class TestCorruption:
     @pytest.mark.faults
     def test_bit_flip_is_journaled_miss_and_removed(self, tmp_path):
         jpath = tmp_path / "j.jsonl"
-        c = DiskCache(tmp_path / "c", journal=RunJournal(jpath))
+        c = DiskCache(tmp_path / "c", obs=Obs(RunJournal(jpath)))
         c.put("a", list(range(1000)))
         (entry,) = list((tmp_path / "c").glob("*.mgc"))
         faults.flip_bytes(entry, offset_fraction=0.5)
@@ -106,7 +105,7 @@ class TestCorruption:
 
     def test_corruption_counted_in_metrics(self, tmp_path):
         m = MetricsRegistry()
-        c = DiskCache(tmp_path / "c", metrics=m)
+        c = DiskCache(tmp_path / "c", obs=Obs(metrics=m))
         c.put("a", 1)
         (entry,) = list((tmp_path / "c").glob("*.mgc"))
         entry.write_bytes(b"MGC1garbagegarbage")

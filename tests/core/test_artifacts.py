@@ -19,8 +19,7 @@ import pytest
 from repro._util.rng import derive_rng
 from repro.core.artifacts import MISS, SCHEMA_VERSION, ArtifactStore, freeze_params
 from repro.core.parallel import ParallelEngine
-from repro.obs.journal import RunJournal, read_journal
-from repro.obs.metrics import MetricsRegistry
+from repro.obs import MetricsRegistry, Obs, RunJournal, read_journal
 from repro.trace.event import make_events
 from repro.trace.tracefile import TraceMeta, _health_record, read_trace_health, write_trace
 
@@ -187,10 +186,10 @@ class TestWarmAnalyzeFile:
         jpath = tmp_path / "j.jsonl"
 
         def run():
-            journal = RunJournal(jpath)
-            store = ArtifactStore(tmp_path / "cache", journal=journal)
+            obs = Obs(RunJournal(jpath))
+            store = ArtifactStore(tmp_path / "cache", obs=obs)
             with ParallelEngine(
-                workers=1, chunk_size=2 * SAMPLE, store=store, journal=journal
+                workers=1, chunk_size=2 * SAMPLE, store=store, obs=obs
             ) as eng:
                 return eng.analyze(path, FILE_PASSES)
 
@@ -230,10 +229,10 @@ class TestIncrementalAppend:
         jpath = tmp_path / "j.jsonl"
 
         def run(path):
-            journal = RunJournal(jpath)
-            store = ArtifactStore(tmp_path / "cache", journal=journal)
+            obs = Obs(RunJournal(jpath))
+            store = ArtifactStore(tmp_path / "cache", obs=obs)
             with ParallelEngine(
-                workers=workers, chunk_size=2 * SAMPLE, store=store, journal=journal
+                workers=workers, chunk_size=2 * SAMPLE, store=store, obs=obs
             ) as eng:
                 return eng.analyze(path, FILE_PASSES)
 
@@ -269,10 +268,10 @@ class TestIncrementalAppend:
         jpath = tmp2 / "j.jsonl"
 
         def run(path):
-            journal = RunJournal(jpath)
-            store = ArtifactStore(tmp2 / "cache", journal=journal)
+            obs = Obs(RunJournal(jpath))
+            store = ArtifactStore(tmp2 / "cache", obs=obs)
             with ParallelEngine(
-                workers=1, chunk_size=2 * SAMPLE, store=store, journal=journal
+                workers=1, chunk_size=2 * SAMPLE, store=store, obs=obs
             ) as eng:
                 return eng.analyze(path, FILE_PASSES)
 
@@ -298,9 +297,9 @@ class TestInMemoryIncremental:
 
     def _run(self, tmp_path, source, jpath=None):
         metrics = MetricsRegistry()
-        journal = RunJournal(jpath) if jpath is not None else None
+        obs = Obs(RunJournal(jpath) if jpath is not None else None, metrics)
         store = ArtifactStore(tmp_path / "cache")
-        with ParallelEngine(workers=1, store=store, journal=journal, metrics=metrics) as eng:
+        with ParallelEngine(workers=1, store=store, obs=obs) as eng:
             fa = eng.analyze(source, FILE_PASSES, rho=2.0)
         events = metrics.as_dict()["counters"].get("parallel.events", {"value": 0})
         return fa, events["value"]
@@ -375,7 +374,7 @@ class TestNoSampleIds:
         path = _write(tmp_path / "bare.npz", ev, None)
         jpath = tmp_path / "j.jsonl"
         with ParallelEngine(
-            workers=1, chunk_size=2 * SAMPLE, journal=RunJournal(jpath)
+            workers=1, chunk_size=2 * SAMPLE, obs=Obs(RunJournal(jpath))
         ) as eng:
             fa = eng.analyze(path, FILE_PASSES)
         assert fa.results["reuse"].scope == "chunk"
@@ -389,7 +388,7 @@ class TestNoSampleIds:
         path = _write(tmp_path / "t.npz", ev, sid)
         jpath = tmp_path / "j.jsonl"
         with ParallelEngine(
-            workers=1, chunk_size=2 * SAMPLE, journal=RunJournal(jpath)
+            workers=1, chunk_size=2 * SAMPLE, obs=Obs(RunJournal(jpath))
         ) as eng:
             fa = eng.analyze(path, FILE_PASSES)
         assert fa.results["reuse"].scope == "sample"
@@ -422,10 +421,10 @@ class TestFaultInjection:
         jpath = tmp_path / "j.jsonl"
 
         def run():
-            journal = RunJournal(jpath)
-            store = ArtifactStore(tmp_path / "cache", journal=journal)
+            obs = Obs(RunJournal(jpath))
+            store = ArtifactStore(tmp_path / "cache", obs=obs)
             with ParallelEngine(
-                workers=1, chunk_size=3 * SAMPLE, store=store, journal=journal
+                workers=1, chunk_size=3 * SAMPLE, store=store, obs=obs
             ) as eng:
                 return eng.analyze(path, FILE_PASSES)
 
@@ -449,9 +448,10 @@ class TestFaultInjection:
         ev, sid = _trace(6 * SAMPLE)
         path = _write(tmp_path / "t.npz", ev, sid)
         m = MetricsRegistry()
-        store = ArtifactStore(tmp_path / "cache", metrics=m)
+        obs = Obs(metrics=m)
+        store = ArtifactStore(tmp_path / "cache", obs=obs)
         with ParallelEngine(
-            workers=1, chunk_size=2 * SAMPLE, store=store, metrics=m
+            workers=1, chunk_size=2 * SAMPLE, store=store, obs=obs
         ) as eng:
             eng.analyze(path, FILE_PASSES)
             eng.analyze(path, FILE_PASSES)

@@ -110,12 +110,12 @@ class TestAccessIntervals:
         """Both metrics of an interval ride one fused scan; empty
         intervals are never scanned, and the rows equal the serial ones."""
         from repro.core.parallel import ParallelEngine
-        from repro.obs.journal import RunJournal, read_journal
+        from repro.obs import Obs, RunJournal, read_journal
 
         ev = make_events(ip=1, addr=(np.arange(n) * 37) % 512, cls=2)
         sid = (np.arange(n) // 50).astype(np.int32)
         journal = RunJournal(tmp_path / "j.jsonl")
-        with ParallelEngine(workers=1, journal=journal) as eng:
+        with ParallelEngine(workers=1, obs=Obs(journal)) as eng:
             rows = access_interval_metrics(ev, 8, rho=3.0, sample_id=sid, engine=eng)
         journal.close()
         scans = [

@@ -9,8 +9,7 @@ from repro.core.corpus import CorpusSpec
 from repro.core.diff import corpus_diff
 from repro.core.matrix import run_matrix
 from repro.core.report import payload_json
-from repro.obs.journal import RunJournal, read_journal
-from repro.obs.metrics import MetricsRegistry
+from repro.obs import MetricsRegistry, Obs, RunJournal, read_journal
 
 
 @pytest.fixture(scope="module")
@@ -110,7 +109,7 @@ class TestRunMatrix:
         jpath = tmp_path / "journal.jsonl"
         metrics = MetricsRegistry()
         with RunJournal(jpath) as journal:
-            run_matrix(spec, journal=journal, metrics=metrics)
+            run_matrix(spec, obs=Obs(journal, metrics))
         lines = list(read_journal(jpath))
         cells = [r for r in lines if r["event"] == "matrix-cell"]
         assert [r["label"] for r in cells] == ["base", "cand"]

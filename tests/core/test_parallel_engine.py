@@ -293,6 +293,6 @@ class TestProcessPool:
         ev, sid = _trace(40_000, seed=31)
         with ParallelEngine(workers=2, chunk_size=5000) as eng:
             _analyze(eng, ev, ["diagnostics"], sid)
-            stats = dict(eng.timers.stats)
+            stats = dict(eng.obs.timers.stats)
         assert "compute" in stats and stats["compute"].items == 40_000
         assert "merge" in stats

@@ -318,11 +318,11 @@ class TestSharedIntermediates:
         assert set(stats["pass_seconds"]) == {"diagnostics", "captures"}
 
     def test_engine_counts_artifact_sharing(self):
-        from repro.obs.metrics import MetricsRegistry
+        from repro.obs import MetricsRegistry, Obs
 
         ev, sid = _trace(2000, seed=37)
         reg = MetricsRegistry()
-        with ParallelEngine(workers=1, chunk_size=257, metrics=reg) as eng:
+        with ParallelEngine(workers=1, chunk_size=257, obs=Obs(metrics=reg)) as eng:
             _run(eng, ev, [("diagnostics", {"block": 64}), ("captures", {"block": 64})], sid)
         snap = reg.as_dict()["counters"]
         assert snap["passes.artifact_hits"]["value"] > 0
@@ -332,7 +332,7 @@ class TestSharedIntermediates:
         ev, sid = _trace(2000, seed=39)
         with ParallelEngine(workers=1, chunk_size=500) as eng:
             _run(eng, ev, ["diagnostics", "hotspot"], sid)
-            stats = dict(eng.timers.stats)
+            stats = dict(eng.obs.timers.stats)
         assert "pass:diagnostics" in stats and "pass:hotspot" in stats
 
 
@@ -341,11 +341,11 @@ class TestSharedIntermediates:
 
 class TestSingleScan:
     def test_one_shard_analyzed_line_per_chunk(self, tmp_path):
-        from repro.obs.journal import RunJournal
+        from repro.obs import Obs, RunJournal
 
         ev, sid = _trace(3000, seed=41)
         journal = RunJournal(tmp_path / "j.jsonl")
-        with ParallelEngine(workers=1, chunk_size=257, journal=journal) as eng:
+        with ParallelEngine(workers=1, chunk_size=257, obs=Obs(journal)) as eng:
             _run(eng, ev, _all_requests(ev, sid), sid)
         journal.close()
         recs = [json.loads(l) for l in (tmp_path / "j.jsonl").read_text().splitlines()]
@@ -356,12 +356,12 @@ class TestSingleScan:
         assert all(r["n_passes"] == 6 for r in scans)
 
     def test_analyze_file_reads_each_chunk_once(self, tmp_path):
-        from repro.obs.journal import RunJournal
+        from repro.obs import Obs, RunJournal
 
         ev, sid = _trace(5000, seed=43)
         path = _archive(tmp_path, ev, sid)
         journal = RunJournal(tmp_path / "j.jsonl")
-        with ParallelEngine(workers=1, chunk_size=1000, journal=journal) as eng:
+        with ParallelEngine(workers=1, chunk_size=1000, obs=Obs(journal)) as eng:
             res = eng.analyze(
                 path,
                 [
@@ -384,13 +384,13 @@ class TestSingleScan:
         assert res.results["hotspot"] == find_hotspots(ev)
 
     def test_cache_serves_repeat_queries_without_rescan(self, tmp_path):
-        from repro.obs.metrics import MetricsRegistry
+        from repro.obs import MetricsRegistry, Obs
 
         ev, sid = _trace(2000, seed=45)
         source = (ev, sid, ArtifactStore.digest_events(ev, sid))
         reg = MetricsRegistry()
         store = ArtifactStore(tmp_path / "cache")
-        with ParallelEngine(workers=1, chunk_size=300, metrics=reg, store=store) as eng:
+        with ParallelEngine(workers=1, chunk_size=300, obs=Obs(metrics=reg), store=store) as eng:
             first = eng.analyze(source, ["diagnostics"])
             scanned = reg.as_dict()["counters"]["passes.chunks_scanned"]["value"]
             again = eng.analyze(source, ["diagnostics"], rho=3.0)

@@ -28,7 +28,7 @@ from repro.core.shm import (
     attach_shard,
     publish_shard,
 )
-from repro.obs.metrics import MetricsRegistry
+from repro.obs import MetricsRegistry, Obs
 from repro.trace.event import make_events
 from repro.trace.tracefile import TraceMeta, write_trace
 
@@ -114,7 +114,7 @@ class TestPublishAttach:
         metrics = MetricsRegistry()
         ev, sid = _trace(n=1000)
         for _ in range(3):
-            publish_shard(ev, sid, metrics=metrics).release()
+            publish_shard(ev, sid, obs=Obs(metrics=metrics)).release()
         assert metrics.counter("shm.segments_created").value == 3
         assert metrics.counter("shm.segments_released").value == 3
         # the gauge is a high-watermark: sequential publish/release peaks at 1
@@ -258,7 +258,7 @@ class TestEngineLifecycle:
         metrics = MetricsRegistry()
         journal = RunJournal(tmp_path / "j.jsonl")
         with ParallelEngine(
-            workers=2, chunk_size=8192, metrics=metrics, journal=journal
+            workers=2, chunk_size=8192, obs=Obs(journal, metrics)
         ) as e:
             got = e.analyze(src, REQUESTS, rho=1.0).results
         journal.close()

@@ -140,7 +140,7 @@ class TestEveryPass:
     @pytest.mark.parametrize("name", [p.name for p in list_passes()])
     def test_scan_chunk_empty(self, name):
         scheduled = schedule_passes([_request(name)])
-        partials, _ = scan_chunk(EMPTY, EMPTY_SID, [r.spec for r in scheduled], None)
+        partials, _ = scan_chunk(EMPTY, EMPTY_SID, [r.spec for r in scheduled])
         identities = [get_pass(r.name).init(r.params) for r in scheduled]
         for partial, identity, r in zip(partials, identities, scheduled):
             merged = get_pass(r.name).merge(partial, identity)
@@ -170,8 +170,8 @@ class TestEveryPass:
         sid = (np.arange(600) // 100).astype(np.int32)
         scheduled = schedule_passes(["diagnostics", "captures", "reuse"])
         specs = [r.spec for r in scheduled]
-        whole, _ = scan_chunk(ev, sid, specs, None)
-        hole, _ = scan_chunk(EMPTY, EMPTY_SID, specs, None)
+        whole, _ = scan_chunk(ev, sid, specs)
+        hole, _ = scan_chunk(EMPTY, EMPTY_SID, specs)
         from repro.core.passes import RunContext, finalize_schedule, merge_partial_lists
 
         padded = merge_partial_lists(

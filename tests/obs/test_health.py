@@ -11,7 +11,7 @@ import pytest
 
 import faults
 from repro._util.rng import derive_rng
-from repro.obs.journal import RunJournal, read_journal
+from repro.obs import Obs, RunJournal, read_journal
 from repro.trace.event import make_events
 from repro.trace.health import (
     KIND_BIT_FLIP,
@@ -110,7 +110,7 @@ class TestTruncation:
         path, _, _ = archive
         hurt = faults.truncate(path, tmp_path / "trunc.npz", keep_fraction=0.7)
         with RunJournal(tmp_path / "j.jsonl") as journal:
-            _, _, _, findings = recover_read(hurt, journal=journal)
+            _, _, _, findings = recover_read(hurt, Obs(journal))
         recs = list(read_journal(tmp_path / "j.jsonl"))
         warnings = [r for r in recs if r["event"] == "warning"]
         assert len(warnings) == len(findings)

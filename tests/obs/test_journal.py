@@ -6,9 +6,7 @@ import pickle
 
 import pytest
 
-from repro._util.timers import StageTimers
-from repro.obs.journal import RunJournal, read_journal
-from repro.obs.metrics import MetricsRegistry
+from repro.obs import MetricsRegistry, Obs, RunJournal, read_journal
 
 
 @pytest.fixture
@@ -51,7 +49,7 @@ class TestEmit:
 
 class TestStage:
     def test_records_elapsed_seconds(self, journal):
-        with journal.stage("shard-plan", n_shards=4):
+        with Obs(journal).stage("shard-plan", n_shards=4):
             pass
         (rec,) = read_journal(journal.path)
         assert rec["stage"] == "shard-plan"
@@ -60,31 +58,34 @@ class TestStage:
 
     def test_error_recorded_and_propagated(self, journal):
         with pytest.raises(RuntimeError):
-            with journal.stage("analyze"):
+            with Obs(journal).stage("analyze"):
                 raise RuntimeError("boom")
         (rec,) = read_journal(journal.path)
         assert rec["error"] == "RuntimeError: boom"
 
 
 class TestBridges:
+    """What :class:`Obs` writes through the journal it wraps."""
+
     def test_warning(self, journal):
-        journal.warning("dropped tail", path="t.npz", kind="truncation")
+        Obs(journal).warning("dropped tail", path="t.npz", kind="truncation")
         (rec,) = read_journal(journal.path)
         assert rec["event"] == "warning" and rec["message"] == "dropped tail"
 
     def test_record_timers(self, journal):
-        timers = StageTimers()
-        timers.add("compute", 0.25, items=100)
-        timers.add("merge", 0.05, items=4)
-        journal.record_timers(timers)
+        obs = Obs(journal)
+        obs.add("compute", 0.25, items=100)
+        obs.add("merge", 0.05, items=4)
+        obs.close()
         recs = list(read_journal(journal.path))
         assert {r["stage"] for r in recs} == {"compute", "merge"}
         assert all(r["event"] == "stage-summary" for r in recs)
+        assert journal._fd is None  # closing the handle closes the journal
 
     def test_record_metrics(self, journal):
         m = MetricsRegistry()
         m.counter("trace.chunks_read").inc(3)
-        journal.record_metrics(m)
+        Obs(journal, m).close(stages=False)
         (rec,) = read_journal(journal.path)
         assert rec["metrics"]["counters"]["trace.chunks_read"]["value"] == 3
 

@@ -122,16 +122,14 @@ def serve_harness(tmp_path):
     harnesses: list[ServerHarness] = []
 
     def boot(**kwargs):
-        journal = kwargs.pop("journal", None)
-        metrics = kwargs.pop("metrics", None)
+        obs = kwargs.pop("obs", None)
         ingest_hook = kwargs.pop("ingest_hook", None)
         query_hook = kwargs.pop("query_hook", None)
         kwargs.setdefault("root", tmp_path / "serve-state")
         config = ServeConfig(**kwargs)
         h = ServerHarness(
             config,
-            journal=journal,
-            metrics=metrics,
+            obs=obs,
             ingest_hook=ingest_hook,
             query_hook=query_hook,
         )

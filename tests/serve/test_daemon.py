@@ -9,6 +9,7 @@ payload must be **byte-identical** to what offline ``memgaze report
 from __future__ import annotations
 
 import multiprocessing
+import os
 import threading
 import time
 
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
-from repro.obs import MetricsRegistry, RunJournal, read_journal
+from repro.obs import MetricsRegistry, Obs, RunJournal, read_journal
 from repro.serve.client import ServeBusy, ServeClient, ServeError
 from repro.trace.event import make_events
 from repro.trace.tracefile import iter_trace_chunks, read_trace_meta, write_trace
@@ -143,7 +144,7 @@ def test_queue_overflow_sheds_with_journaled_busy(
         gate.wait(timeout=60)
 
     _, port = serve_harness(
-        queue_size=1, journal=journal, metrics=metrics, ingest_hook=hook
+        queue_size=1, obs=Obs(journal, metrics), ingest_hook=hook
     )
     ev, sid, meta = build_archive(
         tmp_path / "t.npz", make_rng(), n_samples=6, per_sample=100
@@ -188,7 +189,7 @@ def test_graceful_shutdown_drains_and_leaves_valid_archives(
     journal_path = tmp_path / "journal.jsonl"
     journal = RunJournal(journal_path)
     metrics = MetricsRegistry()
-    harness, port = serve_harness(journal=journal, metrics=metrics)
+    harness, port = serve_harness(obs=Obs(journal, metrics))
     ev, sid, meta = build_archive(
         tmp_path / "t.npz", make_rng(), n_samples=4, per_sample=150
     )
@@ -212,7 +213,10 @@ def test_graceful_shutdown_drains_and_leaves_valid_archives(
     assert stop and stop[0]["sessions_flushed"] == 2
     assert metrics.counter("serve.accepted").value == 3
     assert metrics.counter("serve.events_ingested").value == 1200
-    assert any(r.get("event") == "chunk-ingested" for r in records)
+    # worker-side lines carry the session the daemon's handle was bound to
+    ingested = [r for r in records if r.get("event") == "chunk-ingested"]
+    assert sorted(r["session"] for r in ingested) == ["one", "one", "two"]
+    assert all(r["pid"] != os.getpid() for r in ingested)
     assert any(r.get("stage") == "serve-ingest" for r in records)
 
 

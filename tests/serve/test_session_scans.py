@@ -14,7 +14,7 @@ from repro.cli import main
 from repro.core.artifacts import ArtifactStore
 from repro.core.parallel import ParallelEngine
 from repro.core.report import payload_json
-from repro.obs.metrics import MetricsRegistry
+from repro.obs import MetricsRegistry, Obs
 from repro.serve.session import SessionManager
 from repro.trace.tracefile import read_trace
 
@@ -29,11 +29,12 @@ def test_query_after_ingest_scans_no_chunk(tmp_path, make_rng, build_archive, ca
     build_archive(src, make_rng(), n_samples=12, per_sample=400)
     events, meta, sample_id = read_trace(src)
     metrics = MetricsRegistry()
-    store = ArtifactStore(tmp_path / "cache", metrics=metrics)
+    obs = Obs(metrics=metrics)
+    store = ArtifactStore(tmp_path / "cache", obs=obs)
     manager = SessionManager(tmp_path / "sessions")
     session = manager.open("s", meta)
     per_chunk = 4 * 400  # four whole samples per ingest
-    with ParallelEngine(workers=1, store=store, metrics=metrics) as engine:
+    with ParallelEngine(workers=1, store=store, obs=obs) as engine:
         for lo in range(0, len(events), per_chunk):
             hi = lo + per_chunk
             ack = session.ingest(events[lo:hi], sample_id[lo:hi], engine)

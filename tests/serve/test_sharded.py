@@ -23,7 +23,7 @@ import zlib
 
 import pytest
 
-from repro.obs import MetricsRegistry, RunJournal, read_journal
+from repro.obs import MetricsRegistry, Obs, RunJournal, read_journal
 from repro.serve.client import ServeBusy, ServeClient, ServeError
 from repro.serve.shard import route_session
 
@@ -130,8 +130,7 @@ def test_session_queue_cap_sheds_with_session_scope(
     _, port = serve_harness(
         queue_size=16,
         session_queue_size=1,
-        journal=journal,
-        metrics=metrics,
+        obs=Obs(journal, metrics),
         ingest_hook=hook,
     )
     ev, sid, meta = build_archive(
@@ -194,7 +193,7 @@ def test_worker_crash_is_a_session_error_not_a_daemon_death(
     journal = RunJournal(journal_path)
     metrics = MetricsRegistry()
     _, port = serve_harness(
-        serve_workers=n_workers, journal=journal, metrics=metrics, ingest_hook=hook
+        serve_workers=n_workers, obs=Obs(journal, metrics), ingest_hook=hook
     )
     ev, sid, meta = build_archive(
         tmp_path / "t.npz", make_rng(), n_samples=4, per_sample=100

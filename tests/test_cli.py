@@ -1,6 +1,8 @@
 """Tests for the memgaze command-line interface."""
 
 import json
+import os
+from pathlib import Path
 
 import pytest
 
@@ -284,6 +286,81 @@ class TestValidateTrace:
         recs = [json.loads(line) for line in journal.read_text().splitlines()]
         assert any(r.get("reason") == "still-growing" for r in recs)
         assert any(r["event"] == "trace-recovered" for r in recs)
+
+
+def _open_descriptors(path) -> list[str]:
+    """This process's descriptors that point at ``path``."""
+    fds = Path("/proc/self/fd")
+    out = []
+    for fd in fds.iterdir():
+        try:
+            if os.readlink(fd) == str(path):
+                out.append(fd.name)
+        except OSError:
+            pass  # closed while listing
+    return out
+
+
+@pytest.fixture(scope="module")
+def damaged_trace(tmp_path_factory):
+    """A 3-health-chunk archive truncated to 2/3: recovery is journaled."""
+    import numpy as np
+
+    from obs import faults
+    from repro._util.rng import derive_rng
+    from repro.trace.event import make_events
+    from repro.trace.tracefile import HEALTH_CHUNK_EVENTS, TraceMeta, write_trace
+
+    root = tmp_path_factory.mktemp("damaged")
+    rng = derive_rng(0, "damaged-trace")
+    n = 3 * HEALTH_CHUNK_EVENTS
+    ev = make_events(
+        ip=rng.integers(0, 32, n),
+        addr=rng.integers(0, 1 << 22, n),
+        cls=rng.choice([0, 1, 2], n).astype(np.uint8),
+    )
+    sid = (np.arange(n) // 4096).astype(np.int32)
+    write_trace(root / "big.npz", ev, TraceMeta(module="cli-leak", period=4096,
+                                                buffer_capacity=256), sample_id=sid)
+    return faults.truncate(root / "big.npz", root / "bad.npz", keep_fraction=2 / 3)
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
+class TestErrorExitsCloseTheJournal:
+    """A command that fails after journaling still closes its journal."""
+
+    @pytest.mark.parametrize(
+        "extra", [["--passes", "nosuch"], ["--json", "--passes", "nosuch"]]
+    )
+    def test_report_error_exit(self, damaged_trace, tmp_path, extra):
+        journal = tmp_path / "j.jsonl"
+        argv = ["report", str(damaged_trace), "--no-cache", "--journal", str(journal)]
+        with pytest.raises(SystemExit):
+            main(argv + extra)
+        assert _open_descriptors(journal) == []
+        events = [json.loads(line)["event"] for line in journal.read_text().splitlines()]
+        assert "trace-recovered" in events  # the load journaled before the exit
+
+    def test_empty_prefix_exit(self, tmp_path, capsys):
+        """Recovery keeps no event of a one-chunk archive: ``trace is empty``."""
+        import numpy as np
+
+        from obs import faults
+        from repro.trace.event import make_events
+        from repro.trace.tracefile import TraceMeta, write_trace
+
+        n = 20_000
+        ev = make_events(ip=np.zeros(n, dtype=np.uint64), addr=np.arange(n) * 8, cls=0)
+        write_trace(tmp_path / "small.npz", ev, TraceMeta(module="tiny"),
+                    sample_id=np.zeros(n, dtype=np.int32))
+        bad = faults.truncate(tmp_path / "small.npz", tmp_path / "bad.npz")
+        journal = tmp_path / "j.jsonl"
+        rc = main(["report", str(bad), "--journal", str(journal),
+                   "--metrics", str(tmp_path / "m.json")])
+        assert rc == 1 and "trace is empty" in capsys.readouterr().out
+        assert _open_descriptors(journal) == []
+        events = [json.loads(line)["event"] for line in journal.read_text().splitlines()]
+        assert events[-1] == "metrics"  # the summary is journaled on this exit too
 
 
 class TestFailureModes:

@@ -194,13 +194,13 @@ class TestHealthMember:
         )
 
     def test_metrics_instrument_chunked_reads(self, tmp_path):
-        from repro.obs.metrics import MetricsRegistry
+        from repro.obs import MetricsRegistry, Obs
 
         ev, sid = _big_trace()
         write_trace(tmp_path / "t.npz", ev, TraceMeta(), sample_id=sid)
         metrics = MetricsRegistry()
         parts = list(
-            iter_trace_chunks(tmp_path / "t.npz", chunk_size=1000, metrics=metrics)
+            iter_trace_chunks(tmp_path / "t.npz", chunk_size=1000, obs=Obs(metrics=metrics))
         )
         assert metrics.counter("trace.chunks_read").value == len(parts)
         assert metrics.counter("trace.events_read").value == len(ev)
