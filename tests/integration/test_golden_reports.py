@@ -10,8 +10,9 @@ Intentional changes are re-frozen with::
 
     pytest tests/integration/test_golden_reports.py --update-golden
 
-which rewrites the ``*.json`` expectations (and regenerates any missing
-archive from its pinned recipe). Review the diff like any other code
+which rewrites the ``*.json`` expectations and the ``*.report.txt``
+text-report transcripts (and regenerates any missing archive from its
+pinned recipe). Review the diff like any other code
 change: every altered number is a behavior change.
 
 The archive recipes use literal seeds, **not** the suite seed — goldens
@@ -118,14 +119,20 @@ VARIANTS = [
 ]
 
 
-@pytest.mark.parametrize(
-    "case,extra,suffix", VARIANTS, ids=[f"{c}-{s}" for c, _, s in VARIANTS]
-)
-def test_golden_report(case, extra, suffix, capsys, request):
-    update = request.config.getoption("--update-golden")
-    archive = GOLDEN / f"{case}.npz"
-    expected_path = GOLDEN / f"{case}.{suffix}.json"
+#: the text-report runs pinned, one after another, in ``<case>.report.txt``:
+#: the default sections, then every section option at a non-default value
+TEXT_RUNS = [
+    [],
+    [
+        "--regions", "--intervals", "4", "--max-regions", "3",
+        "--hot-threshold", "0.2", "--phases", "--working-set", "--confidence",
+    ],
+]
 
+
+def _archive(case: str, update: bool) -> Path:
+    """The case's committed archive, regenerated from its recipe on update."""
+    archive = GOLDEN / f"{case}.npz"
     if not archive.exists():
         if not update:
             pytest.fail(
@@ -134,11 +141,11 @@ def test_golden_report(case, extra, suffix, capsys, request):
             )
         GOLDEN.mkdir(parents=True, exist_ok=True)
         CASES[case](archive)
+    return archive
 
-    rc = cli_main(["report", str(archive), "--json", *extra])
-    out = capsys.readouterr().out
-    assert rc == 0
 
+def _check(out: str, expected_path: Path, update: bool) -> None:
+    """Compare ``out`` with the frozen expectation (or re-freeze it)."""
     if update:
         expected_path.write_text(out, encoding="utf-8")
         return
@@ -151,3 +158,29 @@ def test_golden_report(case, extra, suffix, capsys, request):
         f"report output drifted from {expected_path.name}; if the change is "
         "intentional, re-freeze with --update-golden and review the diff"
     )
+
+
+@pytest.mark.parametrize(
+    "case,extra,suffix", VARIANTS, ids=[f"{c}-{s}" for c, _, s in VARIANTS]
+)
+def test_golden_report(case, extra, suffix, capsys, request):
+    update = request.config.getoption("--update-golden")
+    archive = _archive(case, update)
+    rc = cli_main(["report", str(archive), "--json", *extra])
+    out = capsys.readouterr().out
+    assert rc == 0
+    _check(out, GOLDEN / f"{case}.{suffix}.json", update)
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_golden_text_report(case, capsys, request):
+    """The human-readable report sections, byte for byte."""
+    update = request.config.getoption("--update-golden")
+    archive = _archive(case, update)
+    runs = []
+    for extra in TEXT_RUNS:
+        rc = cli_main(["report", str(archive), *extra])
+        assert rc == 0
+        command = " ".join(["$ memgaze report", f"{case}.npz", *extra])
+        runs.append(f"{command}\n{capsys.readouterr().out}")
+    _check("\n".join(runs), GOLDEN / f"{case}.report.txt", update)
