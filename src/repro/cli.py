@@ -63,13 +63,14 @@ from repro.core.passes import UnknownPassError, get_pass, list_passes
 from repro.core.report import (
     format_quantity,
     full_report_payload,
+    hot_regions,
     passes_payload,
     payload_json,
     render_function_table,
     render_interval_table,
     render_region_table,
+    viz_report_payload,
 )
-from repro.core.zoom import ZoomConfig, location_zoom, zoom_leaves
 from repro.core.workingset import working_set_curve
 from repro.obs.handle import NULL_OBS, Obs
 from repro.trace.collector import collect_sampled_trace
@@ -321,70 +322,43 @@ def _print_report(args, loaded: "LoadedTrace", engine: ParallelEngine, store_key
     col, meta, fn_names = loaded.collection, loaded.meta, loaded.fn_names
     rho = sample_ratio_from(col)
     source = (col.events, col.sample_id, store_key)
+    requested = [s.strip() for s in (args.passes or "").split(",") if s.strip()]
 
-    if args.html:
-        # one self-contained page rendered from the viz payload — the
-        # same payload the serve dashboard polls, through the same
-        # template path, so live and offline renderings of identical
-        # archive bytes are byte-identical. A damaged archive renders
-        # the verified prefix with a warning banner instead of failing.
-        from repro.core.report import viz_report_payload
-        from repro.viz import render_html
-
-        extra = None
-        if args.passes:
-            extra = [s.strip() for s in args.passes.split(",") if s.strip()]
+    if args.html or args.json or args.passes:
+        # the serve daemon's payload builders, so --json and --html are
+        # byte-identical to a live query / dashboard page over the same
+        # archive bytes; a damaged archive renders its verified prefix
+        common = (meta.module, col, rho, fn_names, engine)
         try:
-            payload = viz_report_payload(
-                meta.module,
-                col,
-                rho,
-                fn_names,
-                engine,
-                store_key=store_key,
-                degraded=_degraded_note(loaded),
-                extra_passes=extra,
-            )
-        except (UnknownPassError, ValueError) as exc:
-            raise SystemExit(f"memgaze report: {exc}") from exc
-        text = render_html(payload)
-        out = Path(args.html)
-        out.write_text(text, encoding="utf-8")
-        print(f"wrote {out} ({len(text.encode('utf-8')):,} bytes)")
-        return
-
-    if args.json:
-        # the canonical machine-readable payload — built by the same
-        # helpers the streaming daemon serves, so this output is
-        # byte-identical to a live `memgaze query` over the same bytes
-        try:
-            if args.passes:
-                requested = [s.strip() for s in args.passes.split(",") if s.strip()]
-                results = engine.analyze(
-                    source, requested, rho=rho, fn_names=fn_names
-                ).results
-                payload = passes_payload(meta.module, col, rho, requested, results)
-            else:
-                payload = full_report_payload(
-                    meta.module, col, rho, fn_names, engine, store_key=store_key
+            if args.html:
+                out = viz_report_payload(
+                    *common,
+                    store_key=store_key,
+                    degraded=_degraded_note(loaded),
+                    extra_passes=requested,
                 )
+            elif args.json and args.passes:
+                out = passes_payload(*common, store_key=store_key, requested=requested)
+            elif args.json:
+                out = full_report_payload(*common, store_key=store_key)
+            else:
+                out = engine.analyze(source, requested, rho=rho, fn_names=fn_names).results
         except (UnknownPassError, ValueError) as exc:
             raise SystemExit(f"memgaze report: {exc}") from exc
-        print(payload_json(payload))
-        return
+        if args.html:
+            from repro.viz import render_html
 
-    if args.passes:
-        requested = [s.strip() for s in args.passes.split(",") if s.strip()]
-        try:
-            results = engine.analyze(
-                source, requested, rho=rho, fn_names=fn_names
-            ).results
-        except (UnknownPassError, ValueError) as exc:
-            raise SystemExit(f"memgaze report: {exc}") from exc
-        print(f"== {meta.module}: analysis passes ==")
-        for name in requested:
-            print(f"\n== pass: {name} ==")
-            print(get_pass(name).render(results[name]))
+            text = render_html(out)
+            path = Path(args.html)
+            path.write_text(text, encoding="utf-8")
+            print(f"wrote {path} ({len(text.encode('utf-8')):,} bytes)")
+        elif args.json:
+            print(payload_json(out))
+        else:
+            print(f"== {meta.module}: analysis passes ==")
+            for name in requested:
+                print(f"\n== pass: {name} ==")
+                print(get_pass(name).render(out[name]))
         return
 
     everything = not (
@@ -423,18 +397,10 @@ def _print_report(args, loaded: "LoadedTrace", engine: ParallelEngine, store_key
         )
 
     if everything or args.regions:
-        root = location_zoom(
-            col.events,
-            ZoomConfig(hot_threshold=args.hot_threshold),
-            sample_id=col.sample_id,
-            fn_names=fn_names,
+        rows = hot_regions(
+            col, fn_names, hot_threshold=args.hot_threshold,
+            min_pct=args.min_region_pct, max_regions=args.max_regions,
         )
-        leaves = zoom_leaves(root, min_pct=args.min_region_pct)[: args.max_regions]
-        rows = []
-        for leaf in leaves:
-            top_fn = leaf.functions.most_common(1)
-            name = f"{leaf.base:#x} ({top_fn[0][0]})" if top_fn else f"{leaf.base:#x}"
-            rows.append((name, leaf))
         print()
         print(render_region_table(rows, title="hot memory regions (location zoom)", show_max_d=True))
 
@@ -833,6 +799,25 @@ def _cmd_query(args: argparse.Namespace) -> int:
 # -- parser -------------------------------------------------------------------------
 
 
+def _checked(convert, ok, expected: str):
+    """An argparse ``type``: ``convert`` the value, then reject it unless ``ok``."""
+
+    def check(text: str):
+        try:
+            if ok(value := convert(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+
+    return check
+
+
+_positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_fraction = _checked(float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
+_percent = _checked(float, lambda v: 0.0 <= v <= 100.0, "a percentage in [0, 100]")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The ``memgaze`` argument parser."""
     parser = argparse.ArgumentParser(
@@ -863,7 +848,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("trace")
     p_report.add_argument("--functions", action="store_true", help="code-window table")
     p_report.add_argument("--regions", action="store_true", help="location-zoom table")
-    p_report.add_argument("--intervals", type=int, default=0, help="locality over N access intervals")
+    p_report.add_argument("--intervals", type=_positive_int, default=0, help="locality over N access intervals")
     p_report.add_argument("--working-set", action="store_true", help="working-set curve")
     p_report.add_argument("--confidence", action="store_true", help="undersampling report")
     p_report.add_argument("--hotspots", action="store_true", help="hot-function ranking")
@@ -887,9 +872,9 @@ def build_parser() -> argparse.ArgumentParser:
         "prefix behind a warning banner",
     )
     p_report.add_argument("--phases", action="store_true", help="phase segmentation")
-    p_report.add_argument("--hot-threshold", type=float, default=0.10)
-    p_report.add_argument("--min-region-pct", type=float, default=2.0)
-    p_report.add_argument("--max-regions", type=int, default=10)
+    p_report.add_argument("--hot-threshold", type=_fraction, default=0.10)
+    p_report.add_argument("--min-region-pct", type=_percent, default=2.0)
+    p_report.add_argument("--max-regions", type=_positive_int, default=10)
     p_report.add_argument(
         "--workers", type=int, default=1,
         help="analysis worker processes (>1 shards windows across a pool)",

@@ -3,7 +3,10 @@
 The tree is built bottom-up from samples. Leaves are individual samples
 (exact, intra-window metrics); each level above merges pairs of adjacent
 nodes into larger time intervals whose metrics are population *estimates*
-scaled by rho (inter-window, Eq. 3). Below samples, intra-sample splits
+scaled by rho (inter-window, Eq. 3). An upper node folds its children's
+:class:`~repro.core.passes.DiagnosticsPartial` with the engine's exact
+merge instead of re-reading their events, so every node equals the
+serial computation over its interval. Below samples, intra-sample splits
 give finer resolution, and leaf *function nodes* group a sample's
 accesses by procedure.
 
@@ -18,12 +21,14 @@ intervals over time with F / Delta-F / D / A-hat per interval.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Callable
 
 import numpy as np
 
-from repro.core.diagnostics import FootprintDiagnostics, compute_diagnostics
-from repro.core.reuse import mean_reuse_distance
+from repro.core.diagnostics import FootprintDiagnostics
+from repro.core.parallel import ParallelEngine
+from repro.core.passes import DiagnosticsPartial
 from repro.trace.collector import CollectionResult
 from repro.trace.event import EVENT_DTYPE
 
@@ -71,46 +76,42 @@ class ExecutionIntervalTree:
         its access sequence; function leaf nodes hang off every sample.
         """
         fn_names = fn_names or {}
-        leaves: list[IntervalNode] = []
-        for sample in collection.samples():
-            if len(sample) == 0:
-                continue
+        level_nodes: list[tuple[IntervalNode, DiagnosticsPartial]] = []
+        for sample in collection.samples():  # never yields an empty slice
+            partial = DiagnosticsPartial.from_events(sample, block)
             node = IntervalNode(
                 level=0,
                 t_start=int(sample["t"][0]),
                 t_end=int(sample["t"][-1]) + 1,
-                diagnostics=compute_diagnostics(sample, rho=1.0, block=block),
+                diagnostics=partial.finalize(1.0),
                 exact=True,
             )
             node.children = cls._build_below(sample, intra_splits, block, fn_names)
-            leaves.append(node)
-        if not leaves:
+            level_nodes.append((node, partial))
+        if not level_nodes:
             raise ValueError("collection has no non-empty samples")
+        leaves = [node for node, _ in level_nodes]
 
-        # merge pairwise upward; merged metrics are rho-scaled estimates
-        level_nodes = leaves
+        # fold the children's partials pairwise upward; merged metrics
+        # are rho-scaled estimates
         level = 0
-        events_of: dict[int, np.ndarray] = {
-            id(n): s for n, s in zip(leaves, collection.samples())
-        }
         while len(level_nodes) > 1:
             level += 1
-            merged: list[IntervalNode] = []
-            for i in range(0, len(level_nodes), 2):
-                group = level_nodes[i : i + 2]
-                ev = np.concatenate([events_of[id(n)] for n in group])
+            groups = [level_nodes[i : i + 2] for i in range(0, len(level_nodes), 2)]
+            level_nodes = []
+            for group in groups:
+                children = [node for node, _ in group]
+                partial = reduce(DiagnosticsPartial.merge, [p for _, p in group])
                 node = IntervalNode(
                     level=level,
-                    t_start=group[0].t_start,
-                    t_end=group[-1].t_end,
-                    diagnostics=compute_diagnostics(ev, rho=rho, block=block),
+                    t_start=children[0].t_start,
+                    t_end=children[-1].t_end,
+                    diagnostics=partial.finalize(rho),
                     exact=False,
-                    children=list(group),
+                    children=children,
                 )
-                events_of[id(node)] = ev
-                merged.append(node)
-            level_nodes = merged
-        return cls(level_nodes[0], leaves)
+                level_nodes.append((node, partial))
+        return cls(level_nodes[0][0], leaves)
 
     @staticmethod
     def _build_below(
@@ -127,7 +128,7 @@ class ExecutionIntervalTree:
                     level=-1,
                     t_start=int(part["t"][0]),
                     t_end=int(part["t"][-1]) + 1,
-                    diagnostics=compute_diagnostics(part, rho=1.0, block=block),
+                    diagnostics=DiagnosticsPartial.from_events(part, block).finalize(),
                     exact=True,
                 )
                 node.children = ExecutionIntervalTree._build_below(
@@ -143,7 +144,7 @@ class ExecutionIntervalTree:
                     level=-1,
                     t_start=int(part["t"][0]),
                     t_end=int(part["t"][-1]) + 1,
-                    diagnostics=compute_diagnostics(part, rho=1.0, block=block),
+                    diagnostics=DiagnosticsPartial.from_events(part, block).finalize(),
                     exact=True,
                     function=fn_names.get(int(fid), f"fn{int(fid)}"),
                 )
@@ -190,42 +191,30 @@ def access_interval_metrics(
     growth ``dF``, intra-sample mean reuse distance ``D``, and estimated
     accesses ``A``.
 
-    With a :class:`~repro.core.parallel.ParallelEngine` passed as
-    ``engine``, each non-empty interval is analyzed through it — one
-    fused scan for both metrics, sharded when large.
+    Each interval is one fused scan of ``engine`` (a
+    :class:`~repro.core.parallel.ParallelEngine`, in-process when
+    omitted) for both metrics, sharded when large; an empty one scans
+    nothing.
     """
     if events.dtype != EVENT_DTYPE:
         raise TypeError(f"expected EVENT_DTYPE events, got {events.dtype}")
     if n_intervals <= 0:
         raise ValueError(f"n_intervals must be > 0, got {n_intervals}")
-    n = len(events)
+    if engine is None:
+        engine = ParallelEngine(workers=1)
+    requests = [("diagnostics", {"block": block}), ("reuse", {"block": reuse_block})]
+    edges = np.linspace(0, len(events), n_intervals + 1).astype(np.int64).tolist()
     rows: list[dict] = []
-    edges = np.linspace(0, n, n_intervals + 1).astype(np.int64)
-    for k in range(n_intervals):
-        lo, hi = int(edges[k]), int(edges[k + 1])
-        part = events[lo:hi]
-        if len(part) == 0:
-            rows.append(
-                {"interval": k, "F": 0.0, "dF": 0.0, "D": 0.0, "A": 0.0, "A_obs": 0}
-            )
-            continue
+    for k, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
         sid = sample_id[lo:hi] if sample_id is not None else None
-        if engine is not None:
-            results = engine.analyze(
-                (part, sid, None),
-                [("diagnostics", {"block": block}), ("reuse", {"block": reuse_block})],
-                rho=rho,
-            ).results
-            diag, d = results["diagnostics"], results["reuse"].mean
-        else:
-            diag = compute_diagnostics(part, rho=rho, block=block)
-            d = mean_reuse_distance(part, block=reuse_block, sample_id=sid)
+        results = engine.analyze((events[lo:hi], sid, None), requests, rho=rho).results
+        diag = results["diagnostics"]
         rows.append(
             {
                 "interval": k,
                 "F": diag.F_est,
                 "dF": diag.dF,
-                "D": d,
+                "D": results["reuse"].mean,
                 "A": diag.A_est,
                 "A_obs": diag.A_obs,
             }

@@ -212,33 +212,24 @@ class ServeSession:
         visual-report payload (:func:`repro.core.report.
         viz_report_payload`) the daemon's dashboard renders. Either way
         the session's in-memory arrays become a collection by the
-        offline loader's recipe and are analyzed through the same engine
-        path the offline CLI uses, keyed by the archive's health record
-        (its content digest) — so partials warmed by ingest are reused and the payload is
-        byte-identical to the offline report.
+        offline loader's recipe and go to the payload builder the
+        offline CLI calls, which analyzes them keyed by the archive's
+        health record (its content digest) — so partials warmed by
+        ingest are reused and the payload is byte-identical to the
+        offline report.
         """
         if self.n_chunks == 0:
             raise ValueError("session has no ingested chunks yet")
         loaded, key = self._source()
         col = loaded.collection
-        rho = sample_ratio_from(col)
         store_key = key if engine.store is not None else None
+        args = (self.meta.module, col, sample_ratio_from(col), loaded.fn_names, engine)
         if viz:
-            payload = viz_report_payload(
-                self.meta.module, col, rho, loaded.fn_names, engine, store_key=store_key
-            )
+            payload = viz_report_payload(*args, store_key=store_key)
         elif passes is None:
-            payload = full_report_payload(
-                self.meta.module, col, rho, loaded.fn_names, engine, store_key=store_key
-            )
+            payload = full_report_payload(*args, store_key=store_key)
         else:
-            results = engine.analyze(
-                (col.events, col.sample_id, store_key),
-                list(passes),
-                rho=rho,
-                fn_names=loaded.fn_names,
-            ).results
-            payload = passes_payload(self.meta.module, col, rho, passes, results)
+            payload = passes_payload(*args, store_key=store_key, requested=passes)
         info = {
             "session": self.name,
             "n_chunks": self.n_chunks,

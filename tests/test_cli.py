@@ -389,6 +389,37 @@ class TestFailureModes:
             main(["diff", str(trace_file), "gone.npz"])
         assert "no such trace archive" in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "option,value",
+        [
+            ("--intervals", "-1"),
+            ("--intervals", "0"),
+            ("--hot-threshold", "0"),
+            ("--hot-threshold", "1.5"),
+            ("--max-regions", "-1"),
+            ("--max-regions", "0"),
+            ("--min-region-pct", "-5"),
+            ("--min-region-pct", "101"),
+        ],
+    )
+    def test_bad_report_option_is_a_usage_error(self, trace_file, capsys, option, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["report", str(trace_file), option, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {option}: expected" in err and repr(value) in err
+
+    def test_report_option_bounds_are_accepted(self, trace_file, capsys):
+        rc = main(
+            [
+                "report", str(trace_file), "--regions", "--intervals", "1",
+                "--hot-threshold", "1", "--min-region-pct", "0", "--max-regions", "1",
+            ]
+        )
+        assert rc == 0
+        table = capsys.readouterr().out.split("hot memory regions")[1].split("\n\n")[0]
+        assert sum(line.startswith("0x") for line in table.splitlines()) == 1
+
 
 class TestCacheCLI:
     def test_warm_report_hits_disk_cache(self, trace_file, tmp_path, capsys):
