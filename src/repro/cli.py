@@ -198,8 +198,8 @@ def _load(path, obs: Obs = NULL_OBS) -> "LoadedTrace":
 
     The returned :class:`~repro.trace.loader.LoadedTrace` carries the
     health verdict: ``clean`` is False when recovery ran — the events in
-    memory are then a *prefix* of the archive, so its health digest no
-    longer addresses them (the analysis cache must stay off), and
+    memory are then a *prefix* of the archive, so ``health``, the record
+    that keys the analysis cache, is None (the cache stays off), and
     renderers surface the ``findings`` (the HTML report shows them in a
     warning banner).
     """
@@ -279,49 +279,44 @@ def _cmd_report(args: argparse.Namespace) -> int:
         if len(loaded.collection.events) == 0:
             print("trace is empty")
             return 1
-        engine, store_key = _report_engine(args, loaded.clean, obs)
-        with engine:
-            _print_report(args, loaded, engine, store_key)
+        with _report_engine(args, loaded, obs) as engine:
+            _print_report(args, loaded, engine)
             _report_tail(args, engine)
     return 0
 
 
-def _report_engine(args, clean: bool, obs: Obs) -> "tuple[ParallelEngine, str | None]":
-    """The report's engine, with the analysis cache when enabled, and its key."""
+def _report_engine(args, loaded: "LoadedTrace", obs: Obs) -> ParallelEngine:
+    """The report's engine, with the analysis cache when enabled."""
     # --cache-dir alone enables the cache; --no-cache always wins
     use_cache = args.cache is True or (
         args.cache is None and args.cache_dir is not None
     )
     store = None
-    store_key = None
     if use_cache:
         from repro.core.artifacts import ArtifactStore
 
         store = ArtifactStore(args.cache_dir or _default_cache_dir(), obs=obs)
-        if clean:
-            store_key = ArtifactStore.archive_digest(args.trace)
-            if store_key is None:
-                obs.warning(
-                    "archive has no usable health record; analysis cache disabled",
-                    path=str(args.trace),
-                )
-        else:
+        if not loaded.clean:
             obs.warning(
                 "damaged archive: only a recovered prefix is analyzed, so the "
                 "analysis cache is disabled for this run",
                 path=str(args.trace),
             )
-    engine = ParallelEngine(
+        elif loaded.health is None:
+            obs.warning(
+                "archive has no usable health record; analysis cache disabled",
+                path=str(args.trace),
+            )
+    return ParallelEngine(
         workers=args.workers, chunk_size=args.chunk_size, store=store, obs=obs
     )
-    return engine, store_key
 
 
-def _print_report(args, loaded: "LoadedTrace", engine: ParallelEngine, store_key) -> None:
+def _print_report(args, loaded: "LoadedTrace", engine: ParallelEngine) -> None:
     """Print the report sections (or write the ``--html`` page)."""
     col, meta, fn_names = loaded.collection, loaded.meta, loaded.fn_names
     rho = sample_ratio_from(col)
-    source = (col.events, col.sample_id, store_key)
+    source = (col.events, col.sample_id, loaded.health)
     requested = [s.strip() for s in (args.passes or "").split(",") if s.strip()]
 
     if args.html or args.json or args.passes:
@@ -333,14 +328,14 @@ def _print_report(args, loaded: "LoadedTrace", engine: ParallelEngine, store_key
             if args.html:
                 out = viz_report_payload(
                     *common,
-                    store_key=store_key,
+                    health=loaded.health,
                     degraded=_degraded_note(loaded),
                     extra_passes=requested,
                 )
             elif args.json and args.passes:
-                out = passes_payload(*common, store_key=store_key, requested=requested)
+                out = passes_payload(*common, health=loaded.health, requested=requested)
             elif args.json:
-                out = full_report_payload(*common, store_key=store_key)
+                out = full_report_payload(*common, health=loaded.health)
             else:
                 out = engine.analyze(source, requested, rho=rho, fn_names=fn_names).results
         except (UnknownPassError, ValueError) as exc:

@@ -6,13 +6,16 @@ a :class:`~repro._util.diskcache.DiskCache`, addressed by **what was
 analyzed and how** — never by path or mtime:
 
 ``trace digest``
-    SHA-256 over the archive's ``health`` record — the per-chunk CRC32s
+    SHA-256 over the trace's ``health`` record — the per-chunk CRC32s
     that :func:`repro.trace.tracefile.write_trace` embeds (event bytes,
-    sample-id bytes, counts, chunk geometry). Two archives with the same
-    events and sample ids share a digest wherever they live; touching a
-    single event changes it. In-memory event arrays digest through the
-    same CRC chunking (:meth:`ArtifactStore.digest_events`), so the
-    eager and streamed analysis paths address identical entries.
+    sample-id bytes, counts, chunk geometry). The record is the one key
+    type: an archive carries it, :func:`~repro.trace.tracefile.read_trace`
+    returns it with the arrays it describes, and a writer or
+    :func:`~repro.trace.tracefile._health_record` builds it for arrays
+    in memory, so the eager and streamed analysis paths address
+    identical entries. Two traces with the same events and sample ids
+    share a digest wherever they live; touching a single event changes
+    it.
 
 ``pass name + frozen params``
     The resolved request, hashed through :func:`freeze_params`, so an
@@ -123,32 +126,6 @@ class ArtifactStore:
         blob = json.dumps(canon, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
-    @staticmethod
-    def digest_events(events: np.ndarray, sample_id: np.ndarray | None) -> str:
-        """Digest of an in-memory trace, consistent with the archive digest.
-
-        Builds the same per-chunk CRC record :func:`write_trace` embeds,
-        so analyzing an array eagerly and streaming its archive address
-        the same cache entries.
-        """
-        from repro.trace.tracefile import _health_record
-
-        if sample_id is not None:
-            sample_id = np.asarray(sample_id, dtype=np.int32)
-        return ArtifactStore.digest_health(_health_record(events, sample_id))
-
-    @staticmethod
-    def archive_digest(path) -> str | None:
-        """Digest of an on-disk archive via its health member (cheap).
-
-        ``None`` when the archive has no readable health record — such
-        archives cannot be content-addressed and are analyzed uncached.
-        """
-        from repro.trace.tracefile import read_trace_health
-
-        health = read_trace_health(path)
-        return None if health is None else ArtifactStore.digest_health(health)
-
     # -- whole-trace partials -------------------------------------------------
 
     @staticmethod
@@ -186,9 +163,8 @@ class ArtifactStore:
         """The stored trace state for an exact digest, or ``None``.
 
         Cheaper than :meth:`find_prefix_state` when the caller already
-        knows the digest it wants — the streaming service uses it to
-        confirm a session's archive has warm whole-trace state after an
-        ingest, without scanning every stored state.
+        knows the digest it wants. Nothing in the package calls it; the
+        perfbench layer probes name it.
         """
         state = self.cache.get(f"state-{digest[:32]}")
         if state is MISS or not isinstance(state, dict):

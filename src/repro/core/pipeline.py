@@ -36,6 +36,7 @@ from repro.trace.compress import compression_ratio, sample_ratio_from
 from repro.trace.event import EVENT_DTYPE
 from repro.trace.overhead import ExecCounts
 from repro.trace.sampler import SamplingConfig
+from repro.trace.tracefile import _health_record
 
 __all__ = ["AnalysisConfig", "MemGazeResult", "MemGaze"]
 
@@ -85,9 +86,9 @@ class MemGazeResult:
     instrumentation: InstrumentResult | None = None
     config: AnalysisConfig | None = None
     engine: "ParallelEngine | None" = None
-    #: content digest of (events, sample_id) — the persistent-cache
-    #: address of this trace when the analysis ran with a cache_dir
-    trace_digest: str | None = None
+    #: health record of (events, sample_id) — the persistent-cache key
+    #: of this trace when the analysis ran with a cache_dir
+    trace_health: dict | None = None
     #: finalized results of the extra passes fused into the analysis
     #: scan (AnalysisConfig.passes), keyed by pass name
     pass_results: dict = field(default_factory=dict)
@@ -140,7 +141,7 @@ class MemGazeResult:
         finalized result}``.
         """
         return self.engine.analyze(
-            (self.events, self.sample_id, self.trace_digest),
+            (self.events, self.sample_id, self.trace_health),
             requests,
             rho=self.rho,
             fn_names=self.fn_names,
@@ -250,11 +251,9 @@ class MemGaze:
         # one fused scan computes the whole-trace diagnostics, the
         # per-function code windows and every configured extra pass
         engine = self.engine
-        digest = None
-        if engine.store is not None:
-            from repro.core.artifacts import ArtifactStore
-
-            digest = ArtifactStore.digest_events(collection.events, collection.sample_id)
+        health = None
+        if engine.store is not None:  # int32 sample ids: the written archive's record
+            health = _health_record(collection.events, np.asarray(collection.sample_id, np.int32))
         extra = [
             r
             for r in self.config.passes
@@ -265,7 +264,7 @@ class MemGaze:
         if "windows" not in extra_names:
             requests.append(("windows", {"block": self.config.block}))
         results = engine.analyze(
-            (collection.events, collection.sample_id, digest),
+            (collection.events, collection.sample_id, health),
             requests,
             rho=rho,
             fn_names=fn_names,
@@ -295,7 +294,7 @@ class MemGaze:
             instrumentation=instrumentation,
             config=self.config,
             engine=engine,
-            trace_digest=digest,
+            trace_health=health,
             pass_results=results,
         )
 

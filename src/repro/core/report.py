@@ -156,7 +156,7 @@ def _payload(module, n_events, n_samples, n_loads_total, rho, names, results) ->
 
 
 def passes_payload(
-    module, collection, rho, fn_names, engine, *, store_key=None, requested
+    module, collection, rho, fn_names, engine, *, health=None, requested
 ) -> dict:
     """The ``report --passes`` payload: the ``requested`` passes, fused in one scan.
 
@@ -167,7 +167,7 @@ def passes_payload(
     appear here, or live-vs-offline equivalence breaks.
     """
     results = engine.analyze(
-        (collection.events, collection.sample_id, store_key),
+        (collection.events, collection.sample_id, health),
         list(requested),
         rho=rho,
         fn_names=fn_names,
@@ -203,19 +203,18 @@ def full_report_payload(
     fn_names,
     engine,
     *,
-    store_key=None,
+    health=None,
     extra_passes=(),
 ) -> dict:
     """The whole-trace ``report --json`` payload (default pass set).
 
     Runs :data:`REPORT_PASSES` plus any ``extra_passes`` in one fused
-    engine scan (served from the engine's store when ``store_key``, the
-    collection's content digest or health record, addresses warm
-    partials).
+    engine scan (served from the engine's store when ``health``, the
+    collection's health record, addresses warm partials).
     """
     extra = [p for p in extra_passes or () if p not in REPORT_PASSES]
     analysis = engine.analyze(
-        (collection.events, collection.sample_id, store_key),
+        (collection.events, collection.sample_id, health),
         list(REPORT_PASSES) + extra,
         rho=rho,
         fn_names=fn_names,
@@ -419,7 +418,7 @@ def viz_report_payload(
     fn_names,
     engine,
     *,
-    store_key=None,
+    health=None,
     degraded=None,
     extra_passes=None,
 ) -> dict:
@@ -444,7 +443,7 @@ def viz_report_payload(
         rho,
         fn_names,
         engine,
-        store_key=store_key,
+        health=health,
         extra_passes=extra_passes,
     )
     payload["viz"] = _viz_section(collection, rho, fn_names, engine)

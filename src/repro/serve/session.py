@@ -136,7 +136,7 @@ class ServeSession:
         """
         if not self.archive.exists():
             return False
-        events, meta, sample_id = read_trace(self.archive)
+        events, meta, sample_id, _ = read_trace(self.archive)
         self.meta = meta
         if sample_id is not None:
             sample_id = np.asarray(sample_id, dtype=np.int32)
@@ -157,16 +157,17 @@ class ServeSession:
             self._sids.extend(sample_id)
         self.n_events = self._events.n
 
-    def _source(self) -> tuple[LoadedTrace, dict]:
-        """The trace as a query loads it, plus the store key addressing it.
+    def _source(self) -> LoadedTrace:
+        """The trace as a query loads it, keyed by the writer's health record.
 
-        The key is the writer's health record — the record the archive
-        carries, so the digest is the archive's — which lets the engine
-        match a cached prefix without re-checksumming the arrays.
+        The record is the one the archive carries, so the digest is the
+        archive's, and it lets the engine match a cached prefix without
+        re-checksumming the arrays.
         """
         sids = None if self._sids is None else self._sids.view()
-        loaded = trace_collection(self._events.view(), self.meta, sids)
-        return loaded, self._writer.health
+        return trace_collection(
+            self._events.view(), self.meta, sids, health=self._writer.health
+        )
 
     # -- ingest (called inside the session's owning shard worker) --------------
 
@@ -190,9 +191,9 @@ class ServeSession:
         self.n_chunks += 1
         self._writer.publish()
 
-        loaded, key = self._source()
+        loaded = self._source()
         col = loaded.collection
-        analysis = engine.analyze((col.events, col.sample_id, key), REPORT_PASSES)
+        analysis = engine.analyze((col.events, col.sample_id, loaded.health), REPORT_PASSES)
         self.last_mode = analysis.mode
         self.last_skipped = analysis.skipped_events
         return {
@@ -214,22 +215,20 @@ class ServeSession:
         the session's in-memory arrays become a collection by the
         offline loader's recipe and go to the payload builder the
         offline CLI calls, which analyzes them keyed by the archive's
-        health record (its content digest) — so partials warmed by
-        ingest are reused and the payload is byte-identical to the
-        offline report.
+        health record — so partials warmed by ingest are reused and the
+        payload is byte-identical to the offline report.
         """
         if self.n_chunks == 0:
             raise ValueError("session has no ingested chunks yet")
-        loaded, key = self._source()
+        loaded = self._source()
         col = loaded.collection
-        store_key = key if engine.store is not None else None
         args = (self.meta.module, col, sample_ratio_from(col), loaded.fn_names, engine)
         if viz:
-            payload = viz_report_payload(*args, store_key=store_key)
+            payload = viz_report_payload(*args, health=loaded.health)
         elif passes is None:
-            payload = full_report_payload(*args, store_key=store_key)
+            payload = full_report_payload(*args, health=loaded.health)
         else:
-            payload = passes_payload(*args, store_key=store_key, requested=passes)
+            payload = passes_payload(*args, health=loaded.health, requested=passes)
         info = {
             "session": self.name,
             "n_chunks": self.n_chunks,

@@ -462,7 +462,7 @@ def recover_read(
 
     actual = _archive_path(path)
     try:
-        events, meta, sample_id = read_trace(actual)
+        events, meta, sample_id, _ = read_trace(actual)
         return events, meta, sample_id, []
     except Exception:
         pass  # fall through to degraded-mode recovery

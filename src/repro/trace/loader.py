@@ -47,8 +47,7 @@ class LoadedTrace:
     collection: CollectionResult
     meta: TraceMeta
     fn_names: dict[int, str]
-    #: True when the eager read succeeded — the events are the whole
-    #: archive, so its content digest addresses them (cache-safe).
+    #: True when the eager read succeeded — the events are the whole archive.
     clean: bool = True
     #: True when recovery ran but every finding was tail truncation —
     #: the archive looks like a writer is still appending to it. The
@@ -56,6 +55,11 @@ class LoadedTrace:
     growing: bool = False
     #: recovery findings (empty on a clean load)
     findings: list[Finding] = field(default_factory=list)
+    #: the health record describing exactly these arrays — the key the
+    #: analysis cache addresses them by. Read in the same open as the
+    #: events; None when recovery ran (the events are then a prefix the
+    #: record does not describe) or the archive has no usable record.
+    health: dict | None = None
 
 
 def load_trace_collection(path, obs: Obs = NULL_OBS) -> LoadedTrace:
@@ -77,11 +81,12 @@ def load_trace_collection(path, obs: Obs = NULL_OBS) -> LoadedTrace:
     growing = False
     findings: list[Finding] = []
     try:
-        events, meta, sample_id = read_trace(path)
+        events, meta, sample_id, health = read_trace(path)
     except (TraceFormatError, BadZipFile, OSError, ValueError, zlib.error):
         from repro.trace.health import recover_read
 
         clean = False
+        health = None
         events, meta, sample_id, findings = recover_read(path, obs)
         growing = bool(findings) and all(
             f.kind == KIND_TRUNCATION for f in findings
@@ -95,20 +100,20 @@ def load_trace_collection(path, obs: Obs = NULL_OBS) -> LoadedTrace:
                 n_events=len(events),
             )
     return trace_collection(
-        events, meta, sample_id, clean=clean, growing=growing, findings=findings
+        events, meta, sample_id, clean=clean, growing=growing, findings=findings, health=health
     )
 
 
-def trace_collection(events, meta: TraceMeta, sample_id, **health) -> LoadedTrace:
+def trace_collection(events, meta: TraceMeta, sample_id, **status) -> LoadedTrace:
     """The :class:`LoadedTrace` of trace arrays already in memory.
 
     The one recipe from ``(events, meta, sample_id)`` to a collection:
     :func:`load_trace_collection` applies it to what it read, and the
     streaming service to the arrays a session holds, so a live query
     analyzes exactly what an offline report of the archive would. A
-    trace without sample ids gets all-zero ids (one window). ``health``
-    passes the load-health fields (``clean`` / ``growing`` /
-    ``findings``) through.
+    trace without sample ids gets all-zero ids (one window). ``status``
+    passes the load fields (``clean`` / ``growing`` / ``findings`` /
+    ``health``) through.
     """
     if sample_id is None:
         sample_id = np.zeros(len(events), dtype=np.int32)
@@ -123,4 +128,4 @@ def trace_collection(events, meta: TraceMeta, sample_id, **health) -> LoadedTrac
         ),
     )
     fn_names = {int(k): v for k, v in meta.extra.get("fn_names", {}).items()}
-    return LoadedTrace(collection=collection, meta=meta, fn_names=fn_names, **health)
+    return LoadedTrace(collection=collection, meta=meta, fn_names=fn_names, **status)

@@ -9,7 +9,8 @@ III's size accounting uses both the in-memory packet model
 
 Two read paths exist:
 
-* :func:`read_trace` — eager, materializes the whole event array;
+* :func:`read_trace` — eager, materializes the whole event array and
+  reads the health record in the same open;
 * :func:`iter_trace_chunks` — streaming: decompresses the archive
   members incrementally and yields sample-aligned chunks, so analysis
   (and the parallel engine's workers) never hold more than one chunk of
@@ -453,11 +454,35 @@ def _parse_meta(path, blob: bytes) -> TraceMeta:
         raise TraceFormatError(path, "meta", f"unreadable trace metadata: {e}") from e
 
 
-def read_trace(path) -> tuple[np.ndarray, TraceMeta, np.ndarray | None]:
-    """Read a trace archive written by :func:`write_trace`.
+def _read_health(archive) -> dict | None:
+    """The ``health`` record of an open archive, or None when unusable.
 
-    Raises :class:`TraceFormatError` when a required member is missing
-    or the metadata does not parse.
+    The one parser behind :func:`read_trace` and
+    :func:`read_trace_health`: a missing, damaged, unparsable or
+    incomplete member gives ``None``, never an exception.
+    """
+    if "health" not in archive:
+        return None
+    try:
+        record = json.loads(bytes(archive["health"]).decode("utf-8"))
+    except (OSError, ValueError, zipfile.BadZipFile, zlib.error):
+        return None
+    if not isinstance(record, dict):
+        return None
+    required = {"version", "chunk_events", "n_events", "events_crc"}
+    if not required <= set(record):
+        return None
+    return record
+
+
+def read_trace(path) -> tuple[np.ndarray, TraceMeta, np.ndarray | None, dict | None]:
+    """Read a trace archive: ``(events, meta, sample_id, health)``.
+
+    ``health`` is the archive's health record (see
+    :func:`read_trace_health`), read in the same open as the events, so
+    it describes exactly the arrays returned even when a writer replaces
+    the archive meanwhile. Raises :class:`TraceFormatError` when a
+    required member is missing or the metadata does not parse.
     """
     with np.load(path) as archive:
         for member in ("events", "meta"):
@@ -468,11 +493,12 @@ def read_trace(path) -> tuple[np.ndarray, TraceMeta, np.ndarray | None]:
         events = archive["events"]
         meta = _parse_meta(path, bytes(archive["meta"]))
         sample_id = archive["sample_id"] if "sample_id" in archive else None
+        health = _read_health(archive)
     if events.dtype != EVENT_DTYPE:
         raise TraceFormatError(
             path, "events", f"archive events have dtype {events.dtype}"
         )
-    return events, meta, sample_id
+    return events, meta, sample_id, health
 
 
 def read_trace_meta(path) -> TraceMeta:
@@ -496,17 +522,9 @@ def read_trace_health(path) -> dict | None:
     """
     try:
         with np.load(path) as archive:
-            if "health" not in archive:
-                return None
-            record = json.loads(bytes(archive["health"]).decode("utf-8"))
+            return _read_health(archive)
     except (OSError, ValueError, KeyError, zipfile.BadZipFile, zlib.error):
         return None
-    if not isinstance(record, dict):
-        return None
-    required = {"version", "chunk_events", "n_events", "events_crc"}
-    if not required <= set(record):
-        return None
-    return record
 
 
 @dataclass

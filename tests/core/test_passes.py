@@ -36,7 +36,7 @@ from repro.core.passes import (
 )
 from repro.core.reuse import reuse_histogram
 from repro.trace.event import make_events
-from repro.trace.tracefile import TraceMeta, write_trace
+from repro.trace.tracefile import TraceMeta, _health_record, write_trace
 
 WORKERS = [1, 2, 4]
 CHUNKS = [17, 257, 5000]
@@ -387,7 +387,7 @@ class TestSingleScan:
         from repro.obs import MetricsRegistry, Obs
 
         ev, sid = _trace(2000, seed=45)
-        source = (ev, sid, ArtifactStore.digest_events(ev, sid))
+        source = (ev, sid, _health_record(ev, sid))
         reg = MetricsRegistry()
         store = ArtifactStore(tmp_path / "cache")
         with ParallelEngine(workers=1, chunk_size=300, obs=Obs(metrics=reg), store=store) as eng:

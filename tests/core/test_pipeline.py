@@ -7,6 +7,7 @@ from repro.core.pipeline import AnalysisConfig, MemGaze
 from repro.simmem.recorder import AccessRecorder
 from repro.trace.event import LoadClass, make_events
 from repro.trace.sampler import SamplingConfig
+from repro.trace.tracefile import TraceMeta, read_trace_health, write_trace
 from repro.workloads.microbench import build_microbench
 
 
@@ -44,6 +45,13 @@ class TestAnalyzeEvents:
     def test_wrong_dtype(self, mg):
         with pytest.raises(TypeError):
             mg.analyze_events(np.zeros(5))
+
+    def test_cache_key_is_the_written_archives_record(self, tmp_path):
+        sampling = SamplingConfig(period=1000, buffer_capacity=128, fill_jitter=0.0)
+        mg = MemGaze(AnalysisConfig(sampling, cache_dir=str(tmp_path / "cache")))
+        res = mg.analyze_events(make_events(ip=1, addr=np.arange(50_000) % 4096, cls=2))
+        write_trace(tmp_path / "t.npz", res.events, TraceMeta(), res.sample_id)
+        assert res.trace_health == read_trace_health(tmp_path / "t.npz")
 
 
 class TestResultConveniences:

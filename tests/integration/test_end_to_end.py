@@ -91,7 +91,7 @@ class TestAttributionAndPersistence:
             n_loads_total=bench.n_loads, n_samples=col.n_samples,
         )
         write_trace(tmp_path / "t.npz", col.events, meta, col.sample_id)
-        ev2, meta2, sid2 = read_trace(tmp_path / "t.npz")
+        ev2, meta2, sid2, _ = read_trace(tmp_path / "t.npz")
         before = code_windows(col.events, fn_names=bench.fn_names)
         after = code_windows(ev2, fn_names=bench.fn_names)
         assert before.keys() == after.keys()

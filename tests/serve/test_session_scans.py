@@ -27,7 +27,7 @@ def _chunks_scanned(metrics: MetricsRegistry) -> int:
 def test_query_after_ingest_scans_no_chunk(tmp_path, make_rng, build_archive, capsys):
     src = tmp_path / "src.npz"
     build_archive(src, make_rng(), n_samples=12, per_sample=400)
-    events, meta, sample_id = read_trace(src)
+    events, meta, sample_id, _ = read_trace(src)
     metrics = MetricsRegistry()
     obs = Obs(metrics=metrics)
     store = ArtifactStore(tmp_path / "cache", obs=obs)
@@ -57,7 +57,7 @@ def test_reopened_session_deflates_nothing_until_it_appends(
 
     src = tmp_path / "src.npz"
     build_archive(src, make_rng(), n_samples=8, per_sample=400)
-    events, meta, sample_id = read_trace(src)
+    events, meta, sample_id, _ = read_trace(src)
     half = 4 * 400
     store = ArtifactStore(tmp_path / "cache")
     manager = SessionManager(tmp_path / "sessions")
@@ -79,5 +79,5 @@ def test_reopened_session_deflates_nothing_until_it_appends(
         ack = session.ingest(events[half:], sample_id[half:], engine)
         assert ack["mode"] == "incremental"
         assert deflated, "the first publish after a reopen deflates the adopted prefix"
-    ev, _, sid = read_trace(session.archive)
+    ev, _, sid, _ = read_trace(session.archive)
     assert np.array_equal(ev, events) and np.array_equal(sid, sample_id)

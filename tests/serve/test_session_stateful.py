@@ -159,7 +159,7 @@ class SessionMachine(RuleBasedStateMachine):
             return
         archive = self.session.archive
         assert health.validate(archive).ok
-        events, _, sid = read_trace(archive)
+        events, _, sid, _ = read_trace(archive)
         assert np.array_equal(events, np.concatenate(self.events))
         if self.sids is None:
             assert sid is None

@@ -90,7 +90,7 @@ def _run(path: Path, steps, seed: int):
     for i, step in enumerate(steps):
         if step == "rehydrate":
             writer.publish()
-            ev, meta, sid = read_trace(path)
+            ev, meta, sid, _ = read_trace(path)
             writer = TraceAppender(path, meta)
             writer.append(ev, sid)
             continue
@@ -124,7 +124,7 @@ def test_appended_archive_is_the_concatenation(tmp_path_factory, steps, seed):
     path = d / "t.npz"
     writer, events, sample_id = _run(path, steps, seed)
 
-    ev, _, sid = read_trace(path)
+    ev, _, sid, record = read_trace(path)
     assert np.array_equal(ev, events)
     assert (sid is None) == (sample_id is None)
     if sample_id is not None:
@@ -138,9 +138,10 @@ def test_appended_archive_is_the_concatenation(tmp_path_factory, steps, seed):
 
     expect = _health_record(events, sample_id)
     assert read_trace_health(path) == expect
+    assert record == expect
     assert writer.health == expect
-    assert ArtifactStore.archive_digest(path) == ArtifactStore.digest_events(
-        events, sample_id
+    assert ArtifactStore.digest_health(read_trace_health(path)) == ArtifactStore.digest_health(
+        _health_record(events, sample_id)
     )
     assert health.validate(path).ok
 
@@ -336,5 +337,5 @@ def test_zip64_records_match_numpy_writer(tmp_path, monkeypatch):
                     "extract_version", "external_attr", "flag_bits")
             assert [getattr(a, f) for f in same] == [getattr(b, f) for f in same]
             assert new.read(a.filename) == old.read(b.filename)
-    ev, _, got_sid = read_trace(tmp_path / "new.npz")
+    ev, _, got_sid, _ = read_trace(tmp_path / "new.npz")
     assert np.array_equal(ev, events) and np.array_equal(got_sid, sid)

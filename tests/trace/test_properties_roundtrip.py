@@ -228,7 +228,7 @@ def test_archive_round_trip_on_random_streams(tmp_path_factory, segments, seed,
     meta = TraceMeta(module="prop", n_loads_total=n * 3, n_samples=4)
     path = tmp_path_factory.mktemp("prop") / "t.npz"
     write_trace(path, events, meta, sids, atomic=atomic)
-    got_events, got_meta, got_sids = read_trace(path)
+    got_events, got_meta, got_sids, _ = read_trace(path)
     assert got_events.tobytes() == events.tobytes()
     assert got_meta.module == meta.module
     assert got_meta.n_loads_total == meta.n_loads_total

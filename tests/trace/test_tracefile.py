@@ -26,7 +26,7 @@ class TestRoundTrip:
         meta = TraceMeta(module="m", period=100, buffer_capacity=8)
         size = write_trace(tmp_path / "t.npz", events, meta)
         assert size > 0
-        back, meta2, sid = read_trace(tmp_path / "t.npz")
+        back, meta2, sid, _ = read_trace(tmp_path / "t.npz")
         assert np.array_equal(back, events)
         assert meta2.module == "m"
         assert meta2.period == 100
@@ -35,13 +35,13 @@ class TestRoundTrip:
     def test_sample_id_roundtrip(self, tmp_path, events):
         sid = np.array([0, 0, 1], dtype=np.int32)
         write_trace(tmp_path / "t.npz", events, TraceMeta(), sample_id=sid)
-        _, _, sid2 = read_trace(tmp_path / "t.npz")
+        _, _, sid2, _ = read_trace(tmp_path / "t.npz")
         assert np.array_equal(sid, sid2)
 
     def test_source_map_roundtrip(self, tmp_path, events):
         meta = TraceMeta(source_map={17: ("f", "file.c", 3)})
         write_trace(tmp_path / "t.npz", events, meta)
-        _, meta2, _ = read_trace(tmp_path / "t.npz")
+        _, meta2, _, _ = read_trace(tmp_path / "t.npz")
         assert meta2.source_map[17] == ("f", "file.c", 3)
 
     def test_extension_appended(self, tmp_path, events):
