@@ -286,7 +286,7 @@ def test_cache_warmup_cold_vs_warm(tmp_path):
     save_result(
         "cache_warmup",
         "persistent analysis cache: cold vs warm archive analyze (1 worker)\n"
-        f"events:            {len(ev):,}\n"
+        f"events:            {len(ev):,}  (cpus: {os.cpu_count()})\n"
         f"cold (scan+store): {t_cold * 1e3:9.1f} ms\n"
         f"warm (cache hits): {t_warm * 1e3:9.1f} ms\n"
         f"speedup:           {speedup:8.1f}x  (floor: 5x)",
@@ -343,7 +343,7 @@ def test_cache_incremental_append(tmp_path):
     save_result(
         "cache_incremental",
         "incremental re-analysis of an appended archive (1 worker)\n"
-        f"prefix events:     {n_prefix:,} (cached)\n"
+        f"prefix events:     {n_prefix:,} (cached)  (cpus: {os.cpu_count()})\n"
         f"appended events:   {n_total - n_prefix:,} (rescanned)\n"
         f"incremental:       {t_incr.elapsed * 1e3:9.1f} ms\n"
         f"cold full scan:    {t_cold.elapsed * 1e3:9.1f} ms\n"
