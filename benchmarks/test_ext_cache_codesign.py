@@ -14,6 +14,8 @@ checks that the analytical diagnostics predict the simulated hardware:
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -116,7 +118,7 @@ def test_ext_fused_sweep_speedup(benchmark):
     speedup = t_naive.elapsed / max(t_fused.elapsed, 1e-9)
     lines = [
         "fused cache sweep vs per-config re-simulation, kvreuse:sessions trace",
-        f"events:             {len(events):,}",
+        f"events:             {len(events):,}  (cpus: {os.cpu_count()})",
         f"configurations:     {len(grid)} (64 B lines, 64 sets, ways {SWEEP_WAYS})",
         f"per-config total:   {t_naive.elapsed:8.3f} s",
         f"fused sweep:        {t_fused.elapsed:8.3f} s",

@@ -273,7 +273,8 @@ def test_shard_handoff_shm_vs_pickle():
     """
     from concurrent.futures import ProcessPoolExecutor
 
-    rows = ["shard handoff, parent -> pool worker round trip: pickle vs shm",
+    rows = [f"shard handoff, parent -> pool worker round trip: pickle vs shm "
+            f"(cpus: {os.cpu_count()})",
             f"{'chunk':>12} {'nbytes':>12} {'pickle':>10} {'shm':>10} {'ratio':>7}"]
     reps = 7
     with ProcessPoolExecutor(1, mp_context=mp.get_context("fork")) as pool:

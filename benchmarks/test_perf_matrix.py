@@ -94,7 +94,7 @@ def test_matrix_warm_vs_cold(tmp_path):
     save_result(
         "perf_matrix_warmup",
         f"matrix corpus run: cold vs warm ({N_CELLS} cells, "
-        f"{N_PER_CELL:,} events/cell)\n"
+        f"{N_PER_CELL:,} events/cell, cpus: {os.cpu_count()})\n"
         f"cold (scan+store): {t_cold * 1e3:9.1f} ms\n"
         f"warm (cache hits): {t_warm * 1e3:9.1f} ms\n"
         f"speedup:           {speedup:8.1f}x  (floor: 5x)\n"

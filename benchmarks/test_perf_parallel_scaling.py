@@ -209,7 +209,7 @@ def test_fused_scan_not_slower_than_per_metric(tmp_path):
     save_result(
         "perf_fused_scan",
         "fused pass schedule vs per-metric scans (3 metrics, 1 worker)\n"
-        f"events:            {len(ev):,}\n"
+        f"events:            {len(ev):,}  (cpus: {os.cpu_count()})\n"
         f"per-metric suite:  {t_per * 1e3:9.1f} ms  (3 scans)\n"
         f"fused schedule:    {t_fused * 1e3:9.1f} ms  (1 scan)\n"
         f"speedup:           {t_per / max(t_fused, 1e-9):8.2f}x\n"

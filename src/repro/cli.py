@@ -394,7 +394,7 @@ def _print_report(args, loaded: "LoadedTrace", engine: ParallelEngine) -> None:
     if everything or args.regions:
         rows = hot_regions(
             col, fn_names, hot_threshold=args.hot_threshold,
-            min_pct=args.min_region_pct, max_regions=args.max_regions,
+            min_pct=args.min_region_pct, max_regions=args.max_regions, engine=engine,
         )
         print()
         print(render_region_table(rows, title="hot memory regions (location zoom)", show_max_d=True))

@@ -62,7 +62,12 @@ from repro.core.cachesim import (
     sweep_update,
 )
 from repro.core.diagnostics import FootprintDiagnostics, finalize_diagnostics
-from repro.core.heatmap import accumulate_heatmap, finalize_heatmap, region_points
+from repro.core.heatmap import (
+    accumulate_heatmap,
+    finalize_heatmap,
+    merge_heatmap,
+    region_points,
+)
 from repro.core.hotspot import access_counts, rank_hotspots, roi_from_ranges
 from repro.core.metrics import block_ids
 from repro.core.reuse import (
@@ -926,58 +931,70 @@ class RoiPass(AnalysisPass):
 
 @register_pass
 class HeatmapPass(AnalysisPass):
-    """(region page x time) access and reuse-distance heatmaps (Fig. 8)."""
+    """(region page x time) access and reuse-distance heatmaps (Fig. 8).
+
+    One request carries a tuple of regions, each with its own geometry,
+    and every region reads the same chunk's non-Constant reuse
+    distances; the result is one :class:`~repro.core.heatmap.HeatmapResult`
+    per region, in request order. A ``1 x 1`` region is one address
+    range's reuse statistics (how :mod:`repro.core.zoom` gets its
+    leaves' D).
+    """
 
     name = "heatmap"
     requires = ("nonconstant", "reuse_distances")
     defaults = {"access_block": 64}
     #: bin geometry must be fixed from the whole trace before scanning;
     #: :func:`repro.core.heatmap.heatmap_request` does that.
-    needs = ("base", "size", "page_size", "t_edges", "n_pages", "n_bins")
+    needs = ("regions",)
     whole_without_samples = True
 
     def init(self, params):
-        n_pages, n_bins = params["n_pages"], params["n_bins"]
-        return (
-            np.zeros((n_pages, n_bins), dtype=np.int64),
-            np.zeros((n_pages, n_bins), dtype=np.float64),
-            np.zeros((n_pages, n_bins), dtype=np.int64),
+        return tuple(
+            (
+                np.zeros((r["n_pages"], r["n_bins"]), dtype=np.int64),
+                np.zeros((r["n_pages"], r["n_bins"]), dtype=np.float64),
+                np.zeros((r["n_pages"], r["n_bins"]), dtype=np.int64),
+                np.full((r["n_pages"], r["n_bins"]), -1, dtype=np.int64),
+            )
+            for r in params["regions"]
         )
 
     def update(self, partial, chunk, params):
         nc, _ = chunk.nonconstant
         d = chunk.reuse_distances(params["access_block"], nonconst=True)
-        addr, t, d = region_points(nc, d, params["base"], params["size"])
-        acc = accumulate_heatmap(
-            addr,
-            t,
-            d,
-            base=params["base"],
-            page_size=params["page_size"],
-            t_edges=params["t_edges"],
-            n_pages=params["n_pages"],
-            n_bins=params["n_bins"],
+        addr = nc["addr"].astype(np.int64)
+        t = nc["t"].astype(np.int64)
+        return tuple(
+            merge_heatmap(
+                acc,
+                accumulate_heatmap(
+                    *region_points(addr, t, d, r["base"], r["size"]),
+                    base=r["base"],
+                    page_size=r["page_size"],
+                    t_edges=r["t_edges"],
+                    n_pages=r["n_pages"],
+                    n_bins=r["n_bins"],
+                ),
+            )
+            for acc, r in zip(partial, params["regions"])
         )
-        return self.merge(partial, acc)
 
     def merge(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(merge_heatmap(x, y) for x, y in zip(a, b))
 
     def finalize(self, partial, ctx, params):
-        counts, dsum, dcnt = partial
-        return finalize_heatmap(
-            counts,
-            dsum,
-            dcnt,
-            base=params["base"],
-            page_size=params["page_size"],
-            t_edges=params["t_edges"],
+        return tuple(
+            finalize_heatmap(
+                *acc, base=r["base"], page_size=r["page_size"], t_edges=r["t_edges"]
+            )
+            for acc, r in zip(partial, params["regions"])
         )
 
     def render(self, result):
         from repro.core.heatmap import render_heatmap_ascii
 
-        return render_heatmap_ascii(result.counts)
+        return "\n\n".join(render_heatmap_ascii(hm.counts) for hm in result)
 
 
 @register_pass

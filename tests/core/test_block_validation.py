@@ -66,5 +66,5 @@ def test_accepts_powers_of_two(call):
 def test_engine_heatmap_uses_same_contract():
     # the engine's heatmap request is validated before any scan is planned
     with pytest.raises(ValueError) as err:
-        heatmap_request(_ev(), 0, 4096, access_block=48)
+        heatmap_request(_ev(), [(0, 4096, 64, 64)], access_block=48)
     assert str(err.value) == "block must be a positive power of two, got 48"

@@ -227,12 +227,23 @@ class TestParallelEqualsSerialMore:
 
     def test_heatmap(self):
         ev, sid = _trace(3000, seed=17, const_frac=0.1)
-        with ParallelEngine(workers=1, chunk_size=333) as eng:
-            par = _analyze(eng, ev, [heatmap_request(ev, 0, 1 << 17)], sid)["heatmap"]
-        ser = access_heatmap(ev, 0, 1 << 17, sample_id=sid)
-        assert np.array_equal(par.counts, ser.counts)
-        assert np.array_equal(par.reuse, ser.reuse, equal_nan=True)
-        assert np.array_equal(par.t_edges, ser.t_edges)
+        # the one-region request, and a many-region one: two overlapping
+        # regions of different geometry plus one no access reaches
+        for regions in (
+            [(0, 1 << 17, 64, 64)],
+            [(0, 1 << 17, 64, 64), (1 << 16, 1 << 17, 8, 5), (1 << 20, 4096, 3, 2)],
+        ):
+            with ParallelEngine(workers=1, chunk_size=333) as eng:
+                par = _analyze(eng, ev, [heatmap_request(ev, regions)], sid)["heatmap"]
+            assert len(par) == len(regions)
+            for hm, (base, size, n_pages, n_bins) in zip(par, regions):
+                ser = access_heatmap(
+                    ev, base, size, n_pages=n_pages, n_bins=n_bins, sample_id=sid
+                )
+                assert np.array_equal(hm.counts, ser.counts)
+                assert np.array_equal(hm.reuse, ser.reuse, equal_nan=True)
+                assert np.array_equal(hm.reuse_max, ser.reuse_max)
+                assert np.array_equal(hm.t_edges, ser.t_edges)
 
     def test_code_windows(self):
         ev, sid = _trace(20_000, seed=21)

@@ -73,11 +73,16 @@ def _run(eng, ev, requests, sid=None, **kwargs) -> dict:
     return eng.analyze((ev, sid, None), requests, **kwargs).results
 
 
-def _heatmap_request(ev, sid):
-    return heatmap_request(ev, 0, 1 << 17)
+#: heatmap requests every engine test runs: the one-region form, and the
+#: report's many-region form — two overlapping regions of different
+#: geometry plus one no access reaches
+HEATMAP_REGION_SETS = [
+    [(0, 1 << 17, 64, 64)],
+    [(0, 1 << 17, 64, 64), (1 << 16, 1 << 17, 8, 5), (1 << 20, 4096, 3, 2)],
+]
 
 
-def _all_requests(ev, sid):
+def _all_requests(ev, regions=HEATMAP_REGION_SETS[0]):
     """One request per registered built-in pass."""
     return [
         ("diagnostics", {"block": 64}),
@@ -85,11 +90,23 @@ def _all_requests(ev, sid):
         ("reuse", {"block": 64}),
         "hotspot",
         "roi",
-        _heatmap_request(ev, sid),
+        heatmap_request(ev, regions),
     ]
 
 
-def _assert_matches_serial(results, ev, sid, rho=1.0):
+def _assert_heatmaps_match_serial(heatmaps, ev, sid, regions):
+    """One engine heatmap per region, each equal to :func:`access_heatmap`."""
+    assert len(heatmaps) == len(regions)
+    for hm, (base, size, n_pages, n_bins) in zip(heatmaps, regions):
+        ser = access_heatmap(ev, base, size, n_pages=n_pages, n_bins=n_bins, sample_id=sid)
+        assert np.array_equal(hm.counts, ser.counts)
+        assert np.array_equal(hm.reuse, ser.reuse, equal_nan=True)
+        assert np.array_equal(hm.reuse_max, ser.reuse_max)
+        assert np.array_equal(hm.t_edges, ser.t_edges)
+        assert (hm.base, hm.page_size) == (ser.base, ser.page_size)
+
+
+def _assert_matches_serial(results, ev, sid, rho=1.0, regions=HEATMAP_REGION_SETS[0]):
     """Every pass result equals its legacy serial function, bit for bit."""
     assert results["diagnostics"] == compute_diagnostics(ev, rho=rho, block=64)
     assert results["captures"] == captures_survivals(ev, 64)
@@ -101,9 +118,7 @@ def _assert_matches_serial(results, ev, sid, rho=1.0):
     ser_hot = find_hotspots(ev, FN_NAMES)
     assert results["hotspot"] == ser_hot
     assert results["roi"] == roi_from_hotspots(ser_hot, ev)
-    ser_heat = access_heatmap(ev, 0, 1 << 17, sample_id=sid)
-    assert np.array_equal(results["heatmap"].counts, ser_heat.counts)
-    assert np.array_equal(results["heatmap"].reuse, ser_heat.reuse, equal_nan=True)
+    _assert_heatmaps_match_serial(results["heatmap"], ev, sid, regions)
 
 
 # -- the headline property: fused == serial, every pass, one scan -------------
@@ -116,24 +131,26 @@ class TestFusedEqualsSerial:
         # both sources: in-memory shards and the archive's streamed chunks
         ev, sid = _trace(3000, seed=workers * 101 + chunk)
         path = _archive(tmp_path, ev, sid)
-        requests = _all_requests(ev, sid)
-        with ParallelEngine(workers=workers, chunk_size=chunk) as eng:
-            memory = _run(eng, ev, requests, sid, fn_names=FN_NAMES)
-            archive = eng.analyze(path, requests, rho=1.0, fn_names=FN_NAMES)
-        _assert_matches_serial(memory, ev, sid)
-        _assert_matches_serial(archive.results, ev, sid)
-        assert archive.n_events == len(ev) and archive.mode == "full"
-        assert archive.results["reuse"].scope == "sample"
+        for regions in HEATMAP_REGION_SETS:
+            requests = _all_requests(ev, regions)
+            with ParallelEngine(workers=workers, chunk_size=chunk) as eng:
+                memory = _run(eng, ev, requests, sid, fn_names=FN_NAMES)
+                archive = eng.analyze(path, requests, rho=1.0, fn_names=FN_NAMES)
+            _assert_matches_serial(memory, ev, sid, regions=regions)
+            _assert_matches_serial(archive.results, ev, sid, regions=regions)
+            assert archive.n_events == len(ev) and archive.mode == "full"
+            assert archive.results["reuse"].scope == "sample"
 
     @pytest.mark.parametrize("workers", WORKERS)
     def test_pool_path_bit_identical(self, workers):
         # large enough to clear the pool threshold with several shards
         ev, sid = _trace(40_000, seed=3, n_samples=64)
-        with ParallelEngine(workers=workers, chunk_size=5000) as eng:
-            results = _run(
-                eng, ev, _all_requests(ev, sid), sid, fn_names=FN_NAMES, rho=2.5
-            )
-        _assert_matches_serial(results, ev, sid, rho=2.5)
+        for regions in HEATMAP_REGION_SETS:
+            with ParallelEngine(workers=workers, chunk_size=5000) as eng:
+                results = _run(
+                    eng, ev, _all_requests(ev, regions), sid, fn_names=FN_NAMES, rho=2.5
+                )
+            _assert_matches_serial(results, ev, sid, rho=2.5, regions=regions)
 
     def test_rho_reaches_finalize(self):
         ev, sid = _trace(1000, seed=9)
@@ -159,7 +176,7 @@ class TestEdgeCases:
             ("reuse", {"block": 64}),
             "hotspot",
             "roi",
-            _heatmap_request(ev, sid),
+            heatmap_request(ev, HEATMAP_REGION_SETS[0]),
         ]
         with ParallelEngine(workers=1) as eng:
             results = _run(eng, ev, requests)
@@ -168,7 +185,7 @@ class TestEdgeCases:
         assert results["hotspot"] == []
         assert results["roi"].ranges == []
         assert results["reuse"].n_reuse == 0 and results["reuse"].n_cold == 0
-        assert results["heatmap"].counts.sum() == 0
+        assert results["heatmap"][0].counts.sum() == 0
         with ParallelEngine(workers=2, chunk_size=10) as eng:
             eng_results = _run(eng, ev, requests, sid)
         assert eng_results["diagnostics"] == results["diagnostics"]
@@ -346,7 +363,7 @@ class TestSingleScan:
         ev, sid = _trace(3000, seed=41)
         journal = RunJournal(tmp_path / "j.jsonl")
         with ParallelEngine(workers=1, chunk_size=257, obs=Obs(journal)) as eng:
-            _run(eng, ev, _all_requests(ev, sid), sid)
+            _run(eng, ev, _all_requests(ev), sid)
         journal.close()
         recs = [json.loads(l) for l in (tmp_path / "j.jsonl").read_text().splitlines()]
         scans = [r for r in recs if r["event"] == "shard-analyzed"]

@@ -43,8 +43,12 @@ EMPTY_SID = np.empty(0, dtype=np.int32)
 
 #: params that satisfy HeatmapPass's ``needs`` on an empty trace
 HEATMAP_PARAMS = {
-    "base": 0, "size": 1 << 16, "page_size": 1 << 10,
-    "t_edges": np.array([0.0, 1.0]), "n_pages": 64, "n_bins": 1,
+    "regions": (
+        {
+            "base": 0, "size": 1 << 16, "page_size": 1 << 10,
+            "t_edges": np.array([0.0, 1.0]), "n_pages": 64, "n_bins": 1,
+        },
+    ),
 }
 
 

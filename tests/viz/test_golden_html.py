@@ -99,18 +99,51 @@ def test_page_is_self_contained(case, tmp_path):
 def test_cold_warm_and_no_cache_render_identical_bytes(tmp_path):
     """The analysis cache must never change a single byte of the page.
 
-    Three renders of the same archive — no cache, cold cache (populating
-    ``--cache-dir``), warm cache (hitting it) — must agree exactly. This
-    is the offline half of the live-vs-offline identity the dashboard
-    test closes (``tests/serve/test_dashboard.py``).
+    Four renders of the same archive — no cache, cold cache (populating
+    ``--cache-dir``), warm cache (hitting it), and a sharded one across
+    two workers — must agree exactly. This is the offline half of the
+    live-vs-offline identity the dashboard test closes
+    (``tests/serve/test_dashboard.py``).
     """
     archive = _archive("strided-mix")
     cache = tmp_path / "cache"
     plain = _render(archive, tmp_path / "plain.html")
     cold = _render(archive, tmp_path / "cold.html", "--cache-dir", str(cache))
     warm = _render(archive, tmp_path / "warm.html", "--cache-dir", str(cache))
+    sharded = _render(
+        archive, tmp_path / "sharded.html", "--no-cache", "--workers", "2",
+        "--chunk-size", "256",
+    )
     assert cold == warm, "warm-cache render drifted from the cold one"
     assert plain == cold, "cached render drifted from the uncached one"
+    assert sharded == plain, "sharded render drifted from the serial one"
+
+
+def test_html_report_reuse_kernel_calls(tmp_path, monkeypatch):
+    """One reuse-distance kernel call per scan of the page's analyses.
+
+    The golden ``strided-mix`` page renders 2 heatmaps and 8 interval
+    rows. Serially it needs one call for the report passes, one per
+    interval row, and one for the region scan that serves every hot
+    region's statistics and both heatmaps — 10 in all.
+    """
+    import repro.core.reuse as reuse
+
+    calls = []
+    kernel = reuse.stack_distances
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(reuse, "stack_distances", counted)
+    page = _render(
+        _archive("strided-mix"), tmp_path / "r.html", "--workers", "1", "--no-cache"
+    )
+    vm = json.loads(embedded_viewmodel(page))
+    assert len(vm["heatmaps"]) == 2
+    assert len(vm["intervals"]) == 8
+    assert len(calls) == 10
 
 
 def test_render_is_deterministic(tmp_path):
