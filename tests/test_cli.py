@@ -409,6 +409,55 @@ class TestFailureModes:
         err = capsys.readouterr().err
         assert f"argument {option}: expected" in err and repr(value) in err
 
+    @pytest.mark.parametrize(
+        "command,option,value,extra",
+        [
+            ("report", "--workers", "-1", []),
+            ("report", "--workers", "-1", ["--json"]),
+            ("report", "--chunk-size", "0", []),
+            ("matrix", "--workers", "-2", []),
+            ("matrix", "--chunk-size", "0", []),
+            ("matrix", "--chunk-size", "-3", []),
+        ],
+    )
+    def test_bad_engine_option_is_a_usage_error(
+        self, trace_file, tmp_path, capsys, command, option, value, extra
+    ):
+        """Engine flags are checked by argparse for every command that has them."""
+        target = trace_file
+        if command == "matrix":
+            import shutil
+
+            target = tmp_path / "corpus"
+            target.mkdir()
+            shutil.copy(trace_file, target / "base.npz")
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(target), option, value, "--no-cache", *extra])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {option}: expected" in err and repr(value) in err
+
+    @pytest.mark.parametrize(
+        "option,value", [("--workers", "-1"), ("--chunk-size", "0")]
+    )
+    def test_bad_serve_engine_option_is_a_usage_error(self, tmp_path, capsys, option, value):
+        # parse only: no daemon is started
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["serve", "--root", str(tmp_path), option, value])
+        assert exc.value.code == 2
+        assert f"argument {option}: expected" in capsys.readouterr().err
+
+    def test_zero_workers_is_accepted(self, trace_file, tmp_path, capsys):
+        parser = build_parser()
+        for argv in (
+            ["report", str(trace_file)],
+            ["matrix", str(tmp_path)],
+            ["serve", "--root", str(tmp_path)],
+        ):
+            assert parser.parse_args([*argv, "--workers", "0"]).workers == 0
+        assert main(["report", str(trace_file), "--workers", "0", "--no-cache"]) == 0
+        capsys.readouterr()
+
     def test_report_option_bounds_are_accepted(self, trace_file, capsys):
         rc = main(
             [
