@@ -22,8 +22,10 @@ import pytest
 
 from benchmarks.conftest import save_result
 from repro._util.timers import Timer
+from repro.core.artifacts import ArtifactStore
 from repro.core.corpus import CorpusSpec
 from repro.core.matrix import run_matrix
+from repro.core.parallel import ParallelEngine
 from repro.core.report import payload_json
 from repro.obs import MetricsRegistry, Obs, RunJournal, read_journal
 from repro.trace.event import make_events
@@ -74,7 +76,9 @@ def test_matrix_warm_vs_cold(tmp_path):
     def run():
         obs = Obs(RunJournal(jpath), MetricsRegistry())
         with Timer() as t:
-            result = run_matrix(spec, cache_dir=tmp_path / "cache", obs=obs)
+            store = ArtifactStore(tmp_path / "cache", obs=obs)
+            with ParallelEngine(store=store, obs=obs) as engine:
+                result = run_matrix(spec, engine=engine)
         obs.close()
         return result, t.elapsed
 

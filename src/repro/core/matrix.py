@@ -21,50 +21,21 @@ import time
 from repro.core.corpus import CellResult, CorpusResult, CorpusSpec, cell_payload
 from repro.core.parallel import ParallelEngine
 from repro.core.report import report_requests
-from repro.obs.handle import Obs
 
 __all__ = ["run_matrix"]
 
 
-def run_matrix(
-    spec: CorpusSpec,
-    *,
-    engine: ParallelEngine | None = None,
-    cache_dir=None,
-    cache_max_bytes: int | None = None,
-    workers: int = 1,
-    chunk_size: int | None = None,
-    obs: Obs | None = None,
-) -> CorpusResult:
-    """Analyze every cell of ``spec`` and aggregate the results.
+def run_matrix(spec: CorpusSpec, *, engine: ParallelEngine | None = None) -> CorpusResult:
+    """Analyze every cell of ``spec`` through ``engine`` and aggregate the results.
 
-    Pass ``engine`` to reuse a configured engine (its store, ``obs`` and
-    chunk size win; passing ``chunk_size`` or ``obs`` with it is a
-    ``ValueError``); otherwise one engine is built from the keyword
-    knobs, with a persistent :class:`ArtifactStore` when ``cache_dir`` is
-    given. Cells run in spec order; each archive streams through
+    The engine's store, ``obs``, workers and chunk size apply to every
+    cell; without one, an in-process single-worker engine with no store
+    runs them. Cells run in spec order; each archive streams through
     :meth:`ParallelEngine.analyze` with the default report pass set
     (:func:`~repro.core.report.report_requests` at the cell's block
     sizes) fused into one scan.
     """
-    if engine is not None and (chunk_size is not None or obs is not None):
-        raise ValueError("run_matrix: pass chunk_size and obs to the engine, not with it")
-    if engine is None:
-        obs = Obs() if obs is None else obs
-        store = None
-        if cache_dir is not None:
-            from repro.core.artifacts import DEFAULT_MAX_BYTES, ArtifactStore
-
-            store = ArtifactStore(
-                cache_dir,
-                max_bytes=(
-                    cache_max_bytes if cache_max_bytes is not None else DEFAULT_MAX_BYTES
-                ),
-                obs=obs,
-            )
-        engine = ParallelEngine(
-            workers=workers, chunk_size=chunk_size, store=store, obs=obs
-        )
+    engine = engine or ParallelEngine()
     obs = engine.obs
 
     result = CorpusResult(spec=spec)

@@ -68,7 +68,6 @@ both. Without them the handle's null forms do nothing.
 from __future__ import annotations
 
 import itertools
-import os
 import time
 from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass
@@ -232,15 +231,17 @@ class ParallelEngine:
 
     def __init__(
         self,
-        workers: int | None = None,
+        workers: int = 1,
         chunk_size: int | None = None,
         *,
         store: "ArtifactStore | None" = None,
         obs: Obs | None = None,
     ) -> None:
-        self.workers = workers if workers is not None else (os.cpu_count() or 1)
-        if self.workers < 0:
-            raise ValueError(f"workers must be >= 0, got {self.workers}")
+        if workers < 0:
+            raise ValueError(f"workers must be >= 0, got {workers}")
+        if chunk_size is not None and chunk_size < 1:
+            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+        self.workers = workers
         self.chunk_size = chunk_size
         #: optional persistent ArtifactStore — merged pass partials are
         #: read from and written to it whenever a source carries a

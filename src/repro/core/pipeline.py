@@ -51,25 +51,12 @@ class AnalysisConfig:
     mode: str = "continuous"  # PT enablement: "continuous" | "sampled_only"
     workers: int = 1  # analysis worker processes (1 = in-process)
     chunk_size: int | None = None  # events per shard (None = auto)
-    #: extra analysis passes to fuse into the whole-trace scan: names or
-    #: (name, params) pairs (see repro.core.passes). Resolved eagerly so
-    #: an unknown name fails at configuration time, not mid-analysis.
-    passes: tuple = ()
     #: directory of the persistent content-addressed analysis cache
     #: (repro.core.artifacts.ArtifactStore); None = no persistence.
     #: Sampled events are digested by the same per-chunk CRCs the trace
     #: archives embed, so results cached here are shared with
     #: `memgaze report --cache` runs over the written archive.
     cache_dir: "str | None" = None
-    #: size bound for the cache directory (mtime-LRU eviction); None
-    #: keeps the ArtifactStore default.
-    cache_max_bytes: int | None = None
-
-    def __post_init__(self) -> None:
-        from repro.core.passes import get_pass
-
-        for req in self.passes:
-            get_pass(req if isinstance(req, str) else req[0])
 
 
 @dataclass
@@ -89,9 +76,6 @@ class MemGazeResult:
     #: health record of (events, sample_id) — the persistent-cache key
     #: of this trace when the analysis ran with a cache_dir
     trace_health: dict | None = None
-    #: finalized results of the extra passes fused into the analysis
-    #: scan (AnalysisConfig.passes), keyed by pass name
-    pass_results: dict = field(default_factory=dict)
 
     @property
     def events(self) -> np.ndarray:
@@ -184,10 +168,7 @@ class MemGaze:
             if self.config.cache_dir is not None:
                 from repro.core.artifacts import ArtifactStore
 
-                kwargs = {"obs": self.obs}
-                if self.config.cache_max_bytes is not None:
-                    kwargs["max_bytes"] = self.config.cache_max_bytes
-                store = ArtifactStore(self.config.cache_dir, **kwargs)
+                store = ArtifactStore(self.config.cache_dir, obs=self.obs)
             self._engine = ParallelEngine(
                 workers=self.config.workers,
                 chunk_size=self.config.chunk_size,
@@ -248,32 +229,20 @@ class MemGaze:
         self.obs.gauge("pipeline.kappa").set(kappa)
         fn_names = fn_names or {}
         t0 = time.perf_counter()
-        # one fused scan computes the whole-trace diagnostics, the
-        # per-function code windows and every configured extra pass
+        # one fused scan computes the whole-trace diagnostics and the
+        # per-function code windows
         engine = self.engine
         health = None
         if engine.store is not None:  # int32 sample ids: the written archive's record
             health = _health_record(collection.events, np.asarray(collection.sample_id, np.int32))
-        extra = [
-            r
-            for r in self.config.passes
-            if (r if isinstance(r, str) else r[0]) != "diagnostics"
-        ]
-        extra_names = {r if isinstance(r, str) else r[0] for r in extra}
-        requests = [("diagnostics", {"block": self.config.block})] + extra
-        if "windows" not in extra_names:
-            requests.append(("windows", {"block": self.config.block}))
+        block = {"block": self.config.block}
         results = engine.analyze(
             (collection.events, collection.sample_id, health),
-            requests,
+            [("diagnostics", block), ("windows", block)],
             rho=rho,
             fn_names=fn_names,
         ).results
-        diagnostics = results.pop("diagnostics")
-        # a caller-requested windows pass stays visible in pass_results
-        per_function = (
-            results["windows"] if "windows" in extra_names else results.pop("windows")
-        )
+        diagnostics, per_function = results["diagnostics"], results["windows"]
         self.obs.emit(
             "stage",
             stage="analyze",
@@ -295,7 +264,6 @@ class MemGaze:
             config=self.config,
             engine=engine,
             trace_health=health,
-            pass_results=results,
         )
 
     def analyze_recorder(

@@ -17,8 +17,8 @@ import time
 import numpy as np
 
 from repro.serve.protocol import (
-    DEFAULT_MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
+    RETRY_MS,
     encode_chunk,
     pack_frame,
     read_frame_sync,
@@ -67,11 +67,9 @@ class ServeClient:
         port: int = 0,
         *,
         timeout: float = 30.0,
-        max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
     ) -> None:
         self._sock = socket.create_connection((host, port), timeout=timeout)
         self._fp = self._sock.makefile("rwb")
-        self._max_bytes = max_frame_bytes
 
     def close(self) -> None:
         try:
@@ -90,11 +88,11 @@ class ServeClient:
     def _round_trip(self, header: dict, payload: bytes = b"") -> tuple[dict, bytes]:
         self._fp.write(pack_frame(header, payload))
         self._fp.flush()
-        resp, resp_payload = read_frame_sync(self._fp, self._max_bytes)
+        resp, resp_payload = read_frame_sync(self._fp)
         kind = resp.get("type")
         if kind == "busy":
             raise ServeBusy(
-                resp.get("retry_ms", 50),
+                resp.get("retry_ms", RETRY_MS),
                 scope=resp.get("scope", "global"),
                 queue_depth=resp.get("queue_depth"),
             )

@@ -53,8 +53,8 @@ from pathlib import Path
 from repro.obs.handle import Obs
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.protocol import (
-    DEFAULT_MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
+    RETRY_MS,
     ProtocolError,
     decode_chunk,
     pack_frame,
@@ -77,9 +77,6 @@ class ServeConfig:
     queue_size: int = 64
     workers: int = 1
     chunk_size: int | None = None
-    max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES
-    #: busy responses carry this suggested client backoff
-    retry_ms: int = 50
     #: accept the ``shutdown`` message (tests and local use; a shared
     #: daemon would disable it)
     allow_shutdown: bool = True
@@ -413,7 +410,7 @@ class TraceServer:
         )
         return {
             "type": "busy",
-            "retry_ms": cfg.retry_ms,
+            "retry_ms": RETRY_MS,
             "scope": scope,
             "queue_size": cfg.queue_size,
             "session_queue_size": cfg.session_queue_size,
@@ -427,9 +424,7 @@ class TraceServer:
         try:
             while True:
                 try:
-                    header, payload = await read_frame(
-                        reader, self.config.max_frame_bytes
-                    )
+                    header, payload = await read_frame(reader)
                 except (asyncio.IncompleteReadError, ConnectionError):
                     break
                 try:

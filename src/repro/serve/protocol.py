@@ -28,7 +28,7 @@ validate the payload exactly (:func:`encode_chunk` /
 :func:`decode_chunk`).
 
 Frames are bounded: a peer advertising a header or payload larger than
-``max_bytes`` is rejected with :class:`ProtocolError` *before* any
+:data:`MAX_FRAME_BYTES` is rejected with :class:`ProtocolError` *before* any
 allocation, so a malicious or broken client cannot balloon the daemon.
 """
 
@@ -44,7 +44,8 @@ from repro.trace.event import EVENT_DTYPE
 
 __all__ = [
     "PROTOCOL_VERSION",
-    "DEFAULT_MAX_FRAME_BYTES",
+    "MAX_FRAME_BYTES",
+    "RETRY_MS",
     "ProtocolError",
     "pack_frame",
     "read_frame",
@@ -58,10 +59,13 @@ __all__ = [
 #: carries it so mismatched peers fail fast with a clear error.
 PROTOCOL_VERSION = 1
 
-#: default ceiling for one frame (header + payload). Large enough for a
+#: ceiling for one frame (header + payload). Large enough for a
 #: multi-million-event append, small enough to bound a connection's
 #: memory; both sides enforce it.
-DEFAULT_MAX_FRAME_BYTES = 256 * 1024 * 1024
+MAX_FRAME_BYTES = 256 * 1024 * 1024
+
+#: the client backoff, in milliseconds, that every ``busy`` reply suggests
+RETRY_MS = 50
 
 _FIXED = struct.Struct("!II")
 
@@ -99,7 +103,7 @@ def _parse_header(blob: bytes) -> dict:
 
 
 async def read_frame(
-    reader: asyncio.StreamReader, max_bytes: int = DEFAULT_MAX_FRAME_BYTES
+    reader: asyncio.StreamReader, max_bytes: int = MAX_FRAME_BYTES
 ) -> tuple[dict, bytes]:
     """Read one frame from an asyncio stream.
 
@@ -127,7 +131,7 @@ def _read_all(fp, n: int) -> bytes:
     return b"".join(chunks)
 
 
-def read_frame_sync(fp, max_bytes: int = DEFAULT_MAX_FRAME_BYTES) -> tuple[dict, bytes]:
+def read_frame_sync(fp, max_bytes: int = MAX_FRAME_BYTES) -> tuple[dict, bytes]:
     """Blocking :func:`read_frame` over a socket file object.
 
     Raises :class:`EOFError` when the peer closed before a frame began.

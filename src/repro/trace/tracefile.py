@@ -634,17 +634,16 @@ def iter_trace_chunks(
     path,
     chunk_size: int = 1 << 20,
     *,
-    align_samples: bool = True,
     obs: Obs = NULL_OBS,
     skip: PrefixSkip | None = None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
     """Yield ``(events, sample_id)`` chunks of a trace archive, streaming.
 
-    Chunks hold about ``chunk_size`` events. With ``align_samples`` (and
-    a stored ``sample_id``), a sample is never split across two chunks:
-    the trailing run of the last sample id is carried into the next
-    chunk, so per-chunk intra-sample analyses (reuse distances,
-    boundaries) see exactly what a whole-trace pass would.
+    Chunks hold about ``chunk_size`` events. With a stored ``sample_id``,
+    a sample is never split across two chunks: the trailing run of the
+    last sample id is carried into the next chunk, so per-chunk
+    intra-sample analyses (reuse distances, boundaries) see exactly what
+    a whole-trace pass would.
 
     A missing ``events`` member raises :class:`TraceFormatError` naming
     the archive and the member, instead of ``zipfile``'s bare
@@ -695,7 +694,7 @@ def iter_trace_chunks(
                     carry_ev = carry_ev[:0]
                 if len(ev) == 0:
                     break
-                if align_samples and sid is not None and not done:
+                if sid is not None and not done:
                     # hold back the trailing run of the last sample id —
                     # the next chunk may continue that sample
                     cut = int(np.searchsorted(sid, sid[-1], side="left"))

@@ -157,6 +157,17 @@ class TestMergeOperators:
             ReuseHistogram.identity(8).merge(ReuseHistogram.identity(16))
 
 
+class TestEngineConfig:
+    def test_defaults_to_one_in_process_worker(self):
+        eng = ParallelEngine()
+        assert (eng.workers, eng.chunk_size, eng.store) == (1, None, None)
+
+    @pytest.mark.parametrize("kwargs", [{"workers": -1}, {"chunk_size": 0}, {"chunk_size": -3}])
+    def test_rejects_bad_settings(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            ParallelEngine(**kwargs)
+
+
 # -- engine == serial, the headline property ----------------------------------
 
 

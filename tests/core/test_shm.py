@@ -281,7 +281,6 @@ class _KillWorkerPass:
 
     name = "test-kill-worker"
     requires = ()
-    provides = ""
     defaults = {"parent_pid": -1}
     needs = ()
     whole_without_samples = False

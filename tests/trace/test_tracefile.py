@@ -105,14 +105,6 @@ class TestStreaming:
         assert all(s is None for _, s in parts)
         assert np.array_equal(np.concatenate([e for e, _ in parts]), ev)
 
-    def test_unaligned_mode(self, tmp_path):
-        ev, sid = _big_trace(500)
-        write_trace(tmp_path / "t.npz", ev, TraceMeta(), sample_id=sid)
-        parts = list(
-            iter_trace_chunks(tmp_path / "t.npz", chunk_size=128, align_samples=False)
-        )
-        assert [len(e) for e, _ in parts[:-1]] == [128] * (len(parts) - 1)
-
     def test_empty_trace(self, tmp_path):
         ev = make_events(ip=np.empty(0), addr=np.empty(0))
         write_trace(tmp_path / "t.npz", ev, TraceMeta())
