@@ -1,8 +1,13 @@
 """Matrix runner: corpus aggregation, cache warmth, CLI gating."""
 
 import json
+import multiprocessing
+import shutil
+import sys
+from pathlib import Path
 
 import pytest
+from test_shm import _live_segments
 
 from repro.cli import main as cli_main
 from repro.core.artifacts import ArtifactStore
@@ -12,6 +17,9 @@ from repro.core.matrix import run_matrix
 from repro.core.parallel import ParallelEngine
 from repro.core.report import payload_json
 from repro.obs import MetricsRegistry, Obs, RunJournal, read_journal
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "obs"))
+import faults  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +191,29 @@ class TestCliMatrix:
         assert alive == []
         assert pooled.read_bytes() == serial.read_bytes()
 
+    def test_pooled_cells_overlap(self, corpus_dir, tmp_path, capsys):
+        """Without --chunk-size each cell is one job, and the cells' jobs share the pool."""
+        serial, pooled = tmp_path / "serial.json", tmp_path / "pooled.json"
+        assert cli_main(["matrix", str(corpus_dir), "--no-cache", "-o", str(serial)]) == 0
+        metrics, jpath = tmp_path / "m.json", tmp_path / "journal.jsonl"
+        rc = cli_main(
+            [
+                "matrix", str(corpus_dir), "--no-cache", "--workers", "2",
+                "--metrics", str(metrics), "--journal", str(jpath), "-o", str(pooled),
+            ]
+        )
+        capsys.readouterr()
+        assert rc == 0
+        gauges = json.loads(metrics.read_text(encoding="utf-8"))["metrics"]["gauges"]
+        assert gauges["parallel.peak_in_flight"]["value"] >= 2
+        assert pooled.read_bytes() == serial.read_bytes()
+        lines = list(read_journal(jpath))
+        labels = [c.label for c in CorpusSpec.from_directory(corpus_dir).cells]
+        assert [r["label"] for r in lines if r["event"] == "matrix-cell"] == labels
+        # each cell still journals its own merge and analyze-file stage
+        stages = [r.get("stage") for r in lines if r["event"] == "stage"]
+        assert stages.count("merge") == stages.count("analyze-file") == len(labels)
+
     def test_gate_exit_codes_and_verdict_file(self, corpus_dir, tmp_path, capsys):
         payload = self._payload(corpus_dir, capsys)
         # pick a metric that really moved, then gate just under/at its delta
@@ -275,3 +306,36 @@ class TestCliMatrix:
         bad.write_text("[bogus]\nmax_abs = 1\n", encoding="utf-8")
         with pytest.raises(SystemExit, match="memgaze matrix:"):
             cli_main(["matrix", str(corpus_dir), "--gate", str(bad)])
+
+
+@pytest.mark.faults
+class TestDamagedCell:
+    """A damaged archive in a corpus is a clean error, never a traceback."""
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("fault", ["truncate", "bit_flip"])
+    def test_damaged_cell_after_a_healthy_one(
+        self, corpus_dir, tmp_path, capsys, fault, workers
+    ):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        shutil.copy(corpus_dir / "base.npz", corpus / "a_ok.npz")
+        getattr(faults, fault)(corpus_dir / "cand.npz", corpus / "b_bad.npz")
+        before_segments = _live_segments()
+        before_children = set(multiprocessing.active_children())
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["matrix", str(corpus), "--no-cache", "--workers", workers])
+        capsys.readouterr()
+        message = str(exc.value.code)
+        assert message.startswith("memgaze matrix: unrecoverable trace archive: ")
+        assert "b_bad.npz" in message
+        assert _live_segments() - before_segments == set()
+        alive = [p for p in multiprocessing.active_children() if p not in before_children]
+        assert alive == []
+
+    @pytest.mark.parametrize("fault", ["truncate", "bit_flip"])
+    def test_report_recovers_the_same_archives(self, corpus_dir, tmp_path, capsys, fault):
+        """``report`` reads the same archives through recovery, with no traceback."""
+        bad = getattr(faults, fault)(corpus_dir / "cand.npz", tmp_path / "bad.npz")
+        cli_main(["report", str(bad), "--no-cache"])
+        assert "analyzing the verified prefix" in capsys.readouterr().err

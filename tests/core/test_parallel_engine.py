@@ -12,7 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from test_shm import _live_segments
+
 from repro._util.rng import derive_rng
+from repro.core.artifacts import ArtifactStore
 from repro.core.diagnostics import compute_diagnostics
 from repro.core.heatmap import access_heatmap, heatmap_request
 from repro.core.metrics import captures_survivals, footprint, footprint_by_class
@@ -25,6 +28,7 @@ from repro.core.parallel import (
 from repro.core.reuse import ReuseHistogram, mean_reuse_distance, reuse_histogram
 from repro.core.windows import code_windows
 from repro.trace.event import LoadClass, make_events
+from repro.trace.tracefile import TraceMeta, read_trace, write_trace
 
 BLOCKS = [1, 64, 4096]
 WORKERS = [1, 2, 8]
@@ -314,3 +318,102 @@ class TestProcessPool:
             stats = dict(eng.obs.timers.stats)
         assert "compute" in stats and stats["compute"].items == 40_000
         assert "merge" in stats
+
+
+# -- batches: analyze_many equals one analyze call per source -----------------
+
+BATCH_PASSES = ["diagnostics", "captures", "reuse"]
+#: source kinds a batch mixes; "warm" sources are served whole by the
+#: store, "appended" extends a stored prefix (the incremental path)
+BATCH_KINDS = ["memory", "memory-warm", "archive", "warm", "appended", "empty", "empty-archive"]
+
+
+def _batch_archive(path, n, seed):
+    ev, _ = _trace(n, seed=seed)
+    sid = (np.arange(n) // 50).astype(np.int32)  # sample boundaries every 50 events
+    meta = TraceMeta(module=f"batch-{seed}", n_loads_total=3 * n, n_samples=int(sid[-1]) + 1)
+    write_trace(path, ev, meta, sid)
+    return ev, sid, meta
+
+
+@pytest.fixture(scope="module")
+def batch_sources(tmp_path_factory):
+    """Every BATCH_KINDS source, plus what warms a store for it."""
+    root = tmp_path_factory.mktemp("batch")
+    big, big_sid = _trace(20_000, seed=41, n_samples=400)  # pools at 2 workers
+    # the store offers its longest state shorter than a trace as the
+    # trace's prefix, so the appended trace's real prefix (2000 events)
+    # is the longest stored state below its 3500 events
+    _batch_archive(root / "archive.npz", 4000, seed=42)
+    _batch_archive(root / "warm.npz", 1200, seed=43)
+    _batch_archive(root / "memwarm.npz", 1500, seed=44)
+    ev, sid, meta = _batch_archive(root / "appended.npz", 3500, seed=45)
+    write_trace(root / "prefix.npz", ev[:2000], meta, sid[:2000])
+    write_trace(root / "empty.npz", ev[:0], TraceMeta(module="empty"), sid[:0])
+    mem_ev, _, mem_sid, mem_health = read_trace(root / "memwarm.npz")
+    sources = {
+        "memory": (big, big_sid, None),
+        "memory-warm": (mem_ev, mem_sid, mem_health),
+        "archive": root / "archive.npz",
+        "warm": root / "warm.npz",
+        "appended": root / "appended.npz",
+        "empty": (big[:0], big_sid[:0], None),
+        "empty-archive": root / "empty.npz",
+    }
+    # analyzed into a store before the batch: served whole, or as a prefix
+    warmup = [sources["memory-warm"], sources["warm"], root / "prefix.npz"]
+    return sources, warmup
+
+
+def _batch_tuple(a):
+    """What one source's analysis computed, as a comparable value."""
+    reuse = a.results["reuse"]
+    return (
+        a.mode,
+        a.n_events,
+        a.skipped_events,
+        a.rho,
+        a.results["diagnostics"],
+        a.results["captures"],
+        reuse.counts.tolist(),
+        reuse.n_cold,
+        reuse.n_reuse,
+        reuse.d_sum,
+        reuse.d_max,
+        reuse.scope,
+    )
+
+
+class TestAnalyzeMany:
+    @settings(max_examples=15, deadline=None)
+    @given(
+        kinds=st.lists(st.sampled_from(BATCH_KINDS), min_size=1, max_size=4, unique=True),
+        workers=st.sampled_from([1, 2]),
+        chunk=st.sampled_from([None, 97, 4096]),
+    )
+    def test_batch_equals_one_by_one(self, batch_sources, tmp_path_factory, kinds, workers, chunk):
+        sources, warmup = batch_sources
+        items = [(sources[k], BATCH_PASSES) for k in kinds]
+        before = _live_segments()
+
+        def engine(name):
+            store = ArtifactStore(tmp_path_factory.mktemp(name))
+            with ParallelEngine(store=store) as warm:
+                for source in warmup:
+                    warm.analyze(source, BATCH_PASSES)
+            return ParallelEngine(workers=workers, chunk_size=chunk, store=store)
+
+        with engine("batch") as eng:
+            batch = eng.analyze_many(items)
+        with engine("single") as eng:
+            single = [eng.analyze(source, requests) for source, requests in items]
+        assert [_batch_tuple(a) for a in batch] == [_batch_tuple(a) for a in single]
+        modes = {k: a.mode for k, a in zip(kinds, batch)}
+        assert all(modes[k] == "cached" for k in ("warm", "memory-warm") if k in modes)
+        assert modes.get("appended", "incremental") == "incremental"
+        assert _live_segments() - before == set()
+
+    def test_empty_batch(self):
+        with ParallelEngine(workers=2) as eng:
+            assert eng.analyze_many([]) == []
+            assert eng._pool is None  # nothing to scan starts no pool

@@ -14,6 +14,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 import repro
 from repro.cli import main as cli_main
 
@@ -73,3 +75,15 @@ def test_cli_serve_submit_query_round_trip(tmp_path, make_rng, build_archive, ca
     assert proc.returncode == 0, err
     assert "memgaze serve: listening on 127.0.0.1:" in out
     assert "memgaze serve: stopped" in out
+
+
+def test_submit_of_a_damaged_archive_is_a_clean_error(tmp_path, make_rng, build_archive):
+    """The archive is read before any connection, so no daemon is needed."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "obs"))
+    import faults
+
+    archive = tmp_path / "t.npz"
+    build_archive(archive, make_rng(), n_samples=6, per_sample=200)
+    bad = faults.truncate(archive, tmp_path / "bad.npz")
+    with pytest.raises(SystemExit, match="memgaze submit: .*bad.npz"):
+        cli_main(["submit", str(bad), "--port", "1"])

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import build_parser, main, parse_args
 
 
 @pytest.fixture(scope="module")
@@ -446,6 +446,53 @@ class TestFailureModes:
             build_parser().parse_args(["serve", "--root", str(tmp_path), option, value])
         assert exc.value.code == 2
         assert f"argument {option}: expected" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-1", "two"])
+    def test_bad_serve_workers_is_a_usage_error(self, tmp_path, capsys, value):
+        # parse only: no daemon is started
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["serve", "--root", str(tmp_path), "--serve-workers", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --serve-workers: expected" in err and repr(value) in err
+
+    @pytest.mark.parametrize("value", ["0", "-3", "many"])
+    def test_bad_serve_workers_env_is_a_usage_error(
+        self, tmp_path, capsys, monkeypatch, value
+    ):
+        monkeypatch.setenv("MEMGAZE_SERVE_WORKERS", value)
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["serve", "--root", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "MEMGAZE_SERVE_WORKERS" in err and repr(value) in err
+
+    def test_serve_workers_env_fallback(self, tmp_path, monkeypatch):
+        root = ["serve", "--root", str(tmp_path)]
+        monkeypatch.delenv("MEMGAZE_SERVE_WORKERS", raising=False)
+        assert parse_args(root).serve_workers == 1
+        monkeypatch.setenv("MEMGAZE_SERVE_WORKERS", "3")
+        assert parse_args(root).serve_workers == 3
+        # the flag wins over the environment, and other commands ignore it
+        assert parse_args([*root, "--serve-workers", "2"]).serve_workers == 2
+        monkeypatch.setenv("MEMGAZE_SERVE_WORKERS", "0")
+        assert parse_args(["matrix", str(tmp_path)]).workers == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trace", "--workload", "ubench:str4", "-o", "t.npz"],
+            ["validate", "--workload", "ubench:str4"],
+        ],
+    )
+    @pytest.mark.parametrize("option", ["--period", "--buffer"])
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_bad_sampling_count_is_a_usage_error(self, capsys, argv, option, value):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, option, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {option}: expected" in err and repr(value) in err
 
     def test_zero_workers_is_accepted(self, trace_file, tmp_path, capsys):
         parser = build_parser()
