@@ -8,6 +8,10 @@ run that populated it, and the aggregated corpus payload is
 change it. The journal's per-cell ``matrix-cell`` lines are the
 cache-hit evidence (``mode: "cached"`` for every warm cell).
 
+A second cold run at 2 workers, into a store of its own, records what
+the shared pool does for a cold corpus next to the serial cold run
+(no gate; its payload must equal the serial one).
+
 Trace size per cell is tunable via ``MEMGAZE_BENCH_EVENTS`` (total
 across cells, default 600K). Set ``MEMGAZE_BENCH_JOURNAL`` to a path
 to keep the journal — CI uploads it as a build artifact.
@@ -73,22 +77,24 @@ def test_matrix_warm_vs_cold(tmp_path):
     spec = _corpus_dir(tmp_path / "corpus")
     jpath = os.environ.get("MEMGAZE_BENCH_JOURNAL") or (tmp_path / "matrix.jsonl")
 
-    def run():
+    def run(cache="cache", workers=1):
         obs = Obs(RunJournal(jpath), MetricsRegistry())
         with Timer() as t:
-            store = ArtifactStore(tmp_path / "cache", obs=obs)
-            with ParallelEngine(store=store, obs=obs) as engine:
+            store = ArtifactStore(tmp_path / cache, obs=obs)
+            with ParallelEngine(workers, store=store, obs=obs) as engine:
                 result = run_matrix(spec, engine=engine)
         obs.close()
         return result, t.elapsed
 
+    pooled, t_pooled = run("pooled-cache", workers=2)
     cold, t_cold = run()
     warm, t_warm = run()
 
-    assert set(cold.modes.values()) == {"full"}
+    assert set(cold.modes.values()) == set(pooled.modes.values()) == {"full"}
     assert set(warm.modes.values()) == {"cached"}
     cold_bytes = payload_json(cold.corpus_payload())
     assert payload_json(warm.corpus_payload()) == cold_bytes
+    assert payload_json(pooled.corpus_payload()) == cold_bytes
 
     # journal evidence: the last N_CELLS matrix-cell lines are all cache hits
     cells = [r for r in read_journal(jpath) if r["event"] == "matrix-cell"]
@@ -100,8 +106,9 @@ def test_matrix_warm_vs_cold(tmp_path):
         f"matrix corpus run: cold vs warm ({N_CELLS} cells, "
         f"{N_PER_CELL:,} events/cell, cpus: {os.cpu_count()})\n"
         f"cold (scan+store): {t_cold * 1e3:9.1f} ms\n"
+        f"cold, 2 workers:   {t_pooled * 1e3:9.1f} ms\n"
         f"warm (cache hits): {t_warm * 1e3:9.1f} ms\n"
-        f"speedup:           {speedup:8.1f}x  (floor: 5x)\n"
-        f"payload:           {len(cold_bytes):,} bytes, warm == cold",
+        f"speedup:           {speedup:8.1f}x  (floor: 5x, warm vs serial cold)\n"
+        f"payload:           {len(cold_bytes):,} bytes, warm == cold == 2-worker cold",
     )
     assert speedup >= 5.0, f"warm matrix run only {speedup:.1f}x faster"

@@ -676,9 +676,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.serve.daemon import ServeConfig, TraceServer
 
-    serve_workers = args.serve_workers
-    if serve_workers is None:
-        serve_workers = int(os.environ.get("MEMGAZE_SERVE_WORKERS", "1"))
     config = ServeConfig(
         root=args.root,
         host=args.host,
@@ -686,7 +683,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         queue_size=args.queue_size,
         workers=args.workers,
         chunk_size=args.chunk_size,
-        serve_workers=serve_workers,
+        serve_workers=args.serve_workers,
         session_queue_size=args.session_queue_size,
         dashboard=args.dashboard,
         dashboard_port=args.dashboard_port,
@@ -742,7 +739,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             session=session,
             chunk_size=args.chunk_size,
         )
-    except (ServeError, ConnectionError, OSError) as exc:
+    except (ServeError, ConnectionError, OSError, TraceFormatError) as exc:
         raise SystemExit(f"memgaze submit: {exc}") from exc
     shed = f" ({info['n_shed']} sheds absorbed)" if info["n_shed"] else ""
     print(
@@ -836,8 +833,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace = sub.add_parser("trace", help="run a workload and collect a sampled trace")
     p_trace.add_argument("--workload", required=True, help="family:variant (see module docs)")
     p_trace.add_argument("--scale", type=int, default=10, help="workload scale (graphs: log2 vertices)")
-    p_trace.add_argument("--period", type=int, default=12_000, help="sample period w+z in loads")
-    p_trace.add_argument("--buffer", type=int, default=1024, help="PT buffer capacity in records")
+    p_trace.add_argument("--period", type=_positive_int, default=12_000, help="sample period w+z in loads")
+    p_trace.add_argument("--buffer", type=_positive_int, default=1024, help="PT buffer capacity in records")
     p_trace.add_argument("--mode", choices=["continuous", "sampled_only"], default="continuous")
     p_trace.add_argument("--seed", type=int, default=0)
     p_trace.add_argument("--deterministic", action="store_true", help="disable buffer fill jitter")
@@ -972,8 +969,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_val.add_argument("--workload", required=True)
     p_val.add_argument("--scale", type=int, default=10)
-    p_val.add_argument("--period", type=int, default=9_973)
-    p_val.add_argument("--buffer", type=int, default=1024)
+    p_val.add_argument("--period", type=_positive_int, default=9_973)
+    p_val.add_argument("--buffer", type=_positive_int, default=1024)
     p_val.add_argument("--seed", type=int, default=0)
     p_val.set_defaults(fn=_cmd_validate)
 
@@ -1032,7 +1029,7 @@ def build_parser() -> argparse.ArgumentParser:
         "global queue",
     )
     p_serve.add_argument(
-        "--serve-workers", type=int, default=None, metavar="N",
+        "--serve-workers", type=_positive_int, default=None, metavar="N",
         help="session-shard worker processes; each session is pinned to "
         "one worker by crc32(session) mod N, so per-session ordering is "
         "preserved while independent sessions run concurrently "
@@ -1095,9 +1092,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """Parse ``argv`` with :func:`build_parser`, filling environment fallbacks.
+
+    ``serve --serve-workers`` falls back to ``$MEMGAZE_SERVE_WORKERS``
+    (then 1); a bad value is a usage error, like a bad flag.
+    """
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "serve" and args.serve_workers is None:
+        value = os.environ.get("MEMGAZE_SERVE_WORKERS", "1")
+        try:
+            args.serve_workers = _positive_int(value)
+        except argparse.ArgumentTypeError as exc:
+            parser.error(f"$MEMGAZE_SERVE_WORKERS: {exc}")
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
     """Entry point."""
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     return args.fn(args)
 
 

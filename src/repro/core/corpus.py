@@ -237,6 +237,8 @@ class CellResult:
     mode: str  # "cached" | "incremental" | "full"
     n_events: int
     skipped_events: int
+    #: the cell's own span from cache lookup to finalize; cells sharing
+    #: a pool overlap, so cells need not sum to the run's wall time
     seconds: float
     digest: str | None
 

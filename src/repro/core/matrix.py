@@ -30,30 +30,33 @@ def run_matrix(spec: CorpusSpec, *, engine: ParallelEngine | None = None) -> Cor
 
     The engine's store, ``obs``, workers and chunk size apply to every
     cell; without one, an in-process single-worker engine with no store
-    runs them. Cells run in spec order; each archive streams through
-    :meth:`ParallelEngine.analyze` with the default report pass set
-    (:func:`~repro.core.report.report_requests` at the cell's block
-    sizes) fused into one scan.
+    runs them. All cells go through one
+    :meth:`ParallelEngine.analyze_many` call with the default report
+    pass set (:func:`~repro.core.report.report_requests` at the cell's
+    block sizes) fused into one scan per archive, so a pooled engine
+    keeps every worker busy across cells. Results and ``matrix-cell``
+    lines come in spec order; a cell's ``seconds`` is its own span from
+    lookup to finalize, overlapping the other cells'.
     """
     engine = engine or ParallelEngine()
     obs = engine.obs
 
     result = CorpusResult(spec=spec)
     t_run = time.perf_counter()
+    items = []
     for cell in spec.cells:
-        t0 = time.perf_counter()
         requests = report_requests(cell.block, cell.reuse_block)
         if cell.cache_sweep:
             requests.append(("cache_sweep", {}))
-        analysis = engine.analyze(cell.trace, requests)
-        seconds = time.perf_counter() - t0
+        items.append((cell.trace, requests))
+    for cell, analysis in zip(spec.cells, engine.analyze_many(items)):
         result.cells[cell.label] = CellResult(
             spec=cell,
             payload=cell_payload(analysis),
             mode=analysis.mode,
             n_events=analysis.n_events,
             skipped_events=analysis.skipped_events,
-            seconds=seconds,
+            seconds=analysis.seconds,
             digest=analysis.digest,
         )
         obs.counter("matrix.cells").inc()
@@ -67,7 +70,7 @@ def run_matrix(spec: CorpusSpec, *, engine: ParallelEngine | None = None) -> Cor
             mode=analysis.mode,
             n_events=analysis.n_events,
             skipped_events=analysis.skipped_events,
-            seconds=seconds,
+            seconds=analysis.seconds,
         )
     modes = [r.mode for r in result.cells.values()]
     obs.emit(

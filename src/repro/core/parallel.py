@@ -4,8 +4,8 @@ The paper's analysis stage (SS:IV-V) is embarrassingly parallel across
 trace windows: footprint is a set cardinality, captures/survivals a
 saturating per-block count, the reuse histogram an integer tally that
 resets at sample boundaries, and heatmaps are matrix sums. This module
-exploits that with one entry point, :meth:`ParallelEngine.analyze`,
-which
+exploits that with :meth:`ParallelEngine.analyze_many` (and
+:meth:`ParallelEngine.analyze`, its one-source form), which, per source,
 
 1. **looks up** every requested pass in the persistent
    :class:`~repro.core.artifacts.ArtifactStore` (whole-trace partials,
@@ -18,12 +18,13 @@ which
    computations are unaffected by the cut);
 3. **fans out** one :func:`~repro.core.passes.scan_chunk` call per
    shard across a ``concurrent.futures`` process pool, at most
-   ``2 * workers`` in flight — event arrays are published into named
-   shared-memory segments (:mod:`repro.core.shm`) and workers attach
-   zero-copy, so only a tiny :class:`~repro.core.shm.ShardRef` crosses
-   the pipe (the pickled slices are the automatic fallback when
-   publishing fails); every scheduled pass reads the same per-chunk
-   intermediates (block ids, class masks, reuse distances); and
+   ``2 * workers`` in flight across all sources — event arrays are
+   published into named shared-memory segments (:mod:`repro.core.shm`)
+   and workers attach zero-copy, so only a tiny
+   :class:`~repro.core.shm.ShardRef` crosses the pipe (the pickled
+   slices are the automatic fallback when publishing fails); every
+   scheduled pass reads the same per-chunk intermediates (block ids,
+   class masks, reuse distances); and
 4. **merges** partials in shard order with each pass's associative
    ``merge`` operator, bit-identical to the serial path.
 
@@ -67,10 +68,12 @@ both. Without them the handle's null forms do nothing.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import time
+from collections.abc import Iterator
 from concurrent.futures import Executor, ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -208,8 +211,40 @@ class _Fold:
     n_events: int = 0
     last_sid: int | None = None
     sid_seen: bool = False
-    #: prefix events served from the store instead (incremental scans)
+    n_partials: int = 0
+    merge_seconds: float = 0.0
+
+
+@dataclass
+class _Scan:
+    """One source's way through :meth:`ParallelEngine.analyze_many`.
+
+    The lookup fills ``merged`` with store hits and plans a lazy
+    ``jobs`` stream for the ``missing`` passes (``None`` when the store
+    served every pass); the shared fold then fills ``fold``.
+    """
+
+    src: _Source
+    scheduled: list
+    merged: list
+    t0: float
+    cached_names: list = field(default_factory=list)
+    missing: list = field(default_factory=list)
+    specs: list | None = None
+    jobs: Iterator | None = None
+    pooled: bool = False
+    #: the archive chunk stream under ``jobs``, closed with it
+    chunks: Iterator | None = None
+    #: cached prefix partials and their event count (incremental scans)
+    prior: list | None = None
     skipped: int = 0
+    fold: _Fold = field(default_factory=_Fold)
+
+    def close(self) -> None:
+        """Close the streams, releasing anything they hold but never handed out."""
+        for stream in (self.jobs, self.chunks):
+            if stream is not None:
+                stream.close()
 
 
 # -- the engine ---------------------------------------------------------------
@@ -269,7 +304,7 @@ class ParallelEngine:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
-    # -- the one entry point --
+    # -- the entry points --
 
     def analyze(
         self,
@@ -312,6 +347,52 @@ class ParallelEngine:
         window — the histogram is then marked ``scope="chunk"``, a
         journal warning records the degradation, and such partials are
         never persisted (they vary with the chunk size).
+
+        This is :meth:`analyze_many` over one item.
+        """
+        return self.analyze_many([(source, requests)], rho=rho, fn_names=fn_names)[0]
+
+    def analyze_many(
+        self,
+        items,
+        *,
+        rho: float | None = None,
+        fn_names: dict[int, str] | None = None,
+    ) -> "list[Analysis]":
+        """:meth:`analyze` every ``(source, requests)`` pair, sharing the pool.
+
+        Each source runs the lookup chain of :meth:`analyze`, which
+        plans a lazy stream of chunk jobs for whatever the store did not
+        serve. One fold consumes the streams in item order: the
+        ``2 * workers`` in-flight bound spans sources, so with a pool a
+        source's jobs are submitted while the previous source's are
+        still running. Each source's partials merge in its own job
+        order; once its last job has folded, its partials and state are
+        stored and it is finalized and journaled as :meth:`analyze`
+        does, so results come back in item order and equal separate
+        :meth:`analyze` calls. ``Analysis.seconds`` is each source's own
+        span from lookup to finalize; pooled, spans overlap.
+
+        Inline (``workers <= 1``) a source is finished before the next
+        is looked up. Pooled, a source may be looked up before an
+        earlier one has stored its partials, so a batch that lists one
+        trace twice, or a trace and its extension, can scan the later
+        one in full where separate calls would hit the store — the
+        results are the same, only ``mode`` differs.
+        """
+        analyses: list[Analysis] = []
+        self._fold(
+            (self._lookup(source, requests, rho) for source, requests in items),
+            lambda scan: analyses.append(self._finish(scan, rho, fn_names)),
+        )
+        return analyses
+
+    def _lookup(self, source, requests, rho) -> "_Scan":
+        """Run a source's lookup chain, planning (not yet reading) its scan.
+
+        Step 1 serves whole-trace partials from the store; for the rest,
+        step 2 plans an incremental tail scan or step 3 a full scan, as
+        a lazy job stream the fold consumes.
         """
         t0 = time.perf_counter()
         scheduled = schedule_passes(requests)
@@ -330,27 +411,45 @@ class ParallelEngine:
                 scheduled = schedule_passes([*scheduled, "diagnostics"])
 
         # 1. whole-trace partials already in the store
-        merged: list = [None] * len(scheduled)
-        cached_names: list[str] = []
+        scan = _Scan(src=src, scheduled=scheduled, merged=[None] * len(scheduled), t0=t0)
         for i, r in enumerate(scheduled):
             if src.cacheable(r.name):
                 hit = self.store.get_partial(src.digest, r.name, r.params)
                 if hit is not MISS:
-                    merged[i] = hit
-                    cached_names.append(r.name)
-        missing = [i for i, v in enumerate(merged) if v is None]
+                    scan.merged[i] = hit
+                    scan.cached_names.append(r.name)
+        scan.missing = [i for i, v in enumerate(scan.merged) if v is None]
+        if not scan.missing:  # served whole from the store; nothing is read
+            scan.fold = _Fold(n_events=int(src.health["n_events"]), sid_seen=src.sid_present)
+            return scan
+        sub = [scheduled[i] for i in scan.missing]
+        scan.specs = [r.spec for r in sub]
+        # 2. verified-prefix incremental scan, 3. full scan
+        if not self._incremental(scan, sub):
+            self._full_scan(scan, sub)
+        return scan
 
-        if not missing:  # served whole from the store; nothing is read
+    def _finish(self, scan: "_Scan", rho, fn_names) -> "Analysis":
+        """Store what a source's scan computed, then finalize and journal it."""
+        src, scheduled, merged, fold = scan.src, scan.scheduled, scan.merged, scan.fold
+        if scan.jobs is None:
             mode = "cached"
-            fold = _Fold(n_events=int(src.health["n_events"]), sid_seen=src.sid_present)
         else:
-            sub = [scheduled[i] for i in missing]
-            # 2. verified-prefix incremental scan, 3. full scan
-            fold = self._incremental(src, sub) or self._full_scan(src, sub)
-            mode = "incremental" if fold.skipped else "full"
+            if scan.prior is not None:
+                fold.merged = (
+                    scan.prior
+                    if fold.merged is None
+                    else merge_partial_lists(scan.prior, fold.merged, scan.specs)
+                )
+                fold.n_events += scan.skipped
+                fold.sid_seen = True
+                self.obs.counter("cache.incremental_scans").inc()
+            mode = "incremental" if scan.prior is not None else "full"
             scanned = fold.merged
             if scanned is None:  # nothing to scan: every partial is the identity
-                scanned = [get_pass(r.name).init(r.params) for r in sub]
+                scanned = [
+                    get_pass(scheduled[i].name).init(scheduled[i].params) for i in scan.missing
+                ]
             # persist what was just computed (and the trace's state, so a
             # future extended trace can match this one as its prefix)
             keep = src.digest is not None
@@ -362,7 +461,7 @@ class ParallelEngine:
                     path=str(src.path),
                     n_events=fold.n_events,
                 )
-            for i, partial in zip(missing, scanned):
+            for i, partial in zip(scan.missing, scanned):
                 r = scheduled[i]
                 merged[i] = partial
                 if keep and src.cacheable(r.name):
@@ -376,8 +475,9 @@ class ParallelEngine:
         results = finalize_schedule(
             scheduled, merged, RunContext(rho=rho, fn_names=fn_names or {})
         )
+        seconds = time.perf_counter() - scan.t0
         if src.path is not None:
-            self._finish_archive(src, scheduled, results, fold, mode, cached_names, rho, t0)
+            self._finish_archive(scan, results, mode, rho, seconds)
         return Analysis(
             results=results,
             meta=src.meta,
@@ -385,7 +485,8 @@ class ParallelEngine:
             rho=rho,
             digest=src.digest,
             mode=mode,
-            skipped_events=fold.skipped,
+            skipped_events=scan.skipped,
+            seconds=seconds,
         )
 
     # -- sources --
@@ -449,8 +550,8 @@ class ParallelEngine:
         except (KeyError, TypeError, ValueError, IndexError):
             return False
 
-    def _incremental(self, src: _Source, sub: list[ResolvedRequest]):
-        """Scan only the events appended after a cached trace state.
+    def _incremental(self, scan: "_Scan", sub: list[ResolvedRequest]) -> bool:
+        """Plan a scan of only the events appended after a cached trace state.
 
         Applies to traces whose health record extends a stored state
         (:meth:`ArtifactStore.find_prefix_state`) with every requested
@@ -460,25 +561,27 @@ class ParallelEngine:
         again — over the in-memory bytes, or while an archive's prefix
         is streamed past (:class:`~repro.trace.tracefile.PrefixSkip`).
         The check proves the prefix *is* the trace that was cached.
-        Returns ``None`` — with a journaled warning when a candidate was
-        rejected — so the caller falls back to a full scan.
+        On success ``scan`` holds the tail's jobs plus the prefix
+        partials to merge in front of them; ``False`` — with a journaled
+        warning when a candidate was rejected — leaves the caller to
+        plan a full scan.
         """
+        src = scan.src
         if src.digest is None or not src.sid_present:
-            return None
+            return False
         if src.path is None and not self._describes(src.health, src.events, src.sample_id):
-            return None
+            return False
         state = self.store.find_prefix_state(src.health)
         if state is None:
-            return None
+            return False
         prior = []
         for r in sub:
             p = self.store.get_partial(state["digest"], r.name, r.params)
             if p is MISS:
-                return None
+                return False
             prior.append(p)
 
         n = int(state["n_events"])
-        specs = [r.spec for r in sub]
         if src.path is None:
             reason = self._memory_prefix_mismatch(src, state)
             first_sid = int(src.sample_id[n])
@@ -490,7 +593,7 @@ class ParallelEngine:
             try:
                 first = next(chunks, None)
             except (OSError, ValueError):
-                return None
+                return False
             reason = first_sid = None
             if first is None:
                 reason = "no events after the cached prefix"
@@ -514,23 +617,15 @@ class ParallelEngine:
                 path=str(src.path),
                 state_n_events=n,
             )
-            return None
+            return False
         if src.path is None:
-            tail = self._scan_arrays(src.events[n:], src.sample_id[n:], sub)
+            self._plan_arrays(scan, src.events[n:], src.sample_id[n:], sub)
         else:
-            tail = self._fold(
-                self._chunk_jobs(itertools.chain([first], chunks)),
-                specs,
-                pooled=self.workers > 1,
-            )
-        tail.merged = (
-            prior if tail.merged is None else merge_partial_lists(prior, tail.merged, specs)
-        )
-        tail.skipped = n
-        tail.n_events += n
-        tail.sid_seen = True
-        self.obs.counter("cache.incremental_scans").inc()
-        return tail
+            scan.chunks = chunks
+            scan.jobs = self._chunk_jobs(itertools.chain([first], chunks))
+            scan.pooled = self.workers > 1
+        scan.prior, scan.skipped = prior, n
+        return True
 
     @staticmethod
     def _memory_prefix_mismatch(src: _Source, state: dict) -> str | None:
@@ -553,43 +648,48 @@ class ParallelEngine:
                 return "prefix checksums do not match the cached state"
         return None
 
-    def _full_scan(self, src: _Source, sub: list[ResolvedRequest]) -> _Fold:
-        """One fused scan of every pass in ``sub`` over the whole source."""
-        if src.path is not None:
-            return self._fold(
-                self._chunk_jobs(self._archive_chunks(src.path)),
-                [r.spec for r in sub],
-                pooled=self.workers > 1,
-            )
-        return self._scan_arrays(src.events, src.sample_id, sub)
+    def _full_scan(self, scan: "_Scan", sub: list[ResolvedRequest]) -> None:
+        """Plan one fused scan of every pass in ``sub`` over the whole source."""
+        src = scan.src
+        if src.path is None:
+            self._plan_arrays(scan, src.events, src.sample_id, sub)
+            return
+        scan.chunks = self._archive_chunks(src.path)
+        scan.jobs = self._chunk_jobs(scan.chunks)
+        scan.pooled = self.workers > 1
 
-    def _scan_arrays(self, events, sample_id, sub: list[ResolvedRequest]) -> _Fold:
-        """Shard in-memory arrays and fold one fused scan over the shards."""
+    def _plan_arrays(self, scan: "_Scan", events, sample_id, sub: list[ResolvedRequest]) -> None:
+        """Shard in-memory arrays into ``scan``'s job stream."""
         n = len(events)
         # cross-event state with no sample boundaries to cut at: one shard
         whole = sample_id is None and any(
             get_pass(r.name).whole_without_samples for r in sub
         )
         shards = [(0, n)] if (whole and n) else self._plan(n, sample_id)
-        pooled = self.workers > 1 and len(shards) > 1 and n >= _MIN_PARALLEL_EVENTS
-        # the arrays are published once; every shard is a view of that slab
+        scan.pooled = self.workers > 1 and len(shards) > 1 and n >= _MIN_PARALLEL_EVENTS
+        scan.jobs = self._shard_jobs(events, sample_id, shards, scan.pooled)
+
+    def _shard_jobs(self, events, sample_id, shards, pooled: bool):
+        """Fold jobs for in-memory shards.
+
+        Pooled, the arrays are published once, when the first job is
+        pulled, and every shard is a view of that slab. The last shard's
+        job carries the slab: jobs fold in submission order, so it is
+        released once every shard has folded.
+        """
         slab = self._publish(events, sample_id) if pooled else None
+        handed = False
         try:
-            return self._fold(
-                (
-                    (
-                        events[lo:hi],
-                        sample_id[lo:hi] if sample_id is not None else None,
-                        slab.ref(lo, hi) if slab is not None else None,
-                        None,
-                    )
-                    for lo, hi in shards
-                ),
-                [r.spec for r in sub],
-                pooled=pooled,
-            )
+            for k, (lo, hi) in enumerate(shards):
+                handed = k == len(shards) - 1
+                yield (
+                    events[lo:hi],
+                    sample_id[lo:hi] if sample_id is not None else None,
+                    slab.ref(lo, hi) if slab is not None else None,
+                    slab if handed else None,
+                )
         finally:
-            if slab is not None:
+            if slab is not None and not handed:
                 slab.release()
 
     # -- the shard-map-merge core --
@@ -653,24 +753,33 @@ class ParallelEngine:
             slab = self._publish(ev, sid) if self.workers > 1 else None
             yield ev, sid, (slab.ref(0, len(ev)) if slab is not None else None), slab
 
-    def _fold(self, jobs, specs, *, pooled: bool) -> _Fold:
-        """Fold ``scan_chunk`` over jobs, merging partials in job order.
+    def _fold(self, scans, finish) -> None:
+        """Fold ``scan_chunk`` over every scan's jobs, then ``finish`` each scan.
 
-        Each job is ``(events, sample_id, shard ref or None, slab to
-        release or None)``. Inline, jobs are scanned one by one; pooled,
-        they are submitted as they arrive with at most ``2 * workers``
-        in flight — a ref goes to the zero-copy worker entry, otherwise
-        the slices are pickled.
+        ``scans`` is consumed lazily, in order. Each job is ``(events,
+        sample_id, shard ref or None, slab to release or None)``. An
+        inline scan's jobs are scanned here; a pooled scan's are
+        submitted as they arrive, with at most ``2 * workers`` in flight
+        across all scans — a ref goes to the zero-copy worker entry,
+        otherwise the slices are pickled. Results fold in submission
+        order, so each scan's partials merge in its own job order, and
+        ``finish`` sees the scans in order, each once its last job has
+        folded. On any error, jobs not yet started are cancelled, every
+        slab still held is released and every opened stream closed.
         """
-        out = _Fold()
-        pool = self._executor() if pooled else None
-        in_flight: list = []
-        n_partials = 0
-        merge_seconds = 0.0
+        pool = None
+        #: pooled jobs ``(scan, future, slab)`` and, after each scan's
+        #: last job, its end marker ``(scan, None, None)``
+        queue: collections.deque = collections.deque()
+        opened: collections.deque = collections.deque()
+        n_jobs = n_events = 0
+        scanned = False
+        t_start = time.perf_counter()
+        outside = 0.0  # lookup and finish time, which is not compute
 
-        def fold(result: tuple[list, dict]) -> None:
-            nonlocal n_partials, merge_seconds
+        def fold(scan: _Scan, result: tuple[list, dict]) -> None:
             partials, stats = result
+            out = scan.fold
             self.obs.counter("passes.chunks_scanned").inc()
             self.obs.counter("passes.artifact_hits").inc(stats["artifact_hits"])
             self.obs.counter("passes.artifact_misses").inc(stats["artifact_misses"])
@@ -681,57 +790,99 @@ class ParallelEngine:
                 out.merged = (
                     partials
                     if out.merged is None
-                    else merge_partial_lists(out.merged, partials, specs)
+                    else merge_partial_lists(out.merged, partials, scan.specs)
                 )
-            merge_seconds += time.perf_counter() - t
-            n_partials += 1
+            out.merge_seconds += time.perf_counter() - t
+            out.n_partials += 1
 
-        def fold_next() -> None:
-            fut, slab = in_flight.pop(0)
-            try:
-                result = fut.result()
-            finally:
-                if slab is not None:
-                    slab.release()
-            fold(result)
+        def pop() -> None:
+            nonlocal n_jobs, outside
+            scan, fut, slab = queue.popleft()
+            if fut is not None:
+                n_jobs -= 1
+                try:
+                    result = fut.result()
+                finally:
+                    if slab is not None:
+                        slab.release()
+                fold(scan, result)
+                return
+            opened.popleft()
+            if scan.jobs is not None:
+                self._count_scan(scan)
+            t = time.perf_counter()
+            finish(scan)
+            outside += time.perf_counter() - t
 
-        t_scan = time.perf_counter()
         try:
-            for ev, sid, ref, slab in jobs:
-                out.n_events += len(ev)
-                if sid is not None and len(sid):
-                    out.sid_seen = True
-                    out.last_sid = int(sid[-1])
-                if pool is None:
-                    fold(scan_chunk(ev, sid, specs, self.obs))
-                    continue
-                if ref is not None:
-                    fut = pool.submit(scan_chunk_shm, ref, specs, self.obs)
-                else:
-                    fut = pool.submit(scan_chunk, ev, sid, specs, self.obs)
-                in_flight.append((fut, slab))
-                self.obs.gauge("parallel.peak_in_flight").set(len(in_flight))
-                while len(in_flight) >= 2 * self.workers:
-                    fold_next()
-            while in_flight:
-                fold_next()
+            scans = iter(scans)
+            while True:
+                t = time.perf_counter()
+                scan = next(scans, None)
+                outside += time.perf_counter() - t
+                if scan is None:
+                    break
+                opened.append(scan)
+                out = scan.fold
+                if scan.jobs is not None:
+                    scanned = True
+                    if scan.pooled and pool is None:
+                        pool = self._executor()
+                    for ev, sid, ref, slab in scan.jobs:
+                        out.n_events += len(ev)
+                        if sid is not None and len(sid):
+                            out.sid_seen = True
+                            out.last_sid = int(sid[-1])
+                        if not scan.pooled:
+                            fold(scan, scan_chunk(ev, sid, scan.specs, self.obs))
+                            continue
+                        try:
+                            if ref is not None:
+                                fut = pool.submit(scan_chunk_shm, ref, scan.specs, self.obs)
+                            else:
+                                fut = pool.submit(scan_chunk, ev, sid, scan.specs, self.obs)
+                        except BaseException:
+                            if slab is not None:
+                                slab.release()
+                            raise
+                        queue.append((scan, fut, slab))
+                        n_jobs += 1
+                        self.obs.gauge("parallel.peak_in_flight").set(n_jobs)
+                        while n_jobs >= 2 * self.workers:
+                            pop()
+                    n_events += out.n_events
+                queue.append((scan, None, None))
+                while queue and queue[0][1] is None:
+                    pop()
+            while queue:
+                pop()
         finally:
-            for _, slab in in_flight:
+            for _, fut, slab in queue:
+                if fut is not None:
+                    fut.cancel()  # not yet started: its slab goes next
                 if slab is not None:
                     slab.release()
-        self.obs.add("compute", time.perf_counter() - t_scan, items=out.n_events)
+            for scan in opened:
+                scan.close()
+        if scanned:
+            self.obs.add("compute", time.perf_counter() - t_start - outside, items=n_events)
+
+    def _count_scan(self, scan: "_Scan") -> None:
+        """Count one finished scan and journal its merge."""
+        out = scan.fold
         self.obs.counter("parallel.events").inc(out.n_events)
-        self.obs.counter("parallel.runs_pooled" if pooled else "parallel.runs_inline").inc()
-        self.obs.counter("parallel.merges").inc(max(0, n_partials - 1))
-        if n_partials:
+        self.obs.counter(
+            "parallel.runs_pooled" if scan.pooled else "parallel.runs_inline"
+        ).inc()
+        self.obs.counter("parallel.merges").inc(max(0, out.n_partials - 1))
+        if out.n_partials:
             self.obs.emit(
                 "stage",
                 stage="merge",
-                n_partials=n_partials,
-                passes=[name for name, _ in specs],
-                seconds=merge_seconds,
+                n_partials=out.n_partials,
+                passes=[name for name, _ in scan.specs],
+                seconds=out.merge_seconds,
             )
-        return out
 
     # -- archive bookkeeping --
 
@@ -747,8 +898,9 @@ class ParallelEngine:
             fn_names = {int(k): v for k, v in stored.items()}
         return rho, fn_names
 
-    def _finish_archive(self, src, scheduled, results, fold, mode, cached_names, rho, t0):
+    def _finish_archive(self, scan: _Scan, results, mode, rho, seconds) -> None:
         """Mark chunk-scoped reuse, journal the degradation and the analysis."""
+        src, fold = scan.src, scan.fold
         degraded = fold.n_events > 0 and not fold.sid_seen
         if "reuse" in results:
             results["reuse"].scope = "chunk" if degraded else "sample"
@@ -767,13 +919,13 @@ class ParallelEngine:
             path=str(src.path),
             n_events=fold.n_events,
             rho=rho,
-            passes=[r.name for r in scheduled],
+            passes=[r.name for r in scan.scheduled],
             chunk_size=size,
             workers=self.workers,
             mode=mode,
-            cached_passes=cached_names,
-            skipped_events=fold.skipped,
-            seconds=time.perf_counter() - t0,
+            cached_passes=scan.cached_names,
+            skipped_events=scan.skipped,
+            seconds=seconds,
         )
 
 
@@ -800,3 +952,6 @@ class Analysis:
     mode: str = "full"
     #: events skipped by the verified-prefix scan in incremental mode
     skipped_events: int = 0
+    #: wall time from the source's lookup to its finalize; under
+    #: :meth:`ParallelEngine.analyze_many` it overlaps other sources'
+    seconds: float = 0.0

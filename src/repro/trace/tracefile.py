@@ -61,6 +61,7 @@ the content digest keyed off it — depends on the arrays alone.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import os
@@ -446,6 +447,15 @@ def write_trace(
     return writer.publish(atomic=atomic)
 
 
+@contextlib.contextmanager
+def _damage_is_format_error(path, key: str):
+    """Raise zip and DEFLATE damage met inside the block as :class:`TraceFormatError`."""
+    try:
+        yield
+    except (zipfile.BadZipFile, zlib.error, EOFError) as e:
+        raise TraceFormatError(path, key, f"damaged archive: {e}") from e
+
+
 def _parse_meta(path, blob: bytes) -> TraceMeta:
     """Decode a ``meta`` member, mapping failures to TraceFormatError."""
     try:
@@ -502,8 +512,14 @@ def read_trace(path) -> tuple[np.ndarray, TraceMeta, np.ndarray | None, dict | N
 
 
 def read_trace_meta(path) -> TraceMeta:
-    """Read only the metadata member of a trace archive (cheap)."""
-    with np.load(path) as archive:
+    """Read only the metadata member of a trace archive (cheap).
+
+    A damaged archive (no zip directory, a member failing its CRC)
+    raises :class:`TraceFormatError` naming it.
+    """
+    # the file is opened here, not by np.load, which leaks it when the
+    # zip directory does not parse
+    with _damage_is_format_error(path, "meta"), open(path, "rb") as fh, np.load(fh) as archive:
         if "meta" not in archive:
             raise TraceFormatError(
                 path, "meta", "archive is missing required member 'meta'"
@@ -647,8 +663,10 @@ def iter_trace_chunks(
 
     A missing ``events`` member raises :class:`TraceFormatError` naming
     the archive and the member, instead of ``zipfile``'s bare
-    ``KeyError``. Through ``obs`` (a :class:`~repro.obs.Obs`) it counts
-    chunks, events, and decompressed bytes read under
+    ``KeyError``; so does zip or DEFLATE damage met while streaming (a
+    member failing its CRC, a corrupt compressed stream). Through
+    ``obs`` (a :class:`~repro.obs.Obs`) it counts chunks, events, and
+    decompressed bytes read under
     ``trace.chunks_read`` / ``trace.events_read`` /
     ``trace.bytes_read`` and journals one ``chunk-read`` line per chunk
     (with ``n_events`` and ``nbytes``), so the journal proves how many times
@@ -666,7 +684,7 @@ def iter_trace_chunks(
     if chunk_size <= 0:
         raise ValueError(f"chunk_size must be > 0, got {chunk_size}")
     actual = _archive_path(path)
-    with zipfile.ZipFile(actual) as zf:
+    with _damage_is_format_error(actual, "events"), zipfile.ZipFile(actual) as zf:
         names = set(zf.namelist())
         if "events.npy" not in names:
             raise TraceFormatError(
