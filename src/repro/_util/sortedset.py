@@ -18,13 +18,42 @@ pinned by ``tests/_util/test_sortedset.py``.
 Preconditions are the caller's contract: each input must be sorted and
 duplicate-free. Nothing here checks (a check would cost the O(n) the
 kernels save).
+
+:func:`sorted_unique` establishes the invariant in the first place. A
+plain ``np.unique(x)`` (no ``return_*`` flag) runs through a hash table
+in numpy 2.x, several times slower on integer block ids than one sort
+plus an adjacent-difference mask, which is what it does instead.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["union_sorted", "intersect_sorted", "setxor_sorted", "setdiff_sorted"]
+__all__ = [
+    "sorted_unique",
+    "union_sorted",
+    "intersect_sorted",
+    "setxor_sorted",
+    "setdiff_sorted",
+]
+
+
+def _dedupe(c: np.ndarray) -> np.ndarray:
+    """The distinct values of a sorted array (drops adjacent repeats)."""
+    if len(c) == 0:
+        return c
+    keep = np.empty(len(c), dtype=bool)
+    keep[0] = True
+    np.not_equal(c[1:], c[:-1], out=keep[1:])
+    return c[keep]
+
+
+def sorted_unique(a: np.ndarray) -> np.ndarray:
+    """``np.unique(a)`` for an integer array, by sort: same values, dtype, order.
+
+    Like ``np.unique`` it flattens and never aliases its input.
+    """
+    return _dedupe(np.sort(a, axis=None))
 
 
 def _merged(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -36,13 +65,7 @@ def _merged(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def union_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a | b`` for sorted-unique inputs; equals ``np.union1d(a, b)``."""
-    c = _merged(a, b)
-    if len(c) == 0:
-        return c
-    keep = np.empty(len(c), dtype=bool)
-    keep[0] = True
-    np.not_equal(c[1:], c[:-1], out=keep[1:])
-    return c[keep]
+    return _dedupe(_merged(a, b))
 
 
 def intersect_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:

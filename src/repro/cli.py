@@ -49,6 +49,7 @@ Example::
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -823,8 +824,14 @@ def _engine_flags(parser: argparse.ArgumentParser, *, cache: bool) -> None:
         )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The ``memgaze`` argument parser."""
+    """The ``memgaze`` argument parser, built once per process.
+
+    Parsing never changes it: each ``parse_args`` call fills a new
+    namespace, and the environment fallbacks are read per call by
+    :func:`parse_args`, not baked into the parser.
+    """
     parser = argparse.ArgumentParser(
         prog="memgaze", description="MemGaze: sampled memory trace analysis"
     )

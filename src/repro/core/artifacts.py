@@ -36,7 +36,7 @@ Two granularities are stored:
   sample id. When a new archive's CRC list *extends* a stored state's
   (same prefix, new chunks appended), the engine scans only the tail
   and merges against the cached prefix partials: incremental
-  re-analysis (:meth:`ArtifactStore.find_prefix_state`).
+  re-analysis (:meth:`ArtifactStore.prefix_states`).
 
 Unfinalized partials are stored (not finalized results) because they
 merge: the same entry serves an exact re-run *and* the prefix of an
@@ -174,7 +174,12 @@ class ArtifactStore:
         return state
 
     def find_prefix_state(self, health: dict) -> dict | None:
-        """The longest stored trace state that is a strict prefix of ``health``.
+        """The longest of :meth:`prefix_states`, or ``None``."""
+        states = self.prefix_states(health)
+        return states[0] if states else None
+
+    def prefix_states(self, health: dict) -> list[dict]:
+        """Stored trace states that may be strict prefixes of ``health``, longest first.
 
         A candidate matches when its chunk geometry agrees, both traces
         carry sample ids (reuse windows need sample boundaries to make
@@ -183,23 +188,24 @@ class ArtifactStore:
         may cover a partial chunk whose bytes the new record checksums
         differently (they now sit inside a larger chunk) — that last
         span is verified during the skip scan instead
-        (:class:`repro.trace.tracefile.PrefixSkip`).
+        (:class:`repro.trace.tracefile.PrefixSkip`). Below one complete
+        CRC chunk every shorter state matches, so an unrelated longer
+        state can come before the real prefix: callers try candidates in
+        order until one verifies.
         """
         target = _canonical_health(health)
         if target is None or target["sample_id_crc"] is None:
-            return None
-        best: dict | None = None
+            return []
+        found = []
         for name in self.cache.names("state-"):
             state = self.cache.get(name)
             if state is MISS or not isinstance(state, dict):
                 continue
-            if state.get("schema") != SCHEMA_VERSION:
-                continue
-            if not self._is_prefix(state, target):
-                continue
-            if best is None or state["n_events"] > best["n_events"]:
-                best = state
-        return best
+            if state.get("schema") == SCHEMA_VERSION and self._is_prefix(state, target):
+                found.append(state)
+        # longest first; the digest breaks ties so the order is stable
+        found.sort(key=lambda s: (-int(s["n_events"]), str(s.get("digest"))))
+        return found
 
     @staticmethod
     def _is_prefix(state: dict, target: dict) -> bool:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro._util.sortedset import sorted_unique
 from repro.trace.collector import CollectionResult
 from repro.trace.compress import sample_ratio_from
 
@@ -76,7 +77,7 @@ def code_window_confidence(
     out: dict[str, WindowConfidence] = {}
     # implied (uncompressed) records per (sample, fn)
     weights = 1.0 + events["n_const"].astype(np.float64)
-    for fid in np.unique(events["fn"]):
+    for fid in sorted_unique(events["fn"]):
         mask = events["fn"] == fid
         per_sample = np.zeros(n_samples, dtype=np.float64)
         np.add.at(per_sample, sample_id[mask], weights[mask])

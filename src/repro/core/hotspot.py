@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro._util.sortedset import sorted_unique
 from repro.trace.event import EVENT_DTYPE
 from repro.trace.guards import RegionOfInterest
 
@@ -119,7 +120,7 @@ def function_ranges(events: np.ndarray) -> dict[int, tuple[int, int]]:
     if events.dtype != EVENT_DTYPE:
         raise TypeError(f"expected EVENT_DTYPE events, got {events.dtype}")
     out: dict[int, tuple[int, int]] = {}
-    for fid in np.unique(events["fn"]):
+    for fid in sorted_unique(events["fn"]):
         ips = events["ip"][events["fn"] == fid]
         out[int(fid)] = (int(ips.min()), int(ips.max()) + 4)
     return out

@@ -13,9 +13,10 @@ accesses by procedure.
 Zooming descends from the root choosing the child that maximises a
 criterion (accesses, footprint growth, ...) — the red path in Fig. 4.
 
-:func:`access_interval_metrics` flattens one tree level into the paper's
-"hot access interval" rows (Table VIII, Fig. 9): equal-count access
-intervals over time with F / Delta-F / D / A-hat per interval.
+:func:`access_interval_metrics` gives the paper's "hot access interval"
+rows (Table VIII, Fig. 9): equal-count access intervals over time with
+F / Delta-F / D / A-hat per interval, all from one scan of the
+``intervals`` pass (:func:`interval_request` builds its request).
 """
 
 from __future__ import annotations
@@ -26,13 +27,19 @@ from typing import Callable
 
 import numpy as np
 
+from repro._util.sortedset import sorted_unique
 from repro.core.diagnostics import FootprintDiagnostics
 from repro.core.parallel import ParallelEngine
 from repro.core.passes import DiagnosticsPartial
 from repro.trace.collector import CollectionResult
 from repro.trace.event import EVENT_DTYPE
 
-__all__ = ["IntervalNode", "ExecutionIntervalTree", "access_interval_metrics"]
+__all__ = [
+    "IntervalNode",
+    "ExecutionIntervalTree",
+    "interval_request",
+    "access_interval_metrics",
+]
 
 
 @dataclass
@@ -137,7 +144,7 @@ class ExecutionIntervalTree:
                 children.append(node)
             return children
         # function leaf nodes
-        for fid in np.unique(sample["fn"]):
+        for fid in sorted_unique(sample["fn"]):
             part = sample[sample["fn"] == fid]
             children.append(
                 IntervalNode(
@@ -174,6 +181,21 @@ class ExecutionIntervalTree:
         return path
 
 
+def interval_request(
+    n_events: int, n_intervals: int, *, block: int = 1, reuse_block: int = 64
+) -> tuple[str, dict]:
+    """The ``intervals`` pass request cutting ``n_events`` records into
+    ``n_intervals`` consecutive intervals of equal record count.
+
+    Like :func:`repro.core.heatmap.heatmap_request`, it fixes the pass's
+    geometry (the interval edges) from the whole trace before any scan.
+    """
+    if n_intervals <= 0:
+        raise ValueError(f"n_intervals must be > 0, got {n_intervals}")
+    edges = np.linspace(0, n_events, n_intervals + 1).astype(np.int64).tolist()
+    return "intervals", {"edges": tuple(edges), "block": block, "reuse_block": reuse_block}
+
+
 def access_interval_metrics(
     events: np.ndarray,
     n_intervals: int,
@@ -191,32 +213,14 @@ def access_interval_metrics(
     growth ``dF``, intra-sample mean reuse distance ``D``, and estimated
     accesses ``A``.
 
-    Each interval is one fused scan of ``engine`` (a
+    Every row comes from one scan of ``engine`` (a
     :class:`~repro.core.parallel.ParallelEngine`, in-process when
-    omitted) for both metrics, sharded when large; an empty one scans
-    nothing.
+    omitted) running the ``intervals`` pass; each row equals an analysis
+    of its interval's slice alone.
     """
     if events.dtype != EVENT_DTYPE:
         raise TypeError(f"expected EVENT_DTYPE events, got {events.dtype}")
-    if n_intervals <= 0:
-        raise ValueError(f"n_intervals must be > 0, got {n_intervals}")
+    request = interval_request(len(events), n_intervals, block=block, reuse_block=reuse_block)
     if engine is None:
         engine = ParallelEngine(workers=1)
-    requests = [("diagnostics", {"block": block}), ("reuse", {"block": reuse_block})]
-    edges = np.linspace(0, len(events), n_intervals + 1).astype(np.int64).tolist()
-    rows: list[dict] = []
-    for k, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-        sid = sample_id[lo:hi] if sample_id is not None else None
-        results = engine.analyze((events[lo:hi], sid, None), requests, rho=rho).results
-        diag = results["diagnostics"]
-        rows.append(
-            {
-                "interval": k,
-                "F": diag.F_est,
-                "dF": diag.dF,
-                "D": results["reuse"].mean,
-                "A": diag.A_est,
-                "A_obs": diag.A_obs,
-            }
-        )
-    return rows
+    return engine.analyze((events, sample_id, None), [request], rho=rho).results["intervals"]

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro._util.sortedset import sorted_unique
 from repro._util.validate import check_power_of_two
 from repro.trace.event import EVENT_DTYPE, LoadClass
 
@@ -81,7 +82,7 @@ def footprint(events: np.ndarray, block: int = 1) -> int:
     if len(events) == 0:
         return 0
     nc = nonconstant(events)
-    uniq = len(np.unique(block_ids(nc, block)))
+    uniq = len(sorted_unique(block_ids(nc, block)))
     return uniq + (1 if _has_constant(events) else 0)
 
 
@@ -99,7 +100,7 @@ def footprint_by_class(events: np.ndarray, block: int = 1) -> dict[LoadClass, in
     ids = block_ids(events, block)
     for cls in (LoadClass.STRIDED, LoadClass.IRREGULAR):
         mask = events["cls"] == int(cls)
-        out[cls] = int(len(np.unique(ids[mask]))) if mask.any() else 0
+        out[cls] = int(len(sorted_unique(ids[mask]))) if mask.any() else 0
     return out
 
 

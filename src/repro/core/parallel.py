@@ -152,7 +152,7 @@ def plan_shards(
     return shards
 
 
-def scan_chunk_shm(ref: ShardRef, specs, obs: Obs):
+def scan_chunk_shm(ref: ShardRef, specs, obs: Obs, offset: int = 0):
     """Worker entry for the zero-copy path: attach, then scan as usual.
 
     The attached views alias the parent's pages; ``scan_chunk`` and the
@@ -162,7 +162,7 @@ def scan_chunk_shm(ref: ShardRef, specs, obs: Obs):
     returns.
     """
     events, sid = attach_shard(ref)
-    return scan_chunk(events, sid, specs, obs)
+    return scan_chunk(events, sid, specs, obs, offset)
 
 
 # -- analysis sources ---------------------------------------------------------
@@ -554,33 +554,59 @@ class ParallelEngine:
         """Plan a scan of only the events appended after a cached trace state.
 
         Applies to traces whose health record extends a stored state
-        (:meth:`ArtifactStore.find_prefix_state`) with every requested
-        prefix partial cached. The prefix is verified before the cached
-        partials are trusted: the stored state's complete CRC chunks
-        equal the record's, and its final partial chunk is checksummed
-        again — over the in-memory bytes, or while an archive's prefix
-        is streamed past (:class:`~repro.trace.tracefile.PrefixSkip`).
-        The check proves the prefix *is* the trace that was cached.
-        On success ``scan`` holds the tail's jobs plus the prefix
-        partials to merge in front of them; ``False`` — with a journaled
-        warning when a candidate was rejected — leaves the caller to
-        plan a full scan.
+        (:meth:`ArtifactStore.prefix_states`) with every requested
+        prefix partial cached. Candidates are tried longest first. Each
+        prefix is verified before its cached partials are trusted: the
+        stored state's complete CRC chunks equal the record's, and its
+        final partial chunk is checksummed again — over the in-memory
+        bytes, or while an archive's prefix is streamed past
+        (:class:`~repro.trace.tracefile.PrefixSkip`). The check proves
+        the prefix *is* the trace that was cached; a candidate that
+        fails it is journaled and the next one tried. On success
+        ``scan`` holds the tail's jobs plus the prefix partials to merge
+        in front of them; ``False`` leaves the caller to plan a full
+        scan.
         """
         src = scan.src
         if src.digest is None or not src.sid_present:
             return False
         if src.path is None and not self._describes(src.health, src.events, src.sample_id):
             return False
-        state = self.store.find_prefix_state(src.health)
-        if state is None:
-            return False
-        prior = []
-        for r in sub:
-            p = self.store.get_partial(state["digest"], r.name, r.params)
-            if p is MISS:
-                return False
-            prior.append(p)
+        candidates = self.store.prefix_states(src.health)
+        for k, state in enumerate(candidates):
+            prior = []
+            for r in sub:
+                p = self.store.get_partial(state["digest"], r.name, r.params)
+                if p is MISS:
+                    break
+                prior.append(p)
+            else:
+                try:
+                    reason = self._plan_tail(scan, sub, state)
+                except (OSError, ValueError):  # the archive does not read back
+                    return False
+                if reason is None:
+                    scan.prior, scan.skipped = prior, int(state["n_events"])
+                    return True
+                then = (
+                    "trying a shorter cached prefix"
+                    if k + 1 < len(candidates)
+                    else "falling back to a full rescan"
+                )
+                self.obs.warning(
+                    f"incremental re-analysis abandoned: {reason}; {then}",
+                    path=str(src.path),
+                    state_n_events=int(state["n_events"]),
+                )
+        return False
 
+    def _plan_tail(self, scan: "_Scan", sub: list[ResolvedRequest], state: dict) -> str | None:
+        """Verify ``state`` as the source's prefix and plan the tail's jobs.
+
+        Returns why the state is not the prefix, or None once ``scan``
+        holds the tail's jobs; an archive that does not read raises.
+        """
+        src = scan.src
         n = int(state["n_events"])
         if src.path is None:
             reason = self._memory_prefix_mismatch(src, state)
@@ -590,10 +616,7 @@ class ParallelEngine:
 
             skip = PrefixSkip(n_events=n, chunk_events=int(state["chunk_events"]))
             chunks = self._archive_chunks(src.path, skip=skip)
-            try:
-                first = next(chunks, None)
-            except (OSError, ValueError):
-                return False
+            first = next(chunks, None)
             reason = first_sid = None
             if first is None:
                 reason = "no events after the cached prefix"
@@ -611,21 +634,14 @@ class ParallelEngine:
         if reason is not None:
             if src.path is not None:
                 chunks.close()
-            self.obs.warning(
-                f"incremental re-analysis abandoned: {reason}; "
-                "falling back to a full rescan",
-                path=str(src.path),
-                state_n_events=n,
-            )
-            return False
+            return reason
         if src.path is None:
-            self._plan_arrays(scan, src.events[n:], src.sample_id[n:], sub)
+            self._plan_arrays(scan, src.events[n:], src.sample_id[n:], sub, base=n)
         else:
             scan.chunks = chunks
-            scan.jobs = self._chunk_jobs(itertools.chain([first], chunks))
+            scan.jobs = self._chunk_jobs(itertools.chain([first], chunks), base=n)
             scan.pooled = self.workers > 1
-        scan.prior, scan.skipped = prior, n
-        return True
+        return None
 
     @staticmethod
     def _memory_prefix_mismatch(src: _Source, state: dict) -> str | None:
@@ -658,8 +674,11 @@ class ParallelEngine:
         scan.jobs = self._chunk_jobs(scan.chunks)
         scan.pooled = self.workers > 1
 
-    def _plan_arrays(self, scan: "_Scan", events, sample_id, sub: list[ResolvedRequest]) -> None:
-        """Shard in-memory arrays into ``scan``'s job stream."""
+    def _plan_arrays(
+        self, scan: "_Scan", events, sample_id, sub: list[ResolvedRequest], base: int = 0
+    ) -> None:
+        """Shard in-memory arrays, the source's records from ``base`` on, into
+        ``scan``'s job stream."""
         n = len(events)
         # cross-event state with no sample boundaries to cut at: one shard
         whole = sample_id is None and any(
@@ -667,10 +686,10 @@ class ParallelEngine:
         )
         shards = [(0, n)] if (whole and n) else self._plan(n, sample_id)
         scan.pooled = self.workers > 1 and len(shards) > 1 and n >= _MIN_PARALLEL_EVENTS
-        scan.jobs = self._shard_jobs(events, sample_id, shards, scan.pooled)
+        scan.jobs = self._shard_jobs(events, sample_id, shards, scan.pooled, base)
 
-    def _shard_jobs(self, events, sample_id, shards, pooled: bool):
-        """Fold jobs for in-memory shards.
+    def _shard_jobs(self, events, sample_id, shards, pooled: bool, base: int):
+        """Fold jobs for in-memory shards of the source's records from ``base`` on.
 
         Pooled, the arrays are published once, when the first job is
         pulled, and every shard is a view of that slab. The last shard's
@@ -683,6 +702,7 @@ class ParallelEngine:
             for k, (lo, hi) in enumerate(shards):
                 handed = k == len(shards) - 1
                 yield (
+                    base + lo,
                     events[lo:hi],
                     sample_id[lo:hi] if sample_id is not None else None,
                     slab.ref(lo, hi) if slab is not None else None,
@@ -742,22 +762,26 @@ class ParallelEngine:
             )
             return None
 
-    def _chunk_jobs(self, chunks):
-        """Fold jobs for streamed ``(events, sample_id)`` chunks.
+    def _chunk_jobs(self, chunks, base: int = 0):
+        """Fold jobs for streamed ``(events, sample_id)`` chunks, the first
+        starting at record ``base`` of the source.
 
         With a pool, each chunk rides its own short-lived slab, released
         as soon as its partials fold — peak shared memory stays bounded
         by the chunks in flight.
         """
+        offset = base
         for ev, sid in chunks:
             slab = self._publish(ev, sid) if self.workers > 1 else None
-            yield ev, sid, (slab.ref(0, len(ev)) if slab is not None else None), slab
+            yield offset, ev, sid, (slab.ref(0, len(ev)) if slab is not None else None), slab
+            offset += len(ev)
 
     def _fold(self, scans, finish) -> None:
         """Fold ``scan_chunk`` over every scan's jobs, then ``finish`` each scan.
 
-        ``scans`` is consumed lazily, in order. Each job is ``(events,
-        sample_id, shard ref or None, slab to release or None)``. An
+        ``scans`` is consumed lazily, in order. Each job is ``(offset,
+        events, sample_id, shard ref or None, slab to release or None)``,
+        ``offset`` being the index of its first record in the source. An
         inline scan's jobs are scanned here; a pooled scan's are
         submitted as they arrive, with at most ``2 * workers`` in flight
         across all scans — a ref goes to the zero-copy worker entry,
@@ -828,19 +852,23 @@ class ParallelEngine:
                     scanned = True
                     if scan.pooled and pool is None:
                         pool = self._executor()
-                    for ev, sid, ref, slab in scan.jobs:
+                    for offset, ev, sid, ref, slab in scan.jobs:
                         out.n_events += len(ev)
                         if sid is not None and len(sid):
                             out.sid_seen = True
                             out.last_sid = int(sid[-1])
                         if not scan.pooled:
-                            fold(scan, scan_chunk(ev, sid, scan.specs, self.obs))
+                            fold(scan, scan_chunk(ev, sid, scan.specs, self.obs, offset))
                             continue
                         try:
                             if ref is not None:
-                                fut = pool.submit(scan_chunk_shm, ref, scan.specs, self.obs)
+                                fut = pool.submit(
+                                    scan_chunk_shm, ref, scan.specs, self.obs, offset
+                                )
                             else:
-                                fut = pool.submit(scan_chunk, ev, sid, scan.specs, self.obs)
+                                fut = pool.submit(
+                                    scan_chunk, ev, sid, scan.specs, self.obs, offset
+                                )
                         except BaseException:
                             if slab is not None:
                                 slab.release()

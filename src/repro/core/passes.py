@@ -52,6 +52,7 @@ from repro._util.sortedset import (
     intersect_sorted,
     setdiff_sorted,
     setxor_sorted,
+    sorted_unique,
     union_sorted,
 )
 from repro.core.cachesim import (
@@ -134,11 +135,19 @@ class ChunkContext:
     hit; the first access of any artifact misses). The parallel engine
     folds these counters into its metrics registry as
     ``passes.artifact_hits`` / ``passes.artifact_misses``.
+
+    ``offset`` is the index of the chunk's first record in the whole
+    source (a shard's start, an archive chunk's position, or the length
+    of the cached prefix plus the tail position in an incremental scan),
+    for passes whose state is keyed by position in the trace.
     """
 
-    def __init__(self, events: np.ndarray, sample_id: np.ndarray | None) -> None:
+    def __init__(
+        self, events: np.ndarray, sample_id: np.ndarray | None, offset: int = 0
+    ) -> None:
         self.events = events
         self.sample_id = sample_id
+        self.offset = offset
         self._cache: dict = {}
         self.hits = 0
         self.misses = 0
@@ -484,11 +493,13 @@ def scan_chunk(
     sample_id: np.ndarray | None,
     specs: Iterable[tuple[str, dict]],
     obs: Obs = NULL_OBS,
+    offset: int = 0,
 ) -> tuple[list, dict]:
     """Update every scheduled pass over one chunk (runs in pool workers).
 
     One :class:`ChunkContext` serves all passes, so shared intermediates
-    are computed once per chunk regardless of how many passes read them.
+    are computed once per chunk regardless of how many passes read them;
+    ``offset`` is the chunk's first record index in the source.
     Returns ``(partials, stats)`` where ``stats`` carries the chunk's
     artifact-cache counters and per-pass wall clock for the caller's
     timers/metrics. The evaluating process journals its own
@@ -496,7 +507,7 @@ def scan_chunk(
     writes are atomic, so pool workers interleave safely).
     """
     t0 = time.perf_counter()
-    ctx = ChunkContext(events, sample_id)
+    ctx = ChunkContext(events, sample_id, offset)
     partials: list = []
     pass_seconds: dict[str, float] = {}
     for name, params in specs:
@@ -543,10 +554,6 @@ def finalize_schedule(
 # -- mergeable partials -------------------------------------------------------
 
 
-def _sorted_unique(a: np.ndarray) -> np.ndarray:
-    return np.unique(a)
-
-
 @dataclass
 class DiagnosticsPartial:
     """Mergeable state behind footprint + diagnostics for one chunk.
@@ -574,19 +581,24 @@ class DiagnosticsPartial:
         return cls(z, z, z, False, 0, 0, 0)
 
     @classmethod
-    def from_chunk(cls, chunk: ChunkContext, block: int = 1) -> "DiagnosticsPartial":
-        """Compute the partial for one chunk via the artifact context."""
-        ids = chunk.block_ids(block)
+    def from_chunk(
+        cls, chunk: ChunkContext, block: int = 1, lo: int = 0, hi: int | None = None
+    ) -> "DiagnosticsPartial":
+        """Compute the partial for records ``[lo, hi)`` of one chunk (all by
+        default) via the artifact context."""
+        span = slice(lo, hi)
+        ids = chunk.block_ids(block)[span]
         masks = chunk.class_masks
-        n_suppressed = int(chunk.events["n_const"].sum())
+        const = masks.const[span]
+        n_suppressed = int(chunk.events["n_const"][span].sum())
         return cls(
-            blocks=_sorted_unique(ids[masks.nonconst]),
-            strided=_sorted_unique(ids[masks.strided]),
-            irregular=_sorted_unique(ids[masks.irregular]),
-            has_const=bool(masks.const.any() or n_suppressed > 0),
-            a_obs=len(chunk.events),
+            blocks=sorted_unique(ids[masks.nonconst[span]]),
+            strided=sorted_unique(ids[masks.strided[span]]),
+            irregular=sorted_unique(ids[masks.irregular[span]]),
+            has_const=bool(const.any() or n_suppressed > 0),
+            a_obs=len(ids),
             n_suppressed=n_suppressed,
-            n_const_records=int(masks.const.sum()),
+            n_const_records=int(const.sum()),
         )
 
     @classmethod
@@ -766,7 +778,7 @@ class WindowsPass(AnalysisPass):
         if len(ev) == 0:
             return partial
         out = dict(partial)
-        for fid in np.unique(ev["fn"]):
+        for fid in sorted_unique(ev["fn"]):
             sub = DiagnosticsPartial.from_events(
                 ev[ev["fn"] == fid], params["block"]
             )
@@ -823,6 +835,122 @@ class ReusePass(AnalysisPass):
             f"reusing accesses: {h.n_reuse:,}   cold: {h.n_cold:,}\n"
             f"mean D: {h.mean:.1f}   max D: {h.d_max:,}"
         )
+
+
+def cut_reuse_distances(chunk: ChunkContext, block: int, cuts: np.ndarray) -> np.ndarray:
+    """The chunk's reuse distances with windows also cut at ``cuts``.
+
+    ``cuts`` are sorted, distinct chunk-local record indices. The shared all-records
+    artifact has one window per sample (or per chunk without sample
+    ids); a cut that falls inside a window starts a new one. A record
+    after such a cut keeps its distance when its previous same-block
+    access also lies after the cut, since the distinct blocks between
+    the two accesses are the same in either window; otherwise it becomes
+    a first touch (-1). So only the first touch of each block in every
+    cut-off segment changes, and no distance is recomputed.
+    """
+    d = chunk.reuse_distances(block)
+    n = len(d)
+    if chunk.sample_id is None:
+        starts = np.zeros(1, dtype=np.int64)
+    else:
+        starts = np.flatnonzero(np.diff(chunk.sample_id)) + 1
+        starts = np.concatenate([[0], starts]).astype(np.int64)
+    inside = setdiff_sorted(cuts, starts)
+    if len(inside) == 0:
+        return d
+    bounds = union_sorted(starts, cuts)
+    ends = np.append(bounds, n)[np.searchsorted(bounds, inside, side="right")]
+    lengths = ends - inside
+    seg = np.repeat(np.arange(len(inside)), lengths)
+    pos = np.arange(int(lengths.sum())) + np.repeat(inside - np.cumsum(lengths) + lengths, lengths)
+    ids = chunk.block_ids(block)[pos]
+    order = np.lexsort((ids, seg))  # stable: positions ascend within a group
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (ids[order][1:] != ids[order][:-1]) | (seg[order][1:] != seg[order][:-1])
+    d = d.copy()
+    d[pos[order[first]]] = -1
+    return d
+
+
+@register_pass
+class IntervalsPass(AnalysisPass):
+    """Equal-count access intervals: F, dF, mean D and A per interval (Table VIII).
+
+    ``edges`` (record indices into the whole source, fixed from its
+    length before the scan — see
+    :func:`repro.core.interval_tree.interval_request`) cut the trace
+    into intervals; each interval's row equals an analysis of its slice
+    alone, reuse windows being the samples cut at the interval edges.
+    Each chunk slices the shared block-id and class-mask artifacts per
+    interval and takes D from the shared all-records reuse distances
+    (:func:`cut_reuse_distances`), placing itself by
+    :attr:`ChunkContext.offset`. Shards never split a sample, so the cut
+    stays chunk-local. The partial is one (diagnostics partial, reusing
+    accesses, summed D) triple per interval.
+    """
+
+    name = "intervals"
+    requires = ("block_ids", "class_masks", "reuse_distances")
+    defaults = {"block": 1, "reuse_block": 64}
+    needs = ("edges",)
+    whole_without_samples = True
+
+    def validate(self, params):
+        edges = list(params["edges"])
+        if len(edges) < 2 or edges[0] != 0 or edges != sorted(edges):
+            raise ValueError(f"interval edges must rise from 0, got {edges}")
+
+    def init(self, params):
+        return tuple(
+            (DiagnosticsPartial.identity(), 0, 0) for _ in range(len(params["edges"]) - 1)
+        )
+
+    def update(self, partial, chunk, params):
+        n = len(chunk.events)
+        edges = np.clip(np.asarray(params["edges"], dtype=np.int64) - chunk.offset, 0, n)
+        touched = np.flatnonzero(edges[1:] > edges[:-1])
+        if len(touched) == 0:
+            return partial
+        cuts = sorted_unique(edges[(edges > 0) & (edges < n)])
+        d = cut_reuse_distances(chunk, params["reuse_block"], cuts)
+        out = list(partial)
+        for k in touched:
+            lo, hi = int(edges[k]), int(edges[k + 1])
+            hits = d[lo:hi][d[lo:hi] >= 0]
+            diag, n_reuse, d_sum = out[k]
+            out[k] = (
+                diag.merge(DiagnosticsPartial.from_chunk(chunk, params["block"], lo, hi)),
+                n_reuse + len(hits),
+                d_sum + int(hits.sum()),
+            )
+        return tuple(out)
+
+    def merge(self, a, b):
+        return tuple(
+            (da.merge(db), ra + rb, sa + sb) for (da, ra, sa), (db, rb, sb) in zip(a, b)
+        )
+
+    def finalize(self, partial, ctx, params):
+        rows = []
+        for k, (diag, n_reuse, d_sum) in enumerate(partial):
+            d = diag.finalize(ctx.rho)
+            rows.append(
+                {
+                    "interval": k,
+                    "F": d.F_est,
+                    "dF": d.dF,
+                    "D": d_sum / n_reuse if n_reuse else 0.0,
+                    "A": d.A_est,
+                    "A_obs": d.A_obs,
+                }
+            )
+        return rows
+
+    def render(self, result):
+        from repro.core.report import render_interval_table
+
+        return render_interval_table(result)
 
 
 @register_pass

@@ -27,7 +27,15 @@ from typing import Mapping, Sequence
 
 from repro._util.tables import format_table
 from repro.core.diagnostics import FootprintDiagnostics
-from repro.core.zoom import ZoomConfig, ZoomRegion, scan_leaves, zoom_leaves, zoom_tree
+from repro.core.parallel import ParallelEngine
+from repro.core.zoom import (
+    ZoomConfig,
+    ZoomRegion,
+    apply_leaves,
+    leaves_request,
+    zoom_leaves,
+    zoom_tree,
+)
 
 __all__ = [
     "format_quantity",
@@ -274,24 +282,24 @@ def _viz_tree_node(node, depth_left: int) -> dict:
     return out
 
 
-def _region_scan(
+def _region_plan(
     collection,
     fn_names,
-    engine,
     *,
     hot_threshold=ZoomConfig.hot_threshold,
     min_pct,
     max_regions,
     heatmap_shape=(1, 1),
     max_heatmaps=0,
-) -> tuple[list[tuple[str, ZoomRegion]], list]:
-    """Named hot regions plus heatmaps of the hottest, from one region scan.
+) -> tuple[list[tuple[str, ZoomRegion]], tuple | None]:
+    """Named hot regions plus the request of their region scan (None: no scan).
 
-    Builds the address-only zoom tree, names at most ``max_regions``
-    leaves holding at least ``min_pct`` percent of the accesses, and
-    runs one ``heatmap`` request over ``engine`` carrying each named
-    leaf's ``1 x 1`` statistics region and a ``heatmap_shape`` (pages,
-    bins) heatmap of the first ``max_heatmaps`` of them.
+    Builds the address-only zoom tree and names at most ``max_regions``
+    leaves holding at least ``min_pct`` percent of the accesses. The
+    one ``heatmap`` request carries each named leaf's ``1 x 1``
+    statistics region and a ``heatmap_shape`` (pages, bins) heatmap of
+    the first ``max_heatmaps`` of them; :func:`~repro.core.zoom.apply_leaves`
+    reads its result back.
     """
     config = ZoomConfig(hot_threshold=hot_threshold)
     events = collection.events
@@ -303,16 +311,14 @@ def _region_scan(
         name = f"{leaf.base:#x} ({top_fn[0][0]})" if top_fn else f"{leaf.base:#x}"
         rows.append((name, leaf))
     if not root.n_accesses or not leaves:
-        return rows, []
-    maps = scan_leaves(
+        return rows, None
+    request = leaves_request(
         events,
-        collection.sample_id,
         leaves,
         access_block=config.access_block,
-        engine=engine,
         extra=[(leaf.base, leaf.size, *heatmap_shape) for leaf in leaves[:max_heatmaps]],
     )
-    return rows, maps
+    return rows, request
 
 
 def hot_regions(
@@ -331,35 +337,36 @@ def hot_regions(
     region scan of ``engine`` (in-process when omitted) gives exactly
     these leaves their reuse statistics.
     """
-    rows, _ = _region_scan(
+    rows, request = _region_plan(
         collection,
         fn_names,
-        engine,
         hot_threshold=hot_threshold,
         min_pct=min_pct,
         max_regions=max_regions,
     )
+    if request is not None:
+        engine = engine or ParallelEngine(workers=1)
+        source = (collection.events, collection.sample_id, None)
+        stats = engine.analyze(source, [request]).results["heatmap"]
+        apply_leaves([leaf for _, leaf in rows], stats)
     return rows
 
 
-def _viz_section(collection, rho, fn_names, engine) -> dict:
+def _viz_section(collection, intervals, named, maps, rho, fn_names) -> dict:
     """The visual-report data: intervals, phases, tree, regions, heatmaps.
 
-    Everything here is derived from trace content through deterministic
-    code paths (the engine's sharded kernels are bit-identical to the
-    serial ones), so the section — like the rest of the payload — is
-    byte-stable across workers, caches, and live-vs-offline renders.
+    ``intervals`` are the ``intervals`` pass's rows and ``named`` /
+    ``maps`` the hot regions and heatmaps of the report's one scan;
+    phases and the tree are computed here. Everything is derived from
+    trace content through deterministic code paths (the engine's sharded
+    kernels are bit-identical to the serial ones), so the section — like
+    the rest of the payload — is byte-stable across workers, caches, and
+    live-vs-offline renders.
     """
-    from repro.core.interval_tree import (
-        ExecutionIntervalTree,
-        access_interval_metrics,
-    )
+    from repro.core.interval_tree import ExecutionIntervalTree
     from repro.core.phases import detect_phases
 
     p = _VIZ_PARAMS
-    events = collection.events
-    sample_id = collection.sample_id
-
     intervals = [
         {
             "interval": int(r["interval"]),
@@ -369,15 +376,8 @@ def _viz_section(collection, rho, fn_names, engine) -> dict:
             "A": _viz_num(r["A"]),
             "A_obs": int(r.get("A_obs", 0)),
         }
-        for r in access_interval_metrics(
-            events,
-            p["n_intervals"],
-            rho=rho,
-            reuse_block=64,
-            sample_id=sample_id,
-            engine=engine,
-        )
-    ] if len(events) else []
+        for r in intervals
+    ]
 
     phases = [
         {
@@ -402,45 +402,34 @@ def _viz_section(collection, rho, fn_names, engine) -> dict:
         tree_node = None
 
     regions = []
-    heatmaps = []
-    if len(events):
-        named, maps = _region_scan(
-            collection,
-            fn_names,
-            engine,
-            min_pct=p["min_region_pct"],
-            max_regions=p["max_regions"],
-            heatmap_shape=(p["heatmap_pages"], p["heatmap_bins"]),
-            max_heatmaps=p["max_heatmaps"],
+    for name, leaf in named:
+        top_fn = leaf.functions.most_common(1)
+        regions.append(
+            {
+                "name": name,
+                "base": int(leaf.base),
+                "size": int(leaf.size),
+                "n_accesses": int(leaf.n_accesses),
+                "pct_of_total": _viz_num(leaf.pct_of_total),
+                "d_mean": _viz_num(leaf.D_mean),
+                "d_max": int(leaf.D_max),
+                "n_blocks": int(leaf.n_blocks),
+                "accesses_per_block": _viz_num(leaf.accesses_per_block),
+                "top_fn": top_fn[0][0] if top_fn else None,
+            }
         )
-        for name, leaf in named:
-            top_fn = leaf.functions.most_common(1)
-            regions.append(
-                {
-                    "name": name,
-                    "base": int(leaf.base),
-                    "size": int(leaf.size),
-                    "n_accesses": int(leaf.n_accesses),
-                    "pct_of_total": _viz_num(leaf.pct_of_total),
-                    "d_mean": _viz_num(leaf.D_mean),
-                    "d_max": int(leaf.D_max),
-                    "n_blocks": int(leaf.n_blocks),
-                    "accesses_per_block": _viz_num(leaf.accesses_per_block),
-                    "top_fn": top_fn[0][0] if top_fn else None,
-                }
-            )
-        for (name, leaf), hm in zip(named, maps):
-            heatmaps.append(
-                {
-                    "name": name,
-                    "base": int(hm.base),
-                    "size": int(leaf.size),
-                    "page_size": int(hm.page_size),
-                    "t_edges": [_viz_num(t) for t in hm.t_edges],
-                    "counts": [[int(c) for c in row] for row in hm.counts],
-                    "reuse": [[_viz_num(v) for v in row] for row in hm.reuse],
-                }
-            )
+    heatmaps = [
+        {
+            "name": name,
+            "base": int(hm.base),
+            "size": int(leaf.size),
+            "page_size": int(hm.page_size),
+            "t_edges": [_viz_num(t) for t in hm.t_edges],
+            "counts": [[int(c) for c in row] for row in hm.counts],
+            "reuse": [[_viz_num(v) for v in row] for row in hm.reuse],
+        }
+        for (name, leaf), hm in zip(named, maps)
+    ]
 
     return {
         "schema": VIZ_SCHEMA,
@@ -473,22 +462,51 @@ def viz_report_payload(
     and the serve daemon's live dashboard; identical archive bytes give
     identical payload bytes on both paths.
 
-    ``extra_passes`` (e.g. ``["cache_sweep"]``) ride the same fused
-    engine scan as the default pass set and land under
+    One engine scan serves the default pass set, the ``intervals`` rows
+    and the hot regions' ``heatmap`` request (the zoom tree is built
+    from addresses before it). ``extra_passes`` (e.g.
+    ``["cache_sweep"]``) ride the same scan and land under
     ``payload["passes"]``. A ``degraded`` dict (from a recovered archive
     read) is attached only when given, so payloads for clean archives
     carry no extra key.
     """
-    payload = full_report_payload(
-        module,
-        collection,
-        rho,
-        fn_names,
-        engine,
-        health=health,
-        extra_passes=extra_passes,
+    from repro.core.interval_tree import interval_request
+
+    p = _VIZ_PARAMS
+    events = collection.events
+    requests = list(REPORT_PASSES) + [x for x in extra_passes or () if x not in REPORT_PASSES]
+    named, region = [], None
+    if len(events):
+        requests.append(interval_request(len(events), p["n_intervals"], reuse_block=64))
+        # the zoom tree is built from addresses first: its leaves' region
+        # request then rides the same scan
+        named, region = _region_plan(
+            collection,
+            fn_names,
+            min_pct=p["min_region_pct"],
+            max_regions=p["max_regions"],
+            heatmap_shape=(p["heatmap_pages"], p["heatmap_bins"]),
+            max_heatmaps=p["max_heatmaps"],
+        )
+        if region is not None:
+            requests.append(region)
+    analysis = engine.analyze(
+        (events, collection.sample_id, health), requests, rho=rho, fn_names=fn_names
     )
-    payload["viz"] = _viz_section(collection, rho, fn_names, engine)
+    payload = report_payload(
+        analysis,
+        module=module,
+        n_samples=collection.n_samples,
+        n_loads_total=collection.n_loads_total,
+        extra=extra_passes or (),
+    )
+    maps = (
+        apply_leaves([leaf for _, leaf in named], analysis.results["heatmap"])
+        if region is not None
+        else []
+    )
+    intervals = analysis.results.get("intervals", [])
+    payload["viz"] = _viz_section(collection, intervals, named, maps, rho, fn_names)
     if degraded is not None:
         payload["degraded"] = degraded
     return payload

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro._util.sortedset import sorted_unique
 from repro.core.diagnostics import FootprintDiagnostics, compute_diagnostics
 from repro.core.metrics import block_ids
 from repro.trace.event import EVENT_DTYPE, LoadClass
@@ -129,7 +130,7 @@ def code_windows(
         raise TypeError(f"expected EVENT_DTYPE events, got {events.dtype}")
     fn_names = fn_names or {}
     out: dict[str, FootprintDiagnostics] = {}
-    for fid in np.unique(events["fn"]):
+    for fid in sorted_unique(events["fn"]):
         window = events[events["fn"] == fid]
         name = fn_names.get(int(fid), f"fn{int(fid)}")
         out[name] = compute_diagnostics(window, rho=rho, block=block)

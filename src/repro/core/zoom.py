@@ -21,9 +21,11 @@ accesses — the columns of Tables V / VII / IX.
 
 The analysis runs in two steps. :func:`zoom_tree` builds the tree from
 addresses alone; each leaf's D then comes from one region scan of the
-engine's ``heatmap`` pass, in which every leaf is a ``1 x 1`` region, so
+engine's ``heatmap`` pass (:func:`leaves_request`, then
+:func:`apply_leaves`), in which every leaf is a ``1 x 1`` region, so
 the reuse distances are computed once per shard for all leaves — and,
-in the report, for the hot-region heatmaps in the same request.
+in the HTML report, for the hot-region heatmaps and every other report
+pass in the same scan.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ __all__ = [
     "ZoomConfig",
     "ZoomRegion",
     "zoom_tree",
-    "scan_leaves",
+    "leaves_request",
+    "apply_leaves",
     "location_zoom",
     "zoom_leaves",
 ]
@@ -131,7 +134,7 @@ def zoom_tree(
     Every node carries its access count and share; leaves also carry
     their size in blocks, accesses per block and functions. The leaves'
     reuse statistics (``D_mean``/``D_max``) stay zero until
-    :func:`scan_leaves` sets them from a region scan.
+    :func:`apply_leaves` sets them from a region scan.
     """
     if events.dtype != EVENT_DTYPE:
         raise TypeError(f"expected EVENT_DTYPE events, got {events.dtype}")
@@ -192,27 +195,27 @@ def zoom_tree(
     return build(lo, hi - lo, p0, 0, all_idx)
 
 
-def scan_leaves(
+def leaves_request(
     events: np.ndarray,
-    sample_id: np.ndarray | None,
     leaves: list[ZoomRegion],
     *,
     access_block: int,
-    engine=None,
     extra=(),
-) -> list:
-    """Set the leaves' ``D_mean``/``D_max`` from one region scan.
+) -> tuple[str, dict]:
+    """The ``heatmap`` request that gives ``leaves`` their reuse statistics.
 
-    Each leaf is a ``1 x 1`` region of one ``heatmap`` request over
-    ``engine`` (in-process when omitted); its address range holds exactly
-    the accesses the tree counted for it, so its one cell is their reuse.
+    Each leaf is a ``1 x 1`` region; its address range holds exactly the
+    accesses the tree counted for it, so its one cell is their reuse.
     ``extra`` regions (``(base, size, n_pages, n_bins)``) ride the same
-    request, and their heatmaps are returned in order.
+    request. :func:`apply_leaves` reads the results back.
     """
     regions = [(leaf.base, leaf.size, 1, 1) for leaf in leaves] + list(extra)
-    request = heatmap_request(events, regions, access_block=access_block)
-    engine = engine or ParallelEngine(workers=1)
-    stats = engine.analyze((events, sample_id, None), [request]).results["heatmap"]
+    return heatmap_request(events, regions, access_block=access_block)
+
+
+def apply_leaves(leaves: list[ZoomRegion], stats) -> list:
+    """Set the leaves' ``D_mean``/``D_max`` from a :func:`leaves_request`'s
+    ``heatmap`` result; returns the ``extra`` regions' heatmaps, in order."""
     for leaf, hm in zip(leaves, stats):
         mean = float(hm.reuse[0, 0])
         leaf.D_mean = mean if mean == mean else 0.0  # NaN: nothing reuses
@@ -241,13 +244,11 @@ def location_zoom(
     config = config or ZoomConfig()
     root = zoom_tree(events, config, fn_names)
     if root.n_accesses:
-        scan_leaves(
-            events,
-            sample_id,
-            zoom_leaves(root),
-            access_block=config.access_block,
-            engine=engine,
-        )
+        leaves = zoom_leaves(root)
+        request = leaves_request(events, leaves, access_block=config.access_block)
+        engine = engine or ParallelEngine(workers=1)
+        analysis = engine.analyze((events, sample_id, None), [request])
+        apply_leaves(leaves, analysis.results["heatmap"])
     return root
 
 

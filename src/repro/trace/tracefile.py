@@ -494,7 +494,9 @@ def read_trace(path) -> tuple[np.ndarray, TraceMeta, np.ndarray | None, dict | N
     the archive meanwhile. Raises :class:`TraceFormatError` when a
     required member is missing or the metadata does not parse.
     """
-    with np.load(path) as archive:
+    # the file is opened here, not by np.load, which leaks it when the
+    # zip directory does not parse
+    with open(path, "rb") as fh, np.load(fh) as archive:
         for member in ("events", "meta"):
             if member not in archive:
                 raise TraceFormatError(
@@ -537,7 +539,7 @@ def read_trace_health(path) -> dict | None:
     be content-addressed".
     """
     try:
-        with np.load(path) as archive:
+        with open(path, "rb") as fh, np.load(fh) as archive:
             return _read_health(archive)
     except (OSError, ValueError, KeyError, zipfile.BadZipFile, zlib.error):
         return None

@@ -429,6 +429,36 @@ class TestInMemoryIncremental:
         assert any("prefix checksums do not match" in w["message"] for w in warnings)
 
 
+class TestPrefixShadowing:
+    """Below one health chunk every shorter stored state matches a
+    record, so an unrelated longer state must not hide the real prefix."""
+
+    @pytest.mark.parametrize("kind", ["archive", "memory"])
+    def test_unrelated_longer_state_does_not_shadow_the_prefix(self, tmp_path, kind):
+        ev, sid = _trace(7 * SAMPLE)  # 3,500 events
+        n0 = 4 * SAMPLE  # the stored 2,000-event prefix
+        other, other_sid = _trace(5 * SAMPLE, seed=9)  # unrelated, 2,500 events
+        store = ArtifactStore(tmp_path / "cache")
+        jpath = tmp_path / "j.jsonl"
+
+        def analyze(name, events, sample_id, obs=None, store=store):
+            with ParallelEngine(workers=1, store=store, obs=obs) as eng:
+                if kind == "archive":
+                    return eng.analyze(_write(tmp_path / name, events, sample_id), FILE_PASSES)
+                health = _health_record(events, sample_id)
+                return eng.analyze((events, sample_id, health), FILE_PASSES, rho=2.0)
+
+        analyze("prefix.npz", ev[:n0], sid[:n0])
+        analyze("other.npz", other, other_sid)
+        warm = analyze("ext.npz", ev, sid, Obs(RunJournal(jpath)))
+        cold = analyze("cold.npz", ev, sid, store=None)
+        assert warm.mode == "incremental" and warm.skipped_events == n0
+        assert _analysis_tuple(warm) == _analysis_tuple(cold)
+        warnings = [r for r in read_journal(jpath) if r.get("event") == "warning"]
+        assert [w["state_n_events"] for w in warnings] == [len(other)]
+        assert "trying a shorter cached prefix" in warnings[0]["message"]
+
+
 class TestNoSampleIds:
     def test_degraded_reuse_is_marked_and_journaled(self, tmp_path):
         ev, _ = _trace(8 * SAMPLE)

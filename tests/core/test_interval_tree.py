@@ -199,9 +199,9 @@ class TestAccessIntervals:
 
     @pytest.mark.parametrize("n", [6, 1000])
     def test_engine_scans_each_interval_once(self, tmp_path, n):
-        """Both metrics of an interval ride one fused scan; empty
-        intervals are never scanned, and the rows — with or without a
-        caller's engine — equal the serial oracle's."""
+        """Every interval's metrics ride one scan of the ``intervals``
+        pass, whatever the number of non-empty intervals, and the rows —
+        with or without a caller's engine — equal the serial oracle's."""
         from repro.core.parallel import ParallelEngine
         from repro.obs import Obs, RunJournal, read_journal
 
@@ -214,10 +214,10 @@ class TestAccessIntervals:
         scans = [
             r for r in read_journal(tmp_path / "j.jsonl") if r["event"] == "shard-analyzed"
         ]
-        non_empty = [r for r in rows if r["A_obs"]]
-        assert len(scans) == len(non_empty) == min(n, 8)
-        assert all(s["n_passes"] == 2 for s in scans)
-        assert [s["n_events"] for s in scans] == [r["A_obs"] for r in non_empty]
+        assert len([r for r in rows if r["A_obs"]]) == min(n, 8)
+        assert [(s["n_passes"], s["passes"], s["n_events"]) for s in scans] == [
+            (1, ["intervals"], n)
+        ]
         assert rows == _serial_interval_rows(ev, 8, rho=3.0, sample_id=sid)
         assert rows == access_interval_metrics(ev, 8, rho=3.0, sample_id=sid)
 
@@ -245,3 +245,119 @@ def _serial_interval_rows(events, n_intervals, *, rho, block=1, reuse_block=64, 
             }
         )
     return rows
+
+
+def _sliced_interval_rows(events, n_intervals, *, rho, block=1, reuse_block=64, sample_id=None):
+    """Oracle for the ``intervals`` pass: one engine analysis per interval's
+    slice, reuse windows being the slice's samples (the per-slice loop
+    :func:`access_interval_metrics` used to run)."""
+    from repro.core.parallel import ParallelEngine
+
+    engine = ParallelEngine(workers=1)
+    requests = [("diagnostics", {"block": block}), ("reuse", {"block": reuse_block})]
+    edges = np.linspace(0, len(events), n_intervals + 1).astype(np.int64).tolist()
+    rows = []
+    for k, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        sid = sample_id[lo:hi] if sample_id is not None else None
+        results = engine.analyze((events[lo:hi], sid, None), requests, rho=rho).results
+        diag = results["diagnostics"]
+        rows.append(
+            {
+                "interval": k,
+                "F": diag.F_est,
+                "dF": diag.dF,
+                "D": results["reuse"].mean,
+                "A": diag.A_est,
+                "A_obs": diag.A_obs,
+            }
+        )
+    return rows
+
+
+def _random_trace(seed, sample_sizes):
+    """A mixed-class trace whose samples have the given record counts."""
+    rng = np.random.default_rng(seed)
+    n = int(sum(sample_sizes))
+    ev = make_events(
+        ip=rng.integers(0, 40, n),
+        addr=rng.integers(0, 1 << int(rng.integers(7, 13)), n) * 8,
+        cls=rng.choice([0, 1, 2], n, p=[0.2, 0.4, 0.4]).astype(np.uint8),
+        n_const=rng.choice([0, 0, 0, 3], n).astype(np.uint16),
+        fn=rng.integers(0, 4, n),
+    )
+    sid = np.repeat(np.arange(len(sample_sizes), dtype=np.int32), sample_sizes)
+    return ev, sid
+
+
+def _write_archive(path, ev, sid):
+    from repro.trace.tracefile import TraceMeta, write_trace
+
+    meta = TraceMeta(module="intervals", kind="sampled", period=1000, buffer_capacity=64)
+    write_trace(path, ev, meta, sid)
+    return path
+
+
+class TestIntervalsPass:
+    """The fused ``intervals`` pass equals the per-slice loop, row for row
+    (``repr``-identical floats), however the trace is sharded."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        sample_sizes=st.lists(st.integers(1, 90), min_size=0, max_size=14),
+        n_intervals=st.integers(1, 9),
+        workers=st.sampled_from([1, 2]),
+        chunk=st.sampled_from([None, 7, 61, 4096]),
+        with_sid=st.booleans(),
+    )
+    @example(seed=1, sample_sizes=[50] * 20, n_intervals=8, workers=2, chunk=61, with_sid=True)
+    def test_equals_the_sliced_loop(
+        self, tmp_path_factory, seed, sample_sizes, n_intervals, workers, chunk, with_sid
+    ):
+        from repro.core.interval_tree import interval_request
+        from repro.core.parallel import ParallelEngine
+
+        ev, sid = _random_trace(seed, sample_sizes)
+        sid = sid if with_sid else None
+        ref = _sliced_interval_rows(ev, n_intervals, rho=2.5, sample_id=sid)
+        request = interval_request(len(ev), n_intervals)
+        with ParallelEngine(workers=workers, chunk_size=chunk) as eng:
+            memory = eng.analyze((ev, sid, None), [request], rho=2.5).results["intervals"]
+            assert repr(memory) == repr(ref)
+            # a sid-less archive cuts reuse windows at its chunks, so it
+            # equals the slices only when the whole trace is one chunk
+            if with_sid or chunk is None:
+                path = _write_archive(tmp_path_factory.mktemp("iv") / "t.npz", ev, sid)
+                archive = eng.analyze(path, [request], rho=2.5).results["intervals"]
+                assert repr(archive) == repr(ref)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("chunk", [None, 61])
+    @pytest.mark.parametrize("kind", ["archive", "memory"])
+    def test_incremental_tail(self, tmp_path, workers, chunk, kind):
+        """An appended tail's chunks start at the cached prefix's length,
+        and the rows of prefix + tail equal the sliced loop's."""
+        from repro.core.artifacts import ArtifactStore
+        from repro.core.interval_tree import interval_request
+        from repro.core.parallel import ParallelEngine
+        from repro.trace.tracefile import _health_record
+
+        sizes = [37, 50, 23, 61, 44, 50, 29, 58, 40, 33]
+        ev, sid = _random_trace(5, sizes)
+        n0 = sum(sizes[:6])
+        # the edges of the whole trace: the prefix's partial is stored
+        # under the request the extension will make
+        request = interval_request(len(ev), 7)
+        store = ArtifactStore(tmp_path / "cache")
+
+        def source(name, n):
+            if kind == "archive":
+                return _write_archive(tmp_path / name, ev[:n], sid[:n])
+            return (ev[:n], sid[:n], _health_record(ev[:n], sid[:n]))
+
+        with ParallelEngine(workers=workers, chunk_size=chunk, store=store) as eng:
+            eng.analyze(source("prefix.npz", n0), [request], rho=2.5)
+            got = eng.analyze(source("whole.npz", len(ev)), [request], rho=2.5)
+        assert got.mode == "incremental" and got.skipped_events == n0
+        ref = _sliced_interval_rows(ev, 7, rho=2.5, sample_id=sid)
+        assert repr(got.results["intervals"]) == repr(ref)

@@ -333,9 +333,14 @@ class TestDamagedCell:
         alive = [p for p in multiprocessing.active_children() if p not in before_children]
         assert alive == []
 
+    # an unclosed file warns when it is collected, inside no caller:
+    # pytest reports that as an unraisable-exception warning
+    @pytest.mark.filterwarnings("error::ResourceWarning")
+    @pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
     @pytest.mark.parametrize("fault", ["truncate", "bit_flip"])
     def test_report_recovers_the_same_archives(self, corpus_dir, tmp_path, capsys, fault):
-        """``report`` reads the same archives through recovery, with no traceback."""
+        """``report`` reads the same archives through recovery, with no
+        traceback and no file handle left open."""
         bad = getattr(faults, fault)(corpus_dir / "cand.npz", tmp_path / "bad.npz")
         cli_main(["report", str(bad), "--no-cache"])
         assert "analyzing the verified prefix" in capsys.readouterr().err

@@ -52,8 +52,13 @@ HEATMAP_PARAMS = {
 }
 
 
+#: params that satisfy IntervalsPass's ``needs``: 8 intervals of no records
+INTERVALS_PARAMS = {"edges": (0,) * 9}
+
+
 def _request(name):
-    return (name, HEATMAP_PARAMS) if name == "heatmap" else name
+    params = {"heatmap": HEATMAP_PARAMS, "intervals": INTERVALS_PARAMS}
+    return (name, params[name]) if name in params else name
 
 
 class TestSerialFunctions:

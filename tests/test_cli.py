@@ -43,6 +43,34 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["trace", "--workload", "ubench:irr"])
 
+    def test_parser_is_built_once_and_keeps_no_state(self, tmp_path, monkeypatch):
+        assert build_parser() is build_parser()
+        trace = str(tmp_path / "t.npz")
+        first = parse_args(["report", trace, "--json", "--workers", "3"])
+        second = parse_args(["report", trace])
+        assert (first.json, first.workers) == (True, 3)
+        assert (second.json, second.workers) == (False, 1)
+        first.passes = "mutated"
+        assert parse_args(["report", trace]).passes is None
+        # the environment fallback is read per call, not cached
+        root = ["serve", "--root", str(tmp_path)]
+        monkeypatch.setenv("MEMGAZE_SERVE_WORKERS", "3")
+        assert parse_args(root).serve_workers == 3
+        monkeypatch.setenv("MEMGAZE_SERVE_WORKERS", "2")
+        assert parse_args(root).serve_workers == 2
+        assert parse_args([*root, "--serve-workers", "4"]).serve_workers == 4
+
+    def test_consecutive_main_calls_share_no_state(self, trace_file, capsys):
+        path = trace_file
+        assert main(["report", str(path), "--json", "--no-cache"]) == 0
+        as_json = capsys.readouterr().out
+        assert main(["report", str(path), "--functions", "--no-cache"]) == 0
+        as_text = capsys.readouterr().out
+        assert as_json.lstrip().startswith("{")
+        assert not as_text.lstrip().startswith("{") and "code windows" in as_text
+        assert main(["report", str(path), "--json", "--no-cache"]) == 0
+        assert capsys.readouterr().out == as_json
+
     def test_mode_choices(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(

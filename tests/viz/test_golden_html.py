@@ -120,12 +120,16 @@ def test_cold_warm_and_no_cache_render_identical_bytes(tmp_path):
 
 
 def test_html_report_reuse_kernel_calls(tmp_path, monkeypatch):
-    """One reuse-distance kernel call per scan of the page's analyses.
+    """The page's analyses share one engine call, one scan and its two
+    reuse-distance artifacts.
 
     The golden ``strided-mix`` page renders 2 heatmaps and 8 interval
-    rows. Serially it needs one call for the report passes, one per
-    interval row, and one for the region scan that serves every hot
-    region's statistics and both heatmaps — 10 in all.
+    rows. Serially one scan runs the report passes, the interval rows
+    and the region request that serves every hot region's statistics
+    and both heatmaps. It makes one kernel call over all records (the
+    reuse histogram's, which the interval rows cut at their edges
+    without recomputing) and one over the non-Constant records (the
+    regions') — 2 in all.
     """
     import repro.core.reuse as reuse
 
@@ -136,14 +140,25 @@ def test_html_report_reuse_kernel_calls(tmp_path, monkeypatch):
         calls.append(1)
         return kernel(*args, **kwargs)
 
+    from repro.core.parallel import ParallelEngine
+
+    analyses = []
+    analyze = ParallelEngine.analyze_many
+
+    def counted_analyze(self, items, **kwargs):
+        analyses.extend(items)
+        return analyze(self, items, **kwargs)
+
     monkeypatch.setattr(reuse, "stack_distances", counted)
+    monkeypatch.setattr(ParallelEngine, "analyze_many", counted_analyze)
     page = _render(
         _archive("strided-mix"), tmp_path / "r.html", "--workers", "1", "--no-cache"
     )
     vm = json.loads(embedded_viewmodel(page))
     assert len(vm["heatmaps"]) == 2
     assert len(vm["intervals"]) == 8
-    assert len(calls) == 10
+    assert len(calls) == 2
+    assert len(analyses) == 1
 
 
 def test_render_is_deterministic(tmp_path):
