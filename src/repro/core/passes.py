@@ -74,6 +74,7 @@ from repro.core.metrics import block_ids
 from repro.core.reuse import (
     _HIST_MAX_EXP,
     ReuseHistogram,
+    _boundaries,
     histogram_from_distances,
     reuse_distances,
 )
@@ -840,9 +841,10 @@ class ReusePass(AnalysisPass):
 def cut_reuse_distances(chunk: ChunkContext, block: int, cuts: np.ndarray) -> np.ndarray:
     """The chunk's reuse distances with windows also cut at ``cuts``.
 
-    ``cuts`` are sorted, distinct chunk-local record indices. The shared all-records
-    artifact has one window per sample (or per chunk without sample
-    ids); a cut that falls inside a window starts a new one. A record
+    ``cuts`` are sorted, distinct chunk-local record indices. The
+    shared all-records artifact has one window per sample (or per chunk
+    without sample ids); a cut that falls inside a window starts a new
+    one. A record
     after such a cut keeps its distance when its previous same-block
     access also lies after the cut, since the distinct blocks between
     the two accesses are the same in either window; otherwise it becomes
@@ -851,11 +853,7 @@ def cut_reuse_distances(chunk: ChunkContext, block: int, cuts: np.ndarray) -> np
     """
     d = chunk.reuse_distances(block)
     n = len(d)
-    if chunk.sample_id is None:
-        starts = np.zeros(1, dtype=np.int64)
-    else:
-        starts = np.flatnonzero(np.diff(chunk.sample_id)) + 1
-        starts = np.concatenate([[0], starts]).astype(np.int64)
+    starts = _boundaries(n, chunk.sample_id)  # the artifact's windows
     inside = setdiff_sorted(cuts, starts)
     if len(inside) == 0:
         return d
@@ -917,7 +915,8 @@ class IntervalsPass(AnalysisPass):
         out = list(partial)
         for k in touched:
             lo, hi = int(edges[k]), int(edges[k + 1])
-            hits = d[lo:hi][d[lo:hi] >= 0]
+            span = d[lo:hi]
+            hits = span[span >= 0]
             diag, n_reuse, d_sum = out[k]
             out[k] = (
                 diag.merge(DiagnosticsPartial.from_chunk(chunk, params["block"], lo, hi)),
