@@ -188,21 +188,25 @@ class DiskCache:
 
     # -- maintenance ----------------------------------------------------------
 
-    def _listing(self) -> list[tuple[float, int, Path]]:
-        """(mtime, size, path) of every entry file, oldest first."""
-        rows: list[tuple[float, int, Path]] = []
+    def _listing(self) -> list[tuple[float, int, str]]:
+        """(mtime, size, path) of every entry file, oldest first.
+
+        One ``os.scandir`` pass; each entry's ``stat`` comes from its
+        ``DirEntry`` (no ``Path`` per entry).
+        """
+        rows: list[tuple[float, int, str]] = []
         try:
-            entries = list(self.root.iterdir())
+            with os.scandir(self.root) as it:
+                for entry in it:
+                    if not entry.name.endswith(_SUFFIX):
+                        continue
+                    try:
+                        st = entry.stat()
+                    except OSError:
+                        continue  # removed by a concurrent evictor
+                    rows.append((st.st_mtime, st.st_size, entry.path))
         except (FileNotFoundError, NotADirectoryError):
             return rows
-        for p in entries:
-            if not p.name.endswith(_SUFFIX):
-                continue
-            try:
-                st = p.stat()
-            except OSError:
-                continue  # removed by a concurrent evictor
-            rows.append((st.st_mtime, st.st_size, p))
         rows.sort()
         return rows
 
@@ -215,7 +219,7 @@ class DiskCache:
             if total <= max_bytes:
                 break
             try:
-                path.unlink()
+                os.unlink(path)
             except OSError:
                 continue  # lost the race to another evictor: already gone
             total -= size

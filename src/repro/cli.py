@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from pathlib import Path
@@ -58,13 +57,13 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.confidence import code_window_confidence
-from repro.core.interval_tree import access_interval_metrics
+from repro.core.interval_tree import interval_request
 from repro.core.parallel import ParallelEngine
 from repro.core.passes import UnknownPassError, get_pass, list_passes
 from repro.core.report import (
     format_quantity,
     full_report_payload,
-    hot_regions,
+    hot_region_plan,
     passes_payload,
     payload_json,
     render_function_table,
@@ -73,6 +72,7 @@ from repro.core.report import (
     viz_report_payload,
 )
 from repro.core.workingset import working_set_curve
+from repro.core.zoom import apply_leaves
 from repro.obs.handle import NULL_OBS, Obs
 from repro.trace.collector import collect_sampled_trace
 from repro.trace.compress import compression_ratio, sample_ratio_from
@@ -364,11 +364,26 @@ def _print_report(args, loaded: "LoadedTrace", engine: ParallelEngine) -> None:
         or args.phases
     )
 
-    # the header metrics run as ONE fused scan: each shard of the trace
-    # is visited once for diagnostics and (when shown) hotspots together
+    # every scanned section rides ONE fused scan with the health record
+    # (so --cache stores and serves all of it): each shard of the trace
+    # is visited once for diagnostics, hotspots, code windows, the hot
+    # regions' statistics and the interval rows together
     header = ["diagnostics"] + (["hotspot"] if everything or args.hotspots else [])
     if everything or args.functions:
         header.append("windows")
+    regions, region = [], None
+    if everything or args.regions:
+        # the zoom tree is built from addresses first, so its leaves'
+        # region request joins the scan
+        regions, region = hot_region_plan(
+            col, fn_names, hot_threshold=args.hot_threshold,
+            min_pct=args.min_region_pct, max_regions=args.max_regions,
+        )
+        if region is not None:
+            header.append(region)
+    n_intervals = args.intervals or 8
+    if args.intervals or everything:
+        header.append(interval_request(len(col.events), n_intervals, reuse_block=64))
     results = engine.analyze(source, header, rho=rho, fn_names=fn_names).results
     d = results["diagnostics"]
     print(f"== {meta.module}: footprint access diagnostics ==")
@@ -390,25 +405,18 @@ def _print_report(args, loaded: "LoadedTrace", engine: ParallelEngine) -> None:
         )
 
     if everything or args.regions:
-        rows = hot_regions(
-            col, fn_names, hot_threshold=args.hot_threshold,
-            min_pct=args.min_region_pct, max_regions=args.max_regions, engine=engine,
-        )
+        if region is not None:
+            apply_leaves([leaf for _, leaf in regions], results["heatmap"])
         print()
-        print(render_region_table(rows, title="hot memory regions (location zoom)", show_max_d=True))
+        print(render_region_table(regions, title="hot memory regions (location zoom)", show_max_d=True))
 
     if args.intervals or everything:
-        n = args.intervals or 8
-        rows = access_interval_metrics(
-            col.events,
-            n,
-            rho=rho,
-            reuse_block=64,
-            sample_id=col.sample_id,
-            engine=engine,
-        )
         print()
-        print(render_interval_table(rows, title=f"locality over {n} access intervals"))
+        print(
+            render_interval_table(
+                results["intervals"], title=f"locality over {n_intervals} access intervals"
+            )
+        )
 
     if everything or args.working_set:
         print("\n== working set (4 KiB pages) ==")
@@ -617,7 +625,7 @@ def _cmd_validate_trace(args: argparse.Namespace) -> int:
     _require_trace_path(args.trace, "memgaze validate-trace")
     report = validate(args.trace)
     if args.json:
-        print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
+        print(payload_json(report.as_dict()))
     else:
         print(report.render())
     return 0 if report.ok else 1

@@ -3,12 +3,14 @@
 The tree is built bottom-up from samples. Leaves are individual samples
 (exact, intra-window metrics); each level above merges pairs of adjacent
 nodes into larger time intervals whose metrics are population *estimates*
-scaled by rho (inter-window, Eq. 3). An upper node folds its children's
-:class:`~repro.core.passes.DiagnosticsPartial` with the engine's exact
-merge instead of re-reading their events, so every node equals the
-serial computation over its interval. Below samples, intra-sample splits
-give finer resolution, and leaf *function nodes* group a sample's
-accesses by procedure.
+scaled by rho (inter-window, Eq. 3). Every node reads the per-sample
+partial table (:class:`~repro.core.sampletable.SampleTable`): an upper
+node is the exact merge of its samples'
+:class:`~repro.core.passes.DiagnosticsPartial` state, one grouping of
+the table per level, so every node equals the serial computation over
+its interval without re-reading events. Below samples, intra-sample
+splits give finer resolution, and leaf *function nodes* group a
+sample's accesses by procedure.
 
 Zooming descends from the root choosing the child that maximises a
 criterion (accesses, footprint growth, ...) — the red path in Fig. 4.
@@ -22,7 +24,6 @@ F / Delta-F / D / A-hat per interval, all from one scan of the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -30,7 +31,7 @@ import numpy as np
 from repro._util.sortedset import sorted_unique
 from repro.core.diagnostics import FootprintDiagnostics
 from repro.core.parallel import ParallelEngine
-from repro.core.passes import DiagnosticsPartial
+from repro.core.sampletable import SampleTable
 from repro.trace.collector import CollectionResult
 from repro.trace.event import EVENT_DTYPE
 
@@ -76,87 +77,47 @@ class ExecutionIntervalTree:
         block: int = 1,
         intra_splits: int = 0,
         fn_names: dict[int, str] | None = None,
+        table: SampleTable | None = None,
     ) -> "ExecutionIntervalTree":
         """Build the tree from a sampled trace.
 
         ``intra_splits`` levels are added *below* each sample by halving
         its access sequence; function leaf nodes hang off every sample.
+        ``table``, when given, is the collection's
+        :meth:`SampleTable.of <repro.core.sampletable.SampleTable.of>` at
+        ``block`` (shared with :func:`~repro.core.phases.detect_phases`).
         """
         fn_names = fn_names or {}
-        level_nodes: list[tuple[IntervalNode, DiagnosticsPartial]] = []
-        for sample in collection.samples():  # never yields an empty slice
-            partial = DiagnosticsPartial.from_events(sample, block)
-            node = IntervalNode(
-                level=0,
-                t_start=int(sample["t"][0]),
-                t_end=int(sample["t"][-1]) + 1,
-                diagnostics=partial.finalize(1.0),
-                exact=True,
-            )
-            node.children = cls._build_below(sample, intra_splits, block, fn_names)
-            level_nodes.append((node, partial))
-        if not level_nodes:
+        if table is None:
+            table = SampleTable.of(collection, block)
+        elif table.block != block:
+            raise ValueError(f"table is at block {table.block}, not {block}")
+        if table.n_segments == 0:
             raise ValueError("collection has no non-empty samples")
-        leaves = [node for node, _ in level_nodes]
 
-        # fold the children's partials pairwise upward; merged metrics
-        # are rho-scaled estimates
-        level = 0
-        while len(level_nodes) > 1:
-            level += 1
-            groups = [level_nodes[i : i + 2] for i in range(0, len(level_nodes), 2)]
-            level_nodes = []
-            for group in groups:
-                children = [node for node, _ in group]
-                partial = reduce(DiagnosticsPartial.merge, [p for _, p in group])
-                node = IntervalNode(
-                    level=level,
-                    t_start=children[0].t_start,
-                    t_end=children[-1].t_end,
-                    diagnostics=partial.finalize(rho),
-                    exact=False,
-                    children=children,
-                )
-                level_nodes.append((node, partial))
-        return cls(level_nodes[0][0], leaves)
+        leaves = [
+            IntervalNode(level=0, t_start=t0, t_end=t1, diagnostics=d, exact=True)
+            for t0, t1, d in _nodes(table.segment_totals(), 1.0)
+        ]
+        _attach_below(leaves, collection, table, intra_splits, fn_names)
 
-    @staticmethod
-    def _build_below(
-        sample: np.ndarray,
-        splits: int,
-        block: int,
-        fn_names: dict[int, str],
-    ) -> list[IntervalNode]:
-        children: list[IntervalNode] = []
-        if splits > 0 and len(sample) >= 2:
-            half = len(sample) // 2
-            for part in (sample[:half], sample[half:]):
-                node = IntervalNode(
-                    level=-1,
-                    t_start=int(part["t"][0]),
-                    t_end=int(part["t"][-1]) + 1,
-                    diagnostics=DiagnosticsPartial.from_events(part, block).finalize(),
-                    exact=True,
-                )
-                node.children = ExecutionIntervalTree._build_below(
-                    part, splits - 1, block, fn_names
-                )
-                children.append(node)
-            return children
-        # function leaf nodes
-        for fid in sorted_unique(sample["fn"]):
-            part = sample[sample["fn"] == fid]
-            children.append(
+        # each level above pairs the nodes below: node k at level L spans
+        # samples [k << L, (k + 1) << L), its merged partial finalized
+        # with rho (an estimate)
+        level_nodes = leaves
+        for level, totals in enumerate(table.levels(), start=1):
+            level_nodes = [
                 IntervalNode(
-                    level=-1,
-                    t_start=int(part["t"][0]),
-                    t_end=int(part["t"][-1]) + 1,
-                    diagnostics=DiagnosticsPartial.from_events(part, block).finalize(),
-                    exact=True,
-                    function=fn_names.get(int(fid), f"fn{int(fid)}"),
+                    level=level,
+                    t_start=t0,
+                    t_end=t1,
+                    diagnostics=d,
+                    exact=False,
+                    children=level_nodes[2 * k : 2 * k + 2],
                 )
-            )
-        return children
+                for k, (t0, t1, d) in enumerate(_nodes(totals, rho))
+            ]
+        return cls(level_nodes[0], leaves)
 
     def zoom(
         self,
@@ -179,6 +140,93 @@ class ExecutionIntervalTree:
             path.append(node)
             depth += 1
         return path
+
+
+def _nodes(totals, rho: float):
+    """``(t_start, t_end, diagnostics)`` of each group of a grouping's totals."""
+    return zip(
+        totals.t_start.tolist(),
+        totals.t_end.tolist(),
+        SampleTable.diagnostics(totals, rho),
+    )
+
+
+def _function_leaves(table: SampleTable, fn_names: dict[int, str]) -> list[list[IntervalNode]]:
+    """Each segment's function leaf nodes, in function-id order."""
+    totals = table.leaf_totals()
+    per_segment: list[list[IntervalNode]] = [[] for _ in range(table.n_segments)]
+    for seg, fid, t0, t1, d in zip(
+        table.leaf_segment.tolist(),
+        table.leaf_fn.tolist(),
+        totals.t_start.tolist(),
+        totals.t_end.tolist(),
+        SampleTable.diagnostics(totals),
+    ):
+        per_segment[seg].append(
+            IntervalNode(
+                level=-1,
+                t_start=t0,
+                t_end=t1,
+                diagnostics=d,
+                exact=True,
+                function=fn_names.get(fid, f"fn{fid}"),
+            )
+        )
+    return per_segment
+
+
+def _attach_below(
+    leaves: list[IntervalNode],
+    collection: CollectionResult,
+    samples: SampleTable,
+    splits: int,
+    fn_names: dict[int, str],
+) -> None:
+    """Hang the intra-sample halves and the function leaves below ``leaves``.
+
+    A part of at least two records splits in two at ``len // 2`` while
+    splits remain. The parts that stop splitting are the segments of one
+    table (the samples' own when nothing splits); their function leaves
+    hang off them, and every depth of halves is one grouping of them.
+    """
+    lo, hi = samples.bounds[:-1], samples.bounds[1:]
+    depths = []  # per depth: (start, end, splits?) of its parts
+    for _ in range(max(splits, 0)):
+        split = hi - lo >= 2
+        depths.append((lo, hi, split))
+        mid = lo[split] + (hi[split] - lo[split]) // 2
+        lo, hi = (
+            np.stack([lo[split], mid], 1).ravel(),
+            np.stack([mid, hi[split]], 1).ravel(),
+        )
+    depths.append((lo, hi, np.zeros(len(lo), dtype=bool)))
+    table = samples
+    if len(depths) > 1:
+        edges = sorted_unique(np.concatenate([samples.bounds] + [d[0] for d in depths]))
+        table = SampleTable(collection.events, edges, samples.block)
+    starts = table.bounds[:-1]
+    fn_leaves = _function_leaves(table, fn_names)
+
+    parents = leaves
+    for depth, (lo, hi, split) in enumerate(depths):
+        # a part that stops splitting is one segment: its function leaves
+        stops = [node for node, s in zip(parents, split.tolist()) if not s]
+        for node, seg in zip(stops, np.searchsorted(starts, lo[~split]).tolist()):
+            node.children = fn_leaves[seg]
+        if not split.any():
+            break
+        # the next depth's halves group the segments each covers
+        nlo, nhi, _ = depths[depth + 1]
+        part = np.searchsorted(nlo, starts, side="right") - 1
+        covered = (part >= 0) & (starts < nhi[np.maximum(part, 0)])
+        halves = [
+            IntervalNode(level=-1, t_start=t0, t_end=t1, diagnostics=d, exact=True)
+            for t0, t1, d in _nodes(table.totals(np.where(covered, part, -1)), 1.0)
+        ]
+        owners = [node for node, s in zip(parents, split.tolist()) if s]
+        for k, node in enumerate(owners):
+            node.children = halves[2 * k : 2 * k + 2]
+        parents = halves
 
 
 def interval_request(

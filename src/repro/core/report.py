@@ -5,8 +5,9 @@ these renderers take the analysis layer's structures and format them with
 humanised quantities (2.3G, 291K) so output is directly comparable to the
 published tables.
 
-Every report surface takes its sections from here. :func:`hot_regions`
-gives the text report and the ``viz`` section the same named regions.
+Every report surface takes its sections from here. :func:`hot_region_plan`
+gives the text report and the ``viz`` section the same named regions and
+the region request that rides their one engine scan.
 The payload builders :func:`passes_payload`, :func:`full_report_payload`
 and :func:`viz_report_payload` share one signature and each runs its own
 engine analysis: ``memgaze report --json`` / ``--html`` and the serve
@@ -22,12 +23,13 @@ any field added here must stay deterministic.
 
 from __future__ import annotations
 
-import json
 from typing import Mapping, Sequence
 
+import numpy as np
+
+from repro._util.canonjson import canonical_json
 from repro._util.tables import format_table
 from repro.core.diagnostics import FootprintDiagnostics
-from repro.core.parallel import ParallelEngine
 from repro.core.zoom import (
     ZoomConfig,
     ZoomRegion,
@@ -42,7 +44,7 @@ __all__ = [
     "render_function_table",
     "render_region_table",
     "render_interval_table",
-    "hot_regions",
+    "hot_region_plan",
     "REPORT_PASSES",
     "report_requests",
     "passes_payload",
@@ -261,6 +263,15 @@ def _viz_num(x):
     return v
 
 
+def _viz_floats(a) -> list:
+    """A float array as (nested) lists of floats, NaN/inf as None."""
+    a = np.asarray(a, dtype=np.float64)
+    finite = np.isfinite(a)
+    if finite.all():
+        return a.tolist()
+    return np.where(finite, a.astype(object), None).tolist()
+
+
 def _viz_tree_node(node, depth_left: int) -> dict:
     """Serialize one interval-tree node with a bounded depth budget."""
     d = node.diagnostics
@@ -282,7 +293,7 @@ def _viz_tree_node(node, depth_left: int) -> dict:
     return out
 
 
-def _region_plan(
+def hot_region_plan(
     collection,
     fn_names,
     *,
@@ -321,37 +332,6 @@ def _region_plan(
     return rows, request
 
 
-def hot_regions(
-    collection,
-    fn_names,
-    *,
-    hot_threshold=ZoomConfig.hot_threshold,
-    min_pct,
-    max_regions,
-    engine=None,
-) -> list[tuple[str, ZoomRegion]]:
-    """The hottest location-zoom regions, hottest first, with their names.
-
-    At most ``max_regions`` zoom leaves holding at least ``min_pct``
-    percent of the accesses, each named ``"{base:#x} ({top fn})"``; one
-    region scan of ``engine`` (in-process when omitted) gives exactly
-    these leaves their reuse statistics.
-    """
-    rows, request = _region_plan(
-        collection,
-        fn_names,
-        hot_threshold=hot_threshold,
-        min_pct=min_pct,
-        max_regions=max_regions,
-    )
-    if request is not None:
-        engine = engine or ParallelEngine(workers=1)
-        source = (collection.events, collection.sample_id, None)
-        stats = engine.analyze(source, [request]).results["heatmap"]
-        apply_leaves([leaf for _, leaf in rows], stats)
-    return rows
-
-
 def _viz_section(collection, intervals, named, maps, rho, fn_names) -> dict:
     """The visual-report data: intervals, phases, tree, regions, heatmaps.
 
@@ -365,8 +345,11 @@ def _viz_section(collection, intervals, named, maps, rho, fn_names) -> dict:
     """
     from repro.core.interval_tree import ExecutionIntervalTree
     from repro.core.phases import detect_phases
+    from repro.core.sampletable import SampleTable
 
     p = _VIZ_PARAMS
+    # one per-sample partial table feeds both the phases and the tree
+    table = SampleTable.of(collection)
     intervals = [
         {
             "interval": int(r["interval"]),
@@ -392,11 +375,13 @@ def _viz_section(collection, intervals, named, maps, rho, fn_names) -> dict:
             "df": _viz_num(ph.diagnostics.dF),
             "a_obs": int(ph.diagnostics.A_obs),
         }
-        for ph in detect_phases(collection)
+        for ph in detect_phases(collection, table=table)
     ]
 
     try:
-        tree = ExecutionIntervalTree.build(collection, rho=rho, fn_names=fn_names)
+        tree = ExecutionIntervalTree.build(
+            collection, rho=rho, fn_names=fn_names, table=table
+        )
         tree_node = _viz_tree_node(tree.root, p["max_tree_depth"])
     except ValueError:  # no non-empty samples
         tree_node = None
@@ -424,9 +409,9 @@ def _viz_section(collection, intervals, named, maps, rho, fn_names) -> dict:
             "base": int(hm.base),
             "size": int(leaf.size),
             "page_size": int(hm.page_size),
-            "t_edges": [_viz_num(t) for t in hm.t_edges],
-            "counts": [[int(c) for c in row] for row in hm.counts],
-            "reuse": [[_viz_num(v) for v in row] for row in hm.reuse],
+            "t_edges": _viz_floats(hm.t_edges),
+            "counts": np.asarray(hm.counts).astype(np.int64).tolist(),
+            "reuse": _viz_floats(hm.reuse),
         }
         for (name, leaf), hm in zip(named, maps)
     ]
@@ -480,7 +465,7 @@ def viz_report_payload(
         requests.append(interval_request(len(events), p["n_intervals"], reuse_block=64))
         # the zoom tree is built from addresses first: its leaves' region
         # request then rides the same scan
-        named, region = _region_plan(
+        named, region = hot_region_plan(
             collection,
             fn_names,
             min_pct=p["min_region_pct"],
@@ -517,9 +502,10 @@ def payload_json(payload: dict) -> str:
 
     One serializer for every producer — the CLI prints exactly this
     string and the streaming daemon sends exactly this string, so a
-    byte comparison between the two is meaningful.
+    byte comparison between the two is meaningful. It is the project's
+    one canonical encoder, :func:`repro._util.canonjson.canonical_json`.
     """
-    return json.dumps(payload, indent=2, sort_keys=True)
+    return canonical_json(payload)
 
 
 def render_interval_table(

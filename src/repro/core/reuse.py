@@ -123,7 +123,6 @@ def stack_distances(ids: np.ndarray, win: np.ndarray) -> np.ndarray:
         return out
     if win.size != n:
         raise ValueError("win length must match ids")
-    pos = np.arange(n, dtype=np.int64)
     # contiguous window index + per-element window start
     brk = np.empty(n, dtype=bool)
     brk[0] = False
@@ -131,10 +130,19 @@ def stack_distances(ids: np.ndarray, win: np.ndarray) -> np.ndarray:
     widx = np.cumsum(brk)
     wstart = np.concatenate([[0], np.flatnonzero(brk)])[widx]
     # prev[i]: index of the previous same-id access in the same window
-    # (grouping each (window, id) pair's positions makes it a shift)
-    order = np.lexsort((pos, ids, widx))
-    so_ids, so_widx = ids[order], widx[order]
-    same = (so_ids[1:] == so_ids[:-1]) & (so_widx[1:] == so_widx[:-1])
+    # (grouping each (window, id) pair's positions makes it a shift); one
+    # stable sort on a (window, id) key when it fits in int64
+    lo = int(ids.min())
+    span = int(ids.max()) - lo + 1
+    if span * (int(widx[-1]) + 1) < 2**63:
+        key = widx * span + (ids - ids.dtype.type(lo)).astype(np.int64)
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        same = key[1:] == key[:-1]
+    else:
+        order = np.lexsort((ids, widx))
+        so_ids, so_widx = ids[order], widx[order]
+        same = (so_ids[1:] == so_ids[:-1]) & (so_widx[1:] == so_widx[:-1])
     prev = np.full(n, -1, dtype=np.int64)
     prev[order[1:][same]] = order[:-1][same]
     # D = rank - prev - 1 with rank the within-window left-count of

@@ -43,8 +43,12 @@ def _ramp(frac: float, lo=(0xF3, 0xF6, 0xFB), hi=(0x14, 0x3A, 0x7B)) -> str:
     if not math.isfinite(frac):
         frac = 0.0
     frac = min(1.0, max(0.0, frac))
-    rgb = tuple(round(a + (b - a) * frac) for a, b in zip(lo, hi))
-    return "#{:02x}{:02x}{:02x}".format(*rgb)
+    (r0, g0, b0), (r1, g1, b1) = lo, hi
+    return "#%02x%02x%02x" % (
+        round(r0 + (r1 - r0) * frac),
+        round(g0 + (g1 - g0) * frac),
+        round(b0 + (b1 - b0) * frac),
+    )
 
 
 _PHASE_FILL = {"regular": "#4c8f5d", "irregular": "#b0563c", "mixed": "#c7a13c"}
@@ -191,36 +195,46 @@ def svg_flame_tree(tree: dict | None, *, width: int = 900, row_h: int = 22) -> s
 
 
 def _heat_grid(matrix, top: float, x0: float, cell_w: float, cell_h: float, reuse: bool) -> str:
-    """The grid's cells, skipping None and non-finite ones.
+    """The grid's cells, skipping None and non-finite ones, a row at a time.
 
-    Coordinates and the cell size are formatted once per grid, and the
-    fill and label once per distinct value: a page's heatmaps repeat few
-    values across thousands of cells.
+    Each column's ``x``, each row's ``y`` and the cell size are formatted
+    once per grid, and the fill and label once per distinct value: a
+    page's heatmaps repeat few values across thousands of cells. The
+    cells' pieces go into one list joined once.
     """
-    ramp = {"lo": (0xF5, 0xEE, 0xE6), "hi": (0x8C, 0x2F, 0x6B)} if reuse else {}
+    lo, hi = (
+        ((0xF5, 0xEE, 0xE6), (0x8C, 0x2F, 0x6B)) if reuse else ((0xF3, 0xF6, 0xFB), (0x14, 0x3A, 0x7B))
+    )
     size = f'width="{_n(cell_w)}" height="{_n(cell_h)}"'
-    xs = [_n(x0 + c * cell_w) for c in range(max((len(row) for row in matrix), default=0))]
-    styles: dict[float, tuple[str, str]] = {}
-    cells = []
+    n_cols = max((len(row) for row in matrix), default=0)
+    heads = [f'<rect x="{_n(x0 + c * cell_w)}" y="' for c in range(n_cols)]
+    bins = [f", bin {c}: " for c in range(n_cols)]
+    log_top = math.log1p(top) if top > 0 else 0.0
+    styles: dict = {}  # cell value -> (fill, label), or None for a skipped cell
+
+    def style(v):
+        if v is None:
+            return None
+        v = float(v)
+        if not math.isfinite(v):
+            return None
+        shown = max(v, 0.0)  # a negative cell must not crash log1p
+        frac = math.log1p(shown) / log_top if top > 0 else 0.0
+        return (_ramp(frac, lo, hi), _n(shown))
+
+    out: list[str] = []
+    add = out.extend
     for r, row in enumerate(matrix):
-        y = _n(r * cell_h)
+        mid = f'{_n(r * cell_h)}" {size} fill="'
+        page = f'"><title>page {r}'
         for c, v in enumerate(row):
-            if v is None:
-                continue
-            v = float(v)
-            if not math.isfinite(v):
-                continue
-            style = styles.get(v)
-            if style is None:
-                shown = max(v, 0.0)  # a negative cell must not crash log1p
-                frac = math.log1p(shown) / math.log1p(top) if top > 0 else 0.0
-                style = styles[v] = (_ramp(frac, **ramp), _n(shown))
-            fill, label = style
-            cells.append(
-                f'<rect x="{xs[c]}" y="{y}" {size} fill="{fill}">'
-                f"<title>page {r}, bin {c}: {label}</title></rect>"
-            )
-    return "".join(cells)
+            try:
+                st = styles[v]
+            except KeyError:
+                st = styles[v] = style(v)
+            if st is not None:
+                add((heads[c], mid, st[0], page, bins[c], st[1], "</title></rect>"))
+    return "".join(out)
 
 
 def svg_heatmap(hm: dict, *, cell: int = 11) -> str:

@@ -18,7 +18,7 @@ when its payload source is absent, so a plain ``full_report_payload``
 
 from __future__ import annotations
 
-import json
+from repro._util.canonjson import canonical_json
 
 __all__ = ["VIEWMODEL_SCHEMA", "build_viewmodel", "viewmodel_json"]
 
@@ -209,8 +209,9 @@ def build_viewmodel(payload: dict) -> dict:
 def viewmodel_json(viewmodel: dict) -> str:
     """Canonical viewmodel serialization (sorted keys, 2-space indent).
 
-    The same convention as :func:`repro.core.report.payload_json`; the
-    golden suite freezes exactly this string, and the template embeds
-    exactly this string into the page.
+    The same encoder as :func:`repro.core.report.payload_json`
+    (:func:`repro._util.canonjson.canonical_json`); the golden suite
+    freezes exactly this string, and the template embeds exactly this
+    string into the page.
     """
-    return json.dumps(viewmodel, indent=2, sort_keys=True)
+    return canonical_json(viewmodel)

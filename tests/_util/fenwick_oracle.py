@@ -8,6 +8,10 @@ and the distance of an access is the marker count strictly between the
 previous access to its block and now — an O(n log n) walk over a
 :class:`FenwickTree` (binary-indexed tree).
 
+:func:`count_le_left_fenwick` is the same walk for the rank primitive
+under the kernel (:func:`repro._util.rank.count_le_left`): one Fenwick
+tree of value counts per group, queried before each insert.
+
 Import it from a test after putting this directory on ``sys.path``::
 
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "_util"))
@@ -23,7 +27,7 @@ from repro.core.metrics import block_ids
 from repro.core.reuse import _boundaries
 from repro.trace.event import EVENT_DTYPE
 
-__all__ = ["FenwickTree", "reuse_distances_fenwick"]
+__all__ = ["FenwickTree", "count_le_left_fenwick", "reuse_distances_fenwick"]
 
 
 class FenwickTree:
@@ -116,4 +120,26 @@ def reuse_distances_fenwick(
                 tree.add(prev, -1)
             tree.add(i, 1)
             last[b] = i
+    return out
+
+
+def count_le_left_fenwick(values: np.ndarray, groups: np.ndarray | None = None) -> np.ndarray:
+    """Per position, the earlier same-group elements ``<=`` it, by Fenwick walk.
+
+    Same contract as :func:`repro._util.rank.count_le_left`: ``groups``
+    holds contiguous group ids. Values are ranked among the distinct
+    values (Python ints, so any integer dtype works) and counted in a
+    tree of value counts that restarts at every group boundary.
+    """
+    vals = [int(v) for v in np.asarray(values).tolist()]
+    n = len(vals)
+    out = np.zeros(n, dtype=np.int64)
+    gids = [None] * n if groups is None else np.asarray(groups).tolist()
+    rank = {v: r for r, v in enumerate(sorted(set(vals)))}
+    tree = FenwickTree(len(rank))
+    for i, (v, g) in enumerate(zip(vals, gids)):
+        if i and g != gids[i - 1]:
+            tree = FenwickTree(len(rank))
+        out[i] = tree.prefix_sum(rank[v])
+        tree.add(rank[v], 1)
     return out

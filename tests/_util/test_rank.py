@@ -10,6 +10,9 @@ handle.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -91,3 +94,63 @@ def test_matches_naive_reference(vals, group_lens):
 def test_ungrouped_matches_naive(vals):
     got = count_le_left(np.array(vals, dtype=np.int64))
     assert list(got) == _naive(vals)
+
+
+# -- against the Fenwick oracle ----------------------------------------------------
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from fenwick_oracle import count_le_left_fenwick  # noqa: E402
+
+
+def _check(values, groups=None):
+    got = count_le_left(values, groups)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, count_le_left_fenwick(values, groups))
+
+
+def test_one_long_cache_set_group():
+    """One window as the cache model sees a set: ``prev_local`` of a long
+    access stream over few lines (-1 for each line's first touch)."""
+    rng = np.random.default_rng(7)
+    lines = rng.integers(0, 48, 3000)
+    last: dict[int, int] = {}
+    prev = np.empty(len(lines), dtype=np.int64)
+    for i, line in enumerate(lines.tolist()):
+        prev[i] = last.get(line, -1)
+        last[line] = i
+    _check(prev)
+    _check(prev, np.zeros(len(prev), dtype=np.int64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    vals=st.lists(st.integers(-(2**62), 2**62), min_size=2, max_size=120),
+    group_len=st.integers(1, 50),
+)
+def test_values_spanning_more_than_n(vals, group_len):
+    """Values spread wider than the array is long take the densify path."""
+    _check(np.array(vals, dtype=np.int64), np.arange(len(vals)) // group_len)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 300), v=st.integers(-5, 5), n_groups=st.integers(1, 4))
+def test_all_equal_values(n, v, n_groups):
+    groups = np.sort(np.arange(n) % n_groups)
+    _check(np.full(n, v, dtype=np.int64), groups)
+    _check(np.full(n, v, dtype=np.int64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    vals=st.lists(st.integers(0, 2**64 - 1), min_size=2, max_size=150),
+    narrow=st.booleans(),
+)
+def test_uint64_values(vals, narrow):
+    """uint64 input, both near the top of the range (a narrow span shifts,
+    a wide one densifies) and across it."""
+    a = np.array(vals, dtype=np.uint64)
+    if narrow:
+        a = np.uint64(2**64 - 1) - a % np.uint64(len(vals))
+    groups = np.sort(np.arange(len(a)) % 3)
+    _check(a, groups)
+    _check(a)

@@ -155,6 +155,19 @@ class TestKernelEquivalence:
             reuse_distances_fenwick(ev),
         )
 
+    def test_block_ids_spanning_the_whole_range(self, make_rng):
+        """Ids from both ends of uint64 across several windows: too wide
+        for the one (window, id) sort key, so the kernel groups them by a
+        two-key sort instead."""
+        rng = make_rng("kernel-eq-wide")
+        base = np.array([0, 2**40, 2**64 - 2**20], dtype=np.uint64)
+        addrs = base[rng.integers(0, 3, 1500)] + rng.integers(0, 40, 1500).astype(np.uint64)
+        sid = np.sort(rng.integers(0, 6, 1500)).astype(np.int32)
+        assert np.array_equal(
+            reuse_distances(_ev(addrs), 1, sid),
+            reuse_distances_fenwick(_ev(addrs), 1, sid),
+        )
+
     def test_non_monotone_sample_ids(self, make_rng):
         """Boundaries come from id *changes*, not sorted ids — both
         kernels must cut windows identically for non-monotone ids."""

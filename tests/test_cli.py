@@ -204,6 +204,23 @@ class TestPasses:
         scans = [r for r in recs if r.get("event") == "shard-analyzed"]
         assert scans and all(r["n_passes"] == 4 for r in scans)
 
+    def test_text_report_is_one_cached_scan(self, trace_file, tmp_path, capsys):
+        """Every text section rides one scan with the health record: a cold
+        run plans one scan, and a warm run prints the same bytes from the
+        cache without scanning a chunk."""
+        argv = ["report", str(trace_file), "--cache-dir", str(tmp_path / "cache")]
+        outs, plans, scans = [], [], []
+        for run in ("cold", "warm"):
+            journal = tmp_path / f"{run}.jsonl"
+            assert main(argv + ["--journal", str(journal)]) == 0
+            outs.append(capsys.readouterr().out)
+            recs = [json.loads(line) for line in journal.read_text().splitlines()]
+            plans.append(sum(r.get("stage") == "shard-plan" for r in recs))
+            scans.append(sum(r["event"] == "shard-analyzed" for r in recs))
+        assert outs[0] == outs[1]
+        assert plans[0] == 1 and scans[0] > 0
+        assert scans[1] == 0
+
 
 class TestObservability:
     def test_trace_journal_lines_parse(self, tmp_path):
