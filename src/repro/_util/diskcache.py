@@ -16,7 +16,9 @@ content-addressed key discipline lives in
   removed, never an exception;
 * **bounded size** — with ``max_bytes`` set, ``put`` evicts the
   least-recently-*used* entries (``get`` refreshes an entry's mtime)
-  until the cache fits. A reader racing an eviction simply misses.
+  until the cache fits; inside a :meth:`DiskCache.batch` block the
+  puts share one eviction pass at the block's end. A reader racing an
+  eviction simply misses.
 
 Misses return the module-level :data:`MISS` sentinel — entries may
 legitimately hold falsy values (empty arrays, zero counts), so ``None``
@@ -30,6 +32,7 @@ catalog).
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pickle
 import re
@@ -77,6 +80,9 @@ class DiskCache:
         self.stores = 0
         self.evictions = 0
         self.corrupt = 0
+        #: open :meth:`batch` blocks, and whether a put inside them stored
+        self._batches = 0
+        self._batch_stored = False
 
     # -- accounting -----------------------------------------------------------
 
@@ -155,7 +161,10 @@ class DiskCache:
         return MISS
 
     def put(self, name: str, value) -> None:
-        """Store ``value`` under ``name`` atomically, then evict if over budget."""
+        """Store ``value`` under ``name`` atomically, then evict if over budget.
+
+        Inside a :meth:`batch` block the eviction waits for the block's end.
+        """
         path = self._path(name)
         body = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         blob = _MAGIC + struct.pack("<I", zlib.crc32(body)) + body
@@ -175,8 +184,29 @@ class DiskCache:
         self._count("stores")
         self._count("bytes_written", len(blob))
         self.obs.emit("cache", op="store", name=name, bytes=len(blob))
-        if self.max_bytes is not None:
+        if self._batches:
+            self._batch_stored = True
+        elif self.max_bytes is not None:
             self._evict(self.max_bytes)
+
+    @contextlib.contextmanager
+    def batch(self):
+        """Defer the eviction of the puts inside the block to one pass at its end.
+
+        Each eviction lists and stats the whole directory, so a caller
+        storing several entries at once pays for one listing, not one
+        per entry. The pass runs even when the block raises, as long as
+        something was stored; blocks nest, and only the outermost evicts.
+        """
+        self._batches += 1
+        try:
+            yield
+        finally:
+            self._batches -= 1
+            if not self._batches and self._batch_stored:
+                self._batch_stored = False
+                if self.max_bytes is not None:
+                    self._evict(self.max_bytes)
 
     def delete(self, name: str) -> bool:
         """Remove one entry; True when a file was actually removed."""

@@ -142,6 +142,10 @@ class ArtifactStore:
         """Persist a merged whole-trace partial."""
         self.cache.put(self._partial_name(digest, pass_name, params), partial)
 
+    def batch(self):
+        """A block whose puts share one eviction pass (:meth:`DiskCache.batch`)."""
+        return self.cache.batch()
+
     # -- trace states (incremental append) ------------------------------------
 
     def put_state(

@@ -292,6 +292,18 @@ class ParallelEngine:
             self._pool = ProcessPoolExecutor(max_workers=max(1, self.workers))
         return self._pool
 
+    def start(self) -> None:
+        """Fork the worker pool now instead of at the first pooled scan.
+
+        With the fork start method every worker is forked at the pool's
+        first submit. A caller that runs its own threads beside later
+        scans (serve ingest publishes on one) starts the pool first, so
+        no fork copies a process with a second thread alive. Inline
+        engines have no pool and return at once.
+        """
+        if self.workers > 1:
+            self._executor().submit(int).result()
+
     def close(self) -> None:
         """Shut the worker pool down (idempotent)."""
         if self._pool is not None:
@@ -462,12 +474,16 @@ class ParallelEngine:
                     n_events=fold.n_events,
                 )
             for i, partial in zip(scan.missing, scanned):
-                r = scheduled[i]
                 merged[i] = partial
-                if keep and src.cacheable(r.name):
-                    self.store.put_partial(src.digest, r.name, r.params, partial)
-            if keep and src.sid_present and fold.last_sid is not None:
-                self.store.put_state(src.digest, src.health, fold.last_sid)
+            if keep:
+                # one eviction pass for the whole analysis, not one per entry
+                with self.store.batch():
+                    for i, partial in zip(scan.missing, scanned):
+                        r = scheduled[i]
+                        if src.cacheable(r.name):
+                            self.store.put_partial(src.digest, r.name, r.params, partial)
+                    if src.sid_present and fold.last_sid is not None:
+                        self.store.put_state(src.digest, src.health, fold.last_sid)
 
         if src.path is not None:
             rho, fn_names = self._archive_context(src, scheduled, merged, rho, fn_names)
@@ -529,27 +545,6 @@ class ParallelEngine:
 
     # -- lookup chain steps 2 and 3 --
 
-    @staticmethod
-    def _describes(health: dict, events, sample_id) -> bool:
-        """Whether a record with sample ids can be these arrays' record.
-
-        Checked before a cached prefix is merged in: the arrays carry
-        sample ids, and the record's newest CRC chunk — where appended
-        events land — re-checksums over the in-memory bytes.
-        """
-        from repro._util.crc import crc32_of
-
-        if sample_id is None:
-            return False
-        try:
-            step = int(health["chunk_events"])
-            lo = (len(events) - 1) // step * step
-            return crc32_of(events[lo:]) == int(health["events_crc"][-1]) and crc32_of(
-                np.asarray(sample_id[lo:], dtype=np.int32)
-            ) == int(health["sample_id_crc"][-1])
-        except (KeyError, TypeError, ValueError, IndexError):
-            return False
-
     def _incremental(self, scan: "_Scan", sub: list[ResolvedRequest]) -> bool:
         """Plan a scan of only the events appended after a cached trace state.
 
@@ -562,15 +557,14 @@ class ParallelEngine:
         bytes, or while an archive's prefix is streamed past
         (:class:`~repro.trace.tracefile.PrefixSkip`). The check proves
         the prefix *is* the trace that was cached; a candidate that
-        fails it is journaled and the next one tried. On success
+        fails it is journaled and the next one tried. In-memory arrays
+        must also match their own record's final CRC chunk. On success
         ``scan`` holds the tail's jobs plus the prefix partials to merge
         in front of them; ``False`` leaves the caller to plan a full
         scan.
         """
         src = scan.src
         if src.digest is None or not src.sid_present:
-            return False
-        if src.path is None and not self._describes(src.health, src.events, src.sample_id):
             return False
         candidates = self.store.prefix_states(src.health)
         for k, state in enumerate(candidates):
@@ -583,7 +577,9 @@ class ParallelEngine:
             else:
                 try:
                     reason = self._plan_tail(scan, sub, state)
-                except (OSError, ValueError):  # the archive does not read back
+                except (OSError, ValueError):
+                    # the archive does not read back, or the arrays are
+                    # not their record's: no cached prefix describes them
                     return False
                 if reason is None:
                     scan.prior, scan.skipped = prior, int(state["n_events"])
@@ -648,20 +644,43 @@ class ParallelEngine:
         """Why the in-memory prefix is not the stored state's trace, or None.
 
         The state's complete CRC chunks already equal the source's
-        record (that is how it was found); a final partial chunk is
-        checksummed over the in-memory bytes here.
+        record (that is how it was found). The rest is checksummed over
+        the in-memory bytes, each byte once: the state's final partial
+        chunk ``[lo, n)``, then the record's final chunk — when the
+        state ends inside it, its CRC is ``[lo, n)``'s joined to
+        ``[n, N)``'s. Arrays that do not match their own record raise
+        :class:`ValueError`: no cached prefix can be trusted for them.
         """
-        from repro._util.crc import crc32_of
+        from repro._util.crc import crc32_combine, crc32_of
 
-        n, step = int(state["n_events"]), int(state["chunk_events"])
+        events, sample_id, record = src.events, src.sample_id, src.health
+        if sample_id is None:
+            raise ValueError("the record lists sample ids the arrays lack")
+
+        def crcs(lo: int, hi: int) -> tuple[int, int]:
+            sid = np.asarray(sample_id[lo:hi], dtype=np.int32)
+            return crc32_of(events[lo:hi]), crc32_of(sid)
+
+        n, step, total = int(state["n_events"]), int(state["chunk_events"]), len(events)
         lo = n - n % step
-        if lo < n:
-            sid = np.asarray(src.sample_id[lo:n], dtype=np.int32)
-            if (
-                crc32_of(src.events[lo:n]) != int(state["events_crc"][-1])
-                or crc32_of(sid) != int(state["sample_id_crc"][-1])
-            ):
-                return "prefix checksums do not match the cached state"
+        head = crcs(lo, n)
+        if lo < n and head != (int(state["events_crc"][-1]), int(state["sample_id_crc"][-1])):
+            return "prefix checksums do not match the cached state"
+        last_lo = (total - 1) // step * step
+        if last_lo == lo:  # the state ends inside the record's last chunk
+            ev, sid = crcs(n, total)
+            last = (
+                crc32_combine(head[0], ev, (total - n) * events.itemsize),
+                crc32_combine(head[1], sid, (total - n) * 4),
+            )
+        else:
+            last = crcs(last_lo, total)
+        try:
+            described = last == (int(record["events_crc"][-1]), int(record["sample_id_crc"][-1]))
+        except IndexError as exc:  # a record listing no CRCs
+            raise ValueError("unusable health record") from exc
+        if not described:
+            raise ValueError("the arrays do not match their health record")
         return None
 
     def _full_scan(self, scan: "_Scan", sub: list[ResolvedRequest]) -> None:

@@ -4,19 +4,29 @@ A :class:`ServeSession` owns one client stream's growing trace: the
 in-memory event arrays, the on-disk archive they are published to, and
 the analysis freshness loop. Every accepted chunk
 
-1. appends to the in-memory arrays (amortised growth buffers),
-2. is **appended** to the session archive by a
-   :class:`~repro.trace.tracefile.TraceAppender`, which deflates only
-   the new chunk and publishes the archive atomically (temp file +
-   ``os.replace``), so concurrent readers — an offline ``memgaze
-   report``, a crashing daemon's survivors — only ever see complete
-   archives, and
-3. drives :meth:`ParallelEngine.analyze` over the in-memory arrays for
-   the default report pass set (:data:`repro.core.report.REPORT_PASSES`),
-   keyed by the appender's health record. That warms the
-   content-addressed :class:`~repro.core.artifacts.ArtifactStore` under
-   the trace's *new* digest via the prefix-incremental path: only the
-   appended tail is scanned, the cached prefix partials merge in.
+1. appends to the in-memory arrays (amortised growth buffers) and to
+   the session's :class:`~repro.trace.tracefile.TraceAppender`, which
+   checksums it into the health record; then, at the same time,
+2. the appender **publishes** the archive on a short-lived helper
+   thread — it deflates only the new chunk and replaces the archive
+   atomically (temp file + ``os.replace``), so concurrent readers — an
+   offline ``memgaze report``, a crashing daemon's survivors — only
+   ever see complete archives — while
+3. :meth:`ParallelEngine.analyze` scans the in-memory arrays for the
+   default report pass set (:data:`repro.core.report.REPORT_PASSES`),
+   keyed by the appender's health record, taken before the thread
+   starts. That warms the content-addressed
+   :class:`~repro.core.artifacts.ArtifactStore` under the trace's *new*
+   digest via the prefix-incremental path: only the appended tail is
+   scanned, the cached prefix partials merge in.
+
+zlib releases the GIL while it deflates, so the publish runs beside the
+scan instead of before it. The ingest joins the thread before it
+returns and re-raises a failed publish, so the ack still follows both:
+an acked chunk is in the archive on disk and in the store. A pooled
+engine must have forked its workers before the first ingest (the shard
+worker starts its engine's pool before it takes requests), so no fork
+copies a process while a publish thread runs.
 
 A query builds its collection from the same arrays through
 :func:`repro.trace.loader.trace_collection` — the recipe the offline
@@ -24,10 +34,11 @@ loader applies to what it reads — and analyzes the same ``(events,
 sample_id, health record)`` source ingest did, so no archive is read and no
 chunk is scanned, and the JSON payload is byte-identical to ``memgaze
 report --json`` over the archive. No op reads, decompresses or
-re-deflates the prefix: an ingest costs its tail's deflate and scan,
-plus merging the tail into the whole-trace partials and writing them
-back, which is O(footprint) — O(tail) overall while the program's
-footprint is bounded. Reopening a session reads its archive once and
+re-deflates the prefix: an ingest costs the longer of its tail's
+deflate and its tail's scan, where the scan includes merging the tail
+into the whole-trace partials and writing them back, which is
+O(footprint) — O(tail) overall while the program's footprint is
+bounded. Reopening a session reads its archive once and
 re-checksums it; the adopted prefix is deflated only if the session
 publishes again.
 
@@ -46,6 +57,7 @@ the ownership survives daemon restarts, worker crashes, and
 from __future__ import annotations
 
 import re
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -172,8 +184,10 @@ class ServeSession:
     # -- ingest (called inside the session's owning shard worker) --------------
 
     def ingest(self, events: np.ndarray, sample_id: np.ndarray | None, engine) -> dict:
-        """Append one chunk, publish the archive, refresh the analysis.
+        """Append one chunk; publish the archive while the analysis refreshes.
 
+        The publish runs on a helper thread beside ``engine.analyze``
+        and is joined before this returns; a failed publish raises here.
         Returns a small summary dict for the journal/ack. A chunk with
         no sample ids degrades the whole session to sid-less (reuse
         spans the whole trace as one window, incremental re-analysis
@@ -189,11 +203,14 @@ class ServeSession:
                 chunk=self.n_chunks,
             )
         self.n_chunks += 1
-        self._writer.publish()
 
         loaded = self._source()
-        col = loaded.collection
-        analysis = engine.analyze((col.events, col.sample_id, loaded.health), REPORT_PASSES)
+        # one short-lived thread; leaving the block joins it
+        with ThreadPoolExecutor(1, thread_name_prefix="session-publish") as helper:
+            published = helper.submit(self._writer.publish)
+            col = loaded.collection
+            analysis = engine.analyze((col.events, col.sample_id, loaded.health), REPORT_PASSES)
+        published.result()  # a failed publish fails the ingest
         self.last_mode = analysis.mode
         self.last_skipped = analysis.skipped_events
         return {

@@ -111,6 +111,9 @@ def _worker_main(
     obs = Obs(obs.journal, MetricsRegistry())
     store = ArtifactStore(root / "cache", obs=obs)
     engine = ParallelEngine(store=store, obs=obs, **engine_kwargs)
+    # fork the pool while this is the process's only thread: an ingest
+    # publishes on a helper thread during its scan
+    engine.start()
     manager = SessionManager(root / "sessions", obs)
 
     while True:

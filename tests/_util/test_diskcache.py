@@ -141,6 +141,42 @@ class TestEviction:
         assert c.names() == ["b"], "oldest entry must be evicted on put"
         assert c.evictions == 1
 
+    def test_batch_evicts_once_at_its_end(self, tmp_path, monkeypatch):
+        jpath = tmp_path / "j.jsonl"
+        c = DiskCache(tmp_path / "c", max_bytes=10 * 1024, obs=Obs(RunJournal(jpath)))
+        t0 = time.time() - 100
+        self._put_sized(c, "a", 4, t0)
+        self._put_sized(c, "b", 4, t0 + 10)
+        passes = []
+        real = DiskCache._evict
+        monkeypatch.setattr(
+            DiskCache, "_evict", lambda self, n: passes.append(n) or real(self, n)
+        )
+        with c.batch():
+            with c.batch():  # nested blocks: only the outermost evicts
+                c.put("c", b"z" * (4 * 1024))
+            c.put("d", b"w" * (4 * 1024))
+            assert passes == [] and c.names() == ["a", "b", "c", "d"]
+        assert passes == [10 * 1024]
+        # the two least-recently-used entries go, in one journaled pass
+        assert c.names() == ["c", "d"] and c.evictions == 2
+        evicts = [r for r in read_journal(jpath) if r.get("op") == "evict"]
+        assert [r["n_entries"] for r in evicts] == [2]
+
+    def test_batch_without_a_store_does_not_evict(self, tmp_path, monkeypatch):
+        c = DiskCache(tmp_path / "c", max_bytes=1024)
+        monkeypatch.setattr(DiskCache, "_evict", lambda self, n: pytest.fail("evicted"))
+        with c.batch():
+            assert c.get("a") is MISS
+
+    def test_batch_evicts_when_its_block_raises(self, tmp_path):
+        c = DiskCache(tmp_path / "c", max_bytes=5 * 1024)
+        with pytest.raises(RuntimeError), c.batch():
+            c.put("a", b"x" * (4 * 1024))
+            c.put("b", b"y" * (4 * 1024))
+            raise RuntimeError
+        assert len(c.names()) == 1 and c.evictions == 1
+
     def test_prune_and_clear(self, tmp_path):
         c = DiskCache(tmp_path / "c")
         for i in range(4):

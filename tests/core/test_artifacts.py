@@ -12,11 +12,15 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from repro._util.crc import crc32_chunks
 from repro._util.rng import derive_rng
 from repro.core.artifacts import MISS, SCHEMA_VERSION, ArtifactStore, freeze_params
 from repro.core.parallel import ParallelEngine
@@ -427,6 +431,110 @@ class TestInMemoryIncremental:
         assert fa.mode == "full" and scanned == len(ev)
         warnings = [r for r in read_journal(jpath) if r.get("event") == "warning"]
         assert any("prefix checksums do not match" in w["message"] for w in warnings)
+
+
+def _record(ev, sid, step):
+    """A health record of ``ev``/``sid`` checksummed in chunks of ``step`` records."""
+    return {
+        "version": 1,
+        "chunk_events": step,
+        "n_events": len(ev),
+        "events_crc": crc32_chunks(ev, step, at_least_one=True),
+        "sample_id_crc": crc32_chunks(sid, step, at_least_one=True),
+    }
+
+
+class TestInMemoryPrefixCheck:
+    """An in-memory extension re-checksums the stored state's final
+    partial chunk and its own record's final chunk, each byte once."""
+
+    @staticmethod
+    def _extend(store_dir, ev, sid, n0, step, source=None):
+        store = ArtifactStore(store_dir)
+        with ParallelEngine(workers=1, store=store) as eng:
+            eng.analyze((ev[:n0], sid[:n0], _record(ev[:n0], sid[:n0], step)), FILE_PASSES)
+            return eng.analyze(source or (ev, sid, _record(ev, sid, step)), FILE_PASSES)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        step=st.sampled_from([600, 1000, 1750, 8000]),
+        n0_samples=st.integers(1, 8),
+        tail_samples=st.integers(1, 6),
+        flip=st.sampled_from([None, "events", "sample_id"]),
+        at_tail=st.booleans(),
+        data=st.data(),
+    )
+    def test_a_flipped_checked_byte_forces_a_full_scan(
+        self, step, n0_samples, tail_samples, flip, at_tail, data
+    ):
+        ev, sid = _trace((n0_samples + tail_samples) * SAMPLE)
+        n0, total = n0_samples * SAMPLE, len(ev)
+        # the ranges the check reads: the state's partial chunk [lo, n0)
+        # and the record's last chunk from n0 on: [n0, N) when the state
+        # ends inside it
+        lo, last_lo = n0 - n0 % step, (total - 1) // step * step
+        span = (max(n0, last_lo), total) if at_tail else (lo, n0)
+        assume(flip is None or span[0] < span[1])
+        changed_ev, changed_sid = ev.copy(), sid.copy()
+        if flip is not None:
+            arr = changed_ev if flip == "events" else changed_sid
+            raw = arr.view(np.uint8).reshape(len(arr), -1)
+            row = data.draw(st.integers(span[0], span[1] - 1))
+            col = data.draw(st.integers(0, raw.shape[1] - 1))
+            raw[row, col] ^= 1 << data.draw(st.integers(0, 7))
+        with tempfile.TemporaryDirectory() as d:
+            fa = self._extend(
+                d, ev, sid, n0, step, (changed_ev, changed_sid, _record(ev, sid, step))
+            )
+        if flip is None:
+            assert fa.mode == "incremental" and fa.skipped_events == n0
+        else:
+            assert fa.mode == "full" and fa.n_events == total
+
+    def test_a_record_listing_no_crcs_keeps_the_full_scan(self, tmp_path):
+        ev, sid = _trace(4 * SAMPLE)
+        n0 = 2 * SAMPLE
+        empty = {**_record(ev, sid, 8000), "events_crc": [], "sample_id_crc": []}
+        fa = self._extend(tmp_path / "cache", ev, sid, n0, 8000, (ev, sid, empty))
+        assert fa.mode == "full" and fa.n_events == len(ev)
+
+    def test_each_byte_is_checksummed_once(self, tmp_path, monkeypatch):
+        import repro._util.crc as crc
+
+        step = 4 * SAMPLE
+        ev, sid = _trace(7 * SAMPLE)
+        n0 = 5 * SAMPLE  # the state ends inside the record's last chunk
+        read = []
+        real = crc.crc32_of
+
+        def counted(arr):
+            read.append(arr.nbytes)
+            return real(arr)
+
+        store = ArtifactStore(tmp_path / "cache")
+        with ParallelEngine(workers=1, store=store) as eng:
+            eng.analyze((ev[:n0], sid[:n0], _record(ev[:n0], sid[:n0], step)), FILE_PASSES)
+            monkeypatch.setattr(crc, "crc32_of", counted)
+            fa = eng.analyze((ev, sid, _record(ev, sid, step)), FILE_PASSES)
+        assert fa.mode == "incremental"
+        lo = n0 - n0 % step
+        assert sum(read) == (len(ev) - lo) * (ev.itemsize + sid.itemsize)
+
+
+def test_an_analysis_evicts_once(tmp_path, monkeypatch):
+    # every partial and the state are stored, then one eviction pass runs
+    from repro._util.diskcache import DiskCache
+
+    ev, sid = _trace(8 * SAMPLE)
+    passes = []
+    real = DiskCache._evict
+    monkeypatch.setattr(DiskCache, "_evict", lambda self, n: passes.append(n) or real(self, n))
+    store = ArtifactStore(tmp_path / "cache")
+    with ParallelEngine(workers=1, store=store) as eng:
+        fa = eng.analyze((ev, sid, _health_record(ev, sid)), FILE_PASSES)
+    assert fa.mode == "full"
+    assert store.stats()["stores"] == len(FILE_PASSES) + 1  # the partials and the state
+    assert len(passes) == 1
 
 
 class TestPrefixShadowing:

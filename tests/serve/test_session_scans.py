@@ -8,6 +8,8 @@ must still equal ``memgaze report --json`` over the same archive bytes.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from repro.cli import main
@@ -66,11 +68,14 @@ def test_reopened_session_deflates_nothing_until_it_appends(
         manager.close("s")
         published = manager.root.joinpath("s.npz").read_bytes()
 
-        deflated = []
+        deflated = []  # (bytes, deflating thread)
         real = tracefile._deflate
-        monkeypatch.setattr(
-            tracefile, "_deflate", lambda data, **kw: deflated.append(len(data)) or real(data, **kw)
-        )
+
+        def deflate(data, **kw):
+            deflated.append((len(data), threading.current_thread()))
+            return real(data, **kw)
+
+        monkeypatch.setattr(tracefile, "_deflate", deflate)
         session = manager.open("s", meta)
         session.query(None, engine)
         assert deflated == [], "reopen + query recompressed the trace"
@@ -79,5 +84,8 @@ def test_reopened_session_deflates_nothing_until_it_appends(
         ack = session.ingest(events[half:], sample_id[half:], engine)
         assert ack["mode"] == "incremental"
         assert deflated, "the first publish after a reopen deflates the adopted prefix"
+        # ... on the publish thread, beside the ingest's analysis
+        assert max(n for n, _ in deflated) >= half * events.itemsize
+        assert all(t is not threading.current_thread() for _, t in deflated)
     ev, _, sid, _ = read_trace(session.archive)
     assert np.array_equal(ev, events) and np.array_equal(sid, sample_id)
