@@ -816,8 +816,8 @@ def _engine_flags(parser: argparse.ArgumentParser, *, cache: bool) -> None:
     )
     parser.add_argument(
         "--chunk-size", type=_positive_int, default=None,
-        help="events per analysis shard or streamed chunk (default: auto "
-        "from trace size and workers)",
+        help="events per analysis shard or streamed chunk (default: 1048576; "
+        "a pooled in-memory scan sizes its own from trace size and workers)",
     )
     if cache:
         parser.add_argument(

@@ -12,15 +12,18 @@ exploits that with :meth:`ParallelEngine.analyze_many` (and
    then a verified-prefix incremental scan for a trace that extends
    one already analyzed; every trace is addressed by its health
    record);
-2. **shards** whatever is still missing into sample-aligned chunks
-   (:func:`plan_shards` for in-memory events, the archive's own chunks
-   for a file — a shard never splits a sample, so intra-sample
-   computations are unaffected by the cut);
+2. **streams** whatever is still missing as one lazy stream of
+   sample-aligned ``(offset, events, sample_id)`` chunks, whatever the
+   source (:func:`plan_shards` cuts in-memory events, an archive
+   streams its own chunks) — a chunk never splits a sample, so
+   intra-sample computations are unaffected by the cut, and a trace
+   without sample ids, being one sample, is one chunk;
 3. **fans out** one :func:`~repro.core.passes.scan_chunk` call per
-   shard across a ``concurrent.futures`` process pool, at most
-   ``2 * workers`` in flight across all sources — event arrays are
-   published into named shared-memory segments (:mod:`repro.core.shm`)
-   and workers attach zero-copy, so only a tiny
+   chunk across a ``concurrent.futures`` process pool, at most
+   ``2 * workers`` in flight across all sources — each chunk is
+   published into a named shared-memory segment of its own
+   (:mod:`repro.core.shm`), released once its partials fold, and
+   workers attach zero-copy, so only a tiny
    :class:`~repro.core.shm.ShardRef` crosses the pipe (the pickled
    slices are the automatic fallback when publishing fails); every
    scheduled pass reads the same per-chunk intermediates (block ids,
@@ -38,8 +41,8 @@ Exactness argument, per pass:
   (once, multi) set pair forms a commutative monoid.
 * *reuse histogram* — distances reset at sample boundaries, so a
   sample-aligned shard computes exactly the distances the serial pass
-  assigns to its events; all tallies are integers and integer addition
-  is exact.
+  assigns to its events (a trace without sample ids is one sample and
+  one shard); all tallies are integers and integer addition is exact.
 * *heatmaps* — bin geometry is fixed globally before sharding
   (:func:`repro.core.heatmap.heatmap_request`); count matrices are
   integers, and the ``dsum`` float matrix accumulates integer-valued
@@ -54,10 +57,11 @@ The engine reports through one :class:`~repro.obs.Obs` handle, its
 ``obs`` argument. Per-stage wall-clock and throughput land in the
 handle's stage timers (surfaced by ``memgaze report --stats``),
 including a ``pass:<name>`` stage per scheduled pass. With a journal,
-the engine journals its shard plans, merges and archive analyses, and
-pool workers journal their own ``shard-analyzed`` lines directly (the
-handle pickles down to the journal's path and its bound fields). With
-a registry, the engine counts shards, events, merges, and
+the engine journals its in-memory shard plans, merges and archive
+analyses, and pool workers journal their own ``shard-analyzed`` lines
+directly (the handle pickles down to the journal's path and its bound
+fields). With a registry, the engine counts shards (every chunk the
+scan pulls, from memory or an archive), events, merges, and
 artifact-cache hits/misses (``passes.artifact_hits`` /
 ``passes.artifact_misses``) and fills the ``parallel.shard_events``
 histogram; the zero-copy handoff adds ``shm.*`` counters and journal
@@ -100,13 +104,13 @@ __all__ = [
     "Analysis",
 ]
 
-#: below this many events a single shard is used — pool overhead would
-#: dominate any gain.
+#: below this many events an in-memory scan runs inline — pool overhead
+#: would dominate any gain.
 _MIN_PARALLEL_EVENTS = 16_384
 #: shards per worker when no explicit chunk size is given (load balance).
 _CHUNKS_PER_WORKER = 4
-#: events per streamed archive chunk when neither the engine nor the
-#: call sets a chunk size.
+#: events per chunk when the engine sets no chunk size (a pooled
+#: in-memory scan sizes its own shards instead).
 _ARCHIVE_CHUNK = 1 << 20
 
 
@@ -133,6 +137,8 @@ def plan_shards(
 
     if len(sample_id) != n:
         raise ValueError("sample_id length must match events")
+    if n <= chunk_size:
+        return [(0, n)]
     # sample start indices (always includes 0)
     starts = np.concatenate(
         [[0], np.flatnonzero(np.diff(np.asarray(sample_id))) + 1, [n]]
@@ -174,7 +180,8 @@ class _Source:
 
     In-memory sources carry ``events``; archive sources carry ``path``
     plus the metadata. With a store, either kind carries the health
-    record that addresses it and the record's digest.
+    record that addresses it and the record's digest; a source with a
+    digest is cached.
     """
 
     events: np.ndarray | None = None
@@ -186,21 +193,8 @@ class _Source:
 
     @property
     def sid_present(self) -> bool:
-        """Whether the record stores sample ids (reuse windows can be cut)."""
+        """Whether the record stores sample ids (the trace can be extended)."""
         return self.health is not None and self.health.get("sample_id_crc") is not None
-
-    def cacheable(self, name: str) -> bool:
-        """Whether a pass's whole-trace partial may be stored and served.
-
-        Archive chunks without sample ids cut reuse windows at chunk
-        edges, so such chunk-scoped partials vary with the chunk size —
-        they are never persisted and never read back.
-        """
-        return self.digest is not None and (
-            self.path is None
-            or self.sid_present
-            or not get_pass(name).whole_without_samples
-        )
 
 
 @dataclass
@@ -210,7 +204,6 @@ class _Fold:
     merged: list | None = None
     n_events: int = 0
     last_sid: int | None = None
-    sid_seen: bool = False
     n_partials: int = 0
     merge_seconds: float = 0.0
 
@@ -220,8 +213,9 @@ class _Scan:
     """One source's way through :meth:`ParallelEngine.analyze_many`.
 
     The lookup fills ``merged`` with store hits and plans a lazy
-    ``jobs`` stream for the ``missing`` passes (``None`` when the store
-    served every pass); the shared fold then fills ``fold``.
+    ``jobs`` stream of ``(offset, events, sample_id)`` chunks for the
+    ``missing`` passes (``None`` when the store served every pass); the
+    shared fold then fills ``fold``.
     """
 
     src: _Source
@@ -233,7 +227,7 @@ class _Scan:
     specs: list | None = None
     jobs: Iterator | None = None
     pooled: bool = False
-    #: the archive chunk stream under ``jobs``, closed with it
+    #: the chunk stream under ``jobs``, closed with it
     chunks: Iterator | None = None
     #: cached prefix partials and their event count (incremental scans)
     prior: list | None = None
@@ -241,7 +235,7 @@ class _Scan:
     fold: _Fold = field(default_factory=_Fold)
 
     def close(self) -> None:
-        """Close the streams, releasing anything they hold but never handed out."""
+        """Close the streams, and with them any archive they hold open."""
         for stream in (self.jobs, self.chunks):
             if stream is not None:
                 stream.close()
@@ -353,12 +347,10 @@ class ParallelEngine:
         partial (the diagnostics pass is added when not requested).
         ``fn_names`` defaults to the archive's stored names.
 
-        The reuse histogram resets at sample boundaries. In memory,
-        a trace without sample ids is one window and is scanned as a
-        single shard; an archive without them makes each chunk its own
-        window — the histogram is then marked ``scope="chunk"``, a
-        journal warning records the degradation, and such partials are
-        never persisted (they vary with the chunk size).
+        Both kinds of source reach the scan as one stream of
+        sample-aligned chunks. The reuse histogram resets at sample
+        boundaries, and a trace without sample ids is one sample: it is
+        scanned as one chunk, from memory or from an archive alike.
 
         This is :meth:`analyze_many` over one item.
         """
@@ -425,20 +417,21 @@ class ParallelEngine:
         # 1. whole-trace partials already in the store
         scan = _Scan(src=src, scheduled=scheduled, merged=[None] * len(scheduled), t0=t0)
         for i, r in enumerate(scheduled):
-            if src.cacheable(r.name):
+            if src.digest is not None:
                 hit = self.store.get_partial(src.digest, r.name, r.params)
                 if hit is not MISS:
                     scan.merged[i] = hit
                     scan.cached_names.append(r.name)
         scan.missing = [i for i, v in enumerate(scan.merged) if v is None]
         if not scan.missing:  # served whole from the store; nothing is read
-            scan.fold = _Fold(n_events=int(src.health["n_events"]), sid_seen=src.sid_present)
+            scan.fold = _Fold(n_events=int(src.health["n_events"]))
             return scan
         sub = [scheduled[i] for i in scan.missing]
         scan.specs = [r.spec for r in sub]
         # 2. verified-prefix incremental scan, 3. full scan
         if not self._incremental(scan, sub):
-            self._full_scan(scan, sub)
+            scan.chunks = self._chunks(scan)
+            scan.jobs = self._chunk_jobs(scan.chunks)
         return scan
 
     def _finish(self, scan: "_Scan", rho, fn_names) -> "Analysis":
@@ -454,7 +447,6 @@ class ParallelEngine:
                     else merge_partial_lists(scan.prior, fold.merged, scan.specs)
                 )
                 fold.n_events += scan.skipped
-                fold.sid_seen = True
                 self.obs.counter("cache.incremental_scans").inc()
             mode = "incremental" if scan.prior is not None else "full"
             scanned = fold.merged
@@ -480,8 +472,7 @@ class ParallelEngine:
                 with self.store.batch():
                     for i, partial in zip(scan.missing, scanned):
                         r = scheduled[i]
-                        if src.cacheable(r.name):
-                            self.store.put_partial(src.digest, r.name, r.params, partial)
+                        self.store.put_partial(src.digest, r.name, r.params, partial)
                     if src.sid_present and fold.last_sid is not None:
                         self.store.put_state(src.digest, src.health, fold.last_sid)
 
@@ -493,7 +484,7 @@ class ParallelEngine:
         )
         seconds = time.perf_counter() - scan.t0
         if src.path is not None:
-            self._finish_archive(scan, results, mode, rho, seconds)
+            self._finish_archive(scan, mode, rho, seconds)
         return Analysis(
             results=results,
             meta=src.meta,
@@ -530,18 +521,56 @@ class ParallelEngine:
                 )
         return src
 
-    def _archive_chunk_size(self) -> int:
+    def _stream_chunk(self) -> int:
+        """Events per chunk, unless a pooled in-memory scan sizes its own."""
         return self.chunk_size or _ARCHIVE_CHUNK
 
+    def _chunks(self, scan: "_Scan", skip=None) -> Iterator:
+        """The source as one lazy stream of sample-aligned ``(events, sample_id)`` chunks.
+
+        The stream starts after the ``skip.n_events`` records of a
+        verified cached prefix (a :class:`~repro.trace.tracefile.PrefixSkip`),
+        or at the first record without one, and decides whether the scan
+        pools. In-memory arrays are cut by :meth:`_plan`; an archive
+        streams its own chunks. A trace without sample ids is one
+        sample, so either way it is one chunk.
+        """
+        src = scan.src
+        if src.path is not None:
+            scan.pooled = self.workers > 1
+            return self._archive_chunks(src.path, skip)
+        base = skip.n_events if skip is not None else 0
+        events = src.events[base:]
+        sample_id = src.sample_id[base:] if src.sample_id is not None else None
+        shards = self._plan(len(events), sample_id)
+        scan.pooled = (
+            self.workers > 1 and len(shards) > 1 and len(events) >= _MIN_PARALLEL_EVENTS
+        )
+        return (
+            (events[lo:hi], sample_id[lo:hi] if sample_id is not None else None)
+            for lo, hi in shards
+        )
+
     def _archive_chunks(self, path, skip=None):
+        """The archive's chunks, streamed; without sample ids, joined into one.
+
+        :func:`~repro.trace.tracefile.iter_trace_chunks` never splits a
+        sample across two chunks. A trace without sample ids is one
+        sample, so its chunks are joined into one: O(trace) memory, for
+        such archives only.
+        """
         from repro.trace.tracefile import iter_trace_chunks
 
-        return iter_trace_chunks(
-            path,
-            chunk_size=self._archive_chunk_size(),
-            obs=self.obs,
-            skip=skip,
-        )
+        chunks = iter_trace_chunks(path, chunk_size=self._stream_chunk(), obs=self.obs, skip=skip)
+        try:
+            for ev, sid in chunks:
+                if sid is not None:
+                    yield ev, sid
+                    continue
+                rest = [c[0] for c in chunks]
+                yield (np.concatenate([ev, *rest]) if rest else ev), None
+        finally:
+            chunks.close()
 
     # -- lookup chain steps 2 and 3 --
 
@@ -576,7 +605,7 @@ class ParallelEngine:
                 prior.append(p)
             else:
                 try:
-                    reason = self._plan_tail(scan, sub, state)
+                    reason = self._plan_tail(scan, state)
                 except (OSError, ValueError):
                     # the archive does not read back, or the arrays are
                     # not their record's: no cached prefix describes them
@@ -596,47 +625,40 @@ class ParallelEngine:
                 )
         return False
 
-    def _plan_tail(self, scan: "_Scan", sub: list[ResolvedRequest], state: dict) -> str | None:
+    def _plan_tail(self, scan: "_Scan", state: dict) -> str | None:
         """Verify ``state`` as the source's prefix and plan the tail's jobs.
 
-        Returns why the state is not the prefix, or None once ``scan``
-        holds the tail's jobs; an archive that does not read raises.
+        The prefix is checked over the in-memory bytes, or while the
+        archive's prefix is streamed past. Returns why the state is not
+        the prefix, or None once ``scan`` holds the tail's jobs; an
+        archive that does not read raises.
         """
+        from repro.trace.tracefile import PrefixSkip
+
         src = scan.src
         n = int(state["n_events"])
-        if src.path is None:
-            reason = self._memory_prefix_mismatch(src, state)
-            first_sid = int(src.sample_id[n])
-        else:
-            from repro.trace.tracefile import PrefixSkip
-
-            skip = PrefixSkip(n_events=n, chunk_events=int(state["chunk_events"]))
-            chunks = self._archive_chunks(src.path, skip=skip)
-            first = next(chunks, None)
-            reason = first_sid = None
-            if first is None:
-                reason = "no events after the cached prefix"
-            elif (
-                skip.events_crc != [int(c) for c in state["events_crc"]]
-                or skip.sample_id_crc != [int(c) for c in state["sample_id_crc"]]
-            ):
-                reason = "prefix checksums do not match the cached state"
-            elif first[1] is None or len(first[1]) == 0:
-                reason = "appended tail has no sample ids"
-            else:
-                first_sid = int(first[1][0])
-        if reason is None and first_sid == state["last_sample_id"]:
+        skip = PrefixSkip(n_events=n, chunk_events=int(state["chunk_events"]))
+        reason = self._memory_prefix_mismatch(src, state) if src.path is None else None
+        if reason is not None:
+            return reason
+        chunks = self._chunks(scan, skip)
+        first = next(chunks, None)
+        if first is None:
+            reason = "no events after the cached prefix"
+        elif src.path is not None and (
+            skip.events_crc != [int(c) for c in state["events_crc"]]
+            or skip.sample_id_crc != [int(c) for c in state["sample_id_crc"]]
+        ):
+            reason = "prefix checksums do not match the cached state"
+        elif first[1] is None or len(first[1]) == 0:
+            reason = "appended tail has no sample ids"
+        elif int(first[1][0]) == state["last_sample_id"]:
             reason = "appended tail continues the prefix's last sample"
         if reason is not None:
-            if src.path is not None:
-                chunks.close()
+            chunks.close()
             return reason
-        if src.path is None:
-            self._plan_arrays(scan, src.events[n:], src.sample_id[n:], sub, base=n)
-        else:
-            scan.chunks = chunks
-            scan.jobs = self._chunk_jobs(itertools.chain([first], chunks), base=n)
-            scan.pooled = self.workers > 1
+        scan.chunks = chunks
+        scan.jobs = self._chunk_jobs(itertools.chain([first], chunks), base=n)
         return None
 
     @staticmethod
@@ -683,73 +705,25 @@ class ParallelEngine:
             raise ValueError("the arrays do not match their health record")
         return None
 
-    def _full_scan(self, scan: "_Scan", sub: list[ResolvedRequest]) -> None:
-        """Plan one fused scan of every pass in ``sub`` over the whole source."""
-        src = scan.src
-        if src.path is None:
-            self._plan_arrays(scan, src.events, src.sample_id, sub)
-            return
-        scan.chunks = self._archive_chunks(src.path)
-        scan.jobs = self._chunk_jobs(scan.chunks)
-        scan.pooled = self.workers > 1
-
-    def _plan_arrays(
-        self, scan: "_Scan", events, sample_id, sub: list[ResolvedRequest], base: int = 0
-    ) -> None:
-        """Shard in-memory arrays, the source's records from ``base`` on, into
-        ``scan``'s job stream."""
-        n = len(events)
-        # cross-event state with no sample boundaries to cut at: one shard
-        whole = sample_id is None and any(
-            get_pass(r.name).whole_without_samples for r in sub
-        )
-        shards = [(0, n)] if (whole and n) else self._plan(n, sample_id)
-        scan.pooled = self.workers > 1 and len(shards) > 1 and n >= _MIN_PARALLEL_EVENTS
-        scan.jobs = self._shard_jobs(events, sample_id, shards, scan.pooled, base)
-
-    def _shard_jobs(self, events, sample_id, shards, pooled: bool, base: int):
-        """Fold jobs for in-memory shards of the source's records from ``base`` on.
-
-        Pooled, the arrays are published once, when the first job is
-        pulled, and every shard is a view of that slab. The last shard's
-        job carries the slab: jobs fold in submission order, so it is
-        released once every shard has folded.
-        """
-        slab = self._publish(events, sample_id) if pooled else None
-        handed = False
-        try:
-            for k, (lo, hi) in enumerate(shards):
-                handed = k == len(shards) - 1
-                yield (
-                    base + lo,
-                    events[lo:hi],
-                    sample_id[lo:hi] if sample_id is not None else None,
-                    slab.ref(lo, hi) if slab is not None else None,
-                    slab if handed else None,
-                )
-        finally:
-            if slab is not None and not handed:
-                slab.release()
-
     # -- the shard-map-merge core --
 
     def _plan(self, n: int, sample_id: np.ndarray | None) -> list[tuple[int, int]]:
+        """Cut in-memory arrays into sample-aligned shards.
+
+        Shards hold the engine's chunk size, or ``_ARCHIVE_CHUNK``
+        events when it sets none; a pooled engine without one sizes
+        ``_CHUNKS_PER_WORKER`` shards per worker. A trace without sample
+        ids is one sample, and so one shard.
+        """
         with self.obs.timed("plan"):
-            if self.workers <= 1 and self.chunk_size is None:
+            if sample_id is None:
                 shards = [(0, n)] if n else []
-            elif self.chunk_size is not None:
-                shards = plan_shards(n, sample_id, chunk_size=self.chunk_size)
-            else:
-                size = max(
-                    -(-n // (max(1, self.workers) * _CHUNKS_PER_WORKER)),
-                    _MIN_PARALLEL_EVENTS,
-                )
+            elif self.chunk_size is None and self.workers > 1:
+                size = max(-(-n // (self.workers * _CHUNKS_PER_WORKER)), _MIN_PARALLEL_EVENTS)
                 shards = plan_shards(n, sample_id, chunk_size=size)
+            else:
+                shards = plan_shards(n, sample_id, chunk_size=self._stream_chunk())
         self.obs.counter("parallel.plans").inc()
-        self.obs.counter("parallel.shards").inc(len(shards))
-        h = self.obs.histogram("parallel.shard_events")
-        for lo, hi in shards:
-            h.observe(hi - lo)
         self.obs.emit(
             "stage",
             stage="shard-plan",
@@ -776,39 +750,36 @@ class ParallelEngine:
             self.obs.counter("shm.publish_failures").inc()
             self.obs.warning(
                 f"shared-memory publish failed ({exc}); falling back to "
-                "pickled shard handoff for this scan",
+                "pickled shard handoff for this chunk",
                 n_events=len(events),
             )
             return None
 
-    def _chunk_jobs(self, chunks, base: int = 0):
-        """Fold jobs for streamed ``(events, sample_id)`` chunks, the first
-        starting at record ``base`` of the source.
-
-        With a pool, each chunk rides its own short-lived slab, released
-        as soon as its partials fold — peak shared memory stays bounded
-        by the chunks in flight.
-        """
+    @staticmethod
+    def _chunk_jobs(chunks, base: int = 0):
+        """``(offset, events, sample_id)`` jobs of a chunk stream whose first
+        chunk starts at record ``base`` of the source."""
         offset = base
         for ev, sid in chunks:
-            slab = self._publish(ev, sid) if self.workers > 1 else None
-            yield offset, ev, sid, (slab.ref(0, len(ev)) if slab is not None else None), slab
+            yield offset, ev, sid
             offset += len(ev)
 
     def _fold(self, scans, finish) -> None:
         """Fold ``scan_chunk`` over every scan's jobs, then ``finish`` each scan.
 
         ``scans`` is consumed lazily, in order. Each job is ``(offset,
-        events, sample_id, shard ref or None, slab to release or None)``,
-        ``offset`` being the index of its first record in the source. An
+        events, sample_id)``, ``offset`` being the index of its first
+        record in the source; every job pulled counts as one shard. An
         inline scan's jobs are scanned here; a pooled scan's are
         submitted as they arrive, with at most ``2 * workers`` in flight
-        across all scans — a ref goes to the zero-copy worker entry,
-        otherwise the slices are pickled. Results fold in submission
-        order, so each scan's partials merge in its own job order, and
-        ``finish`` sees the scans in order, each once its last job has
-        folded. On any error, jobs not yet started are cancelled, every
-        slab still held is released and every opened stream closed.
+        across all scans. Each pooled chunk is published into a slab of
+        its own for the zero-copy worker entry (the slices are pickled
+        when publishing fails), and the slab is released once the
+        chunk's partials fold. Results fold in submission order, so each
+        scan's partials merge in its own job order, and ``finish`` sees
+        the scans in order, each once its last job has folded. On any
+        error, jobs not yet started are cancelled, every slab still held
+        is released and every opened stream closed.
         """
         pool = None
         #: pooled jobs ``(scan, future, slab)`` and, after each scan's
@@ -871,18 +842,24 @@ class ParallelEngine:
                     scanned = True
                     if scan.pooled and pool is None:
                         pool = self._executor()
-                    for offset, ev, sid, ref, slab in scan.jobs:
+                    for offset, ev, sid in scan.jobs:
                         out.n_events += len(ev)
                         if sid is not None and len(sid):
-                            out.sid_seen = True
                             out.last_sid = int(sid[-1])
+                        self.obs.counter("parallel.shards").inc()
+                        self.obs.histogram("parallel.shard_events").observe(len(ev))
                         if not scan.pooled:
                             fold(scan, scan_chunk(ev, sid, scan.specs, self.obs, offset))
                             continue
+                        slab = self._publish(ev, sid)
                         try:
-                            if ref is not None:
+                            if slab is not None:
                                 fut = pool.submit(
-                                    scan_chunk_shm, ref, scan.specs, self.obs, offset
+                                    scan_chunk_shm,
+                                    slab.ref(0, len(ev)),
+                                    scan.specs,
+                                    self.obs,
+                                    offset,
                                 )
                             else:
                                 fut = pool.submit(
@@ -945,21 +922,9 @@ class ParallelEngine:
             fn_names = {int(k): v for k, v in stored.items()}
         return rho, fn_names
 
-    def _finish_archive(self, scan: _Scan, results, mode, rho, seconds) -> None:
-        """Mark chunk-scoped reuse, journal the degradation and the analysis."""
+    def _finish_archive(self, scan: _Scan, mode, rho, seconds) -> None:
+        """Journal one archive analysis."""
         src, fold = scan.src, scan.fold
-        degraded = fold.n_events > 0 and not fold.sid_seen
-        if "reuse" in results:
-            results["reuse"].scope = "chunk" if degraded else "sample"
-        size = self._archive_chunk_size()
-        if degraded:
-            self.obs.warning(
-                "archive stores no sample ids: reuse windows are "
-                "chunk-delimited and results depend on chunk_size",
-                path=str(src.path),
-                chunk_size=size,
-                reuse_scope="chunk",
-            )
         self.obs.emit(
             "stage",
             stage="analyze-file",
@@ -967,7 +932,7 @@ class ParallelEngine:
             n_events=fold.n_events,
             rho=rho,
             passes=[r.name for r in scan.scheduled],
-            chunk_size=size,
+            chunk_size=self._stream_chunk(),
             workers=self.workers,
             mode=mode,
             cached_passes=scan.cached_names,

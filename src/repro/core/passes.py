@@ -287,9 +287,6 @@ class AnalysisPass:
     defaults: dict = {}
     #: parameters without defaults that a request must supply.
     needs: tuple[str, ...] = ()
-    #: True when the pass has cross-chunk state that only sample
-    #: boundaries may cut — without sample ids the trace must stay whole.
-    whole_without_samples: bool = False
 
     def init(self, params: dict) -> Any:
         """The merge identity (an empty partial)."""
@@ -815,7 +812,6 @@ class ReusePass(AnalysisPass):
     name = "reuse"
     requires = ("reuse_distances",)
     defaults = {"block": 64, "max_exp": _HIST_MAX_EXP}
-    whole_without_samples = True
 
     def init(self, params):
         return ReuseHistogram.identity(params["max_exp"])
@@ -842,9 +838,9 @@ def cut_reuse_distances(chunk: ChunkContext, block: int, cuts: np.ndarray) -> np
     """The chunk's reuse distances with windows also cut at ``cuts``.
 
     ``cuts`` are sorted, distinct chunk-local record indices. The
-    shared all-records artifact has one window per sample (or per chunk
-    without sample ids); a cut that falls inside a window starts a new
-    one. A record
+    shared all-records artifact has one window per sample (the whole
+    chunk without sample ids); a cut that falls inside a window starts a
+    new one. A record
     after such a cut keeps its distance when its previous same-block
     access also lies after the cut, since the distinct blocks between
     the two accesses are the same in either window; otherwise it becomes
@@ -892,7 +888,6 @@ class IntervalsPass(AnalysisPass):
     requires = ("block_ids", "class_masks", "reuse_distances")
     defaults = {"block": 1, "reuse_block": 64}
     needs = ("edges",)
-    whole_without_samples = True
 
     def validate(self, params):
         edges = list(params["edges"])
@@ -1059,7 +1054,6 @@ class HeatmapPass(AnalysisPass):
     #: bin geometry must be fixed from the whole trace before scanning;
     #: :func:`repro.core.heatmap.heatmap_request` does that.
     needs = ("regions",)
-    whole_without_samples = True
 
     def init(self, params):
         return tuple(

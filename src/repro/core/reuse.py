@@ -279,12 +279,10 @@ class ReuseHistogram:
     n_reuse: int
     d_sum: int
     d_max: int
-    #: Window semantics marker: ``"sample"`` when distance windows are
-    #: sample-delimited (or the whole trace is one window) — the result
-    #: is a property of the trace alone; ``"chunk"`` when an archive
-    #: without sample ids was streamed, making each chunk its own window
-    #: so the numbers depend on the chunk size used. Downstream readers
-    #: must not compare a "chunk"-scoped histogram across chunk sizes.
+    #: Window semantics marker, always ``"sample"``: distance windows are
+    #: the samples, and a trace without sample ids is one sample, so the
+    #: result is a property of the trace alone. Kept as a field so the
+    #: serialized payload keeps its ``"scope"`` key.
     scope: str = "sample"
 
     @property
@@ -304,7 +302,6 @@ class ReuseHistogram:
             n_reuse=self.n_reuse + other.n_reuse,
             d_sum=self.d_sum + other.d_sum,
             d_max=max(self.d_max, other.d_max),
-            scope="chunk" if "chunk" in (self.scope, other.scope) else "sample",
         )
 
     @classmethod

@@ -294,11 +294,11 @@ def attach_shard(ref: ShardRef) -> tuple[np.ndarray, np.ndarray | None]:
     """Map a published shard and return ``(events, sample_id)`` views.
 
     Zero-copy: the views alias the parent's pages. The mapping is held
-    in a small per-process cache (see ``_ATTACH_CACHE``), so repeated
-    shards of one slab attach once; callers must treat the arrays as
-    read-only scratch whose lifetime ends with the call — analysis
-    partials already own their data (a requirement the pickle handoff
-    imposed long before this module).
+    in a small per-process cache (see ``_ATTACH_CACHE``), so it stays
+    open while the scan's results are pickled back; callers must treat
+    the arrays as read-only scratch whose lifetime ends with the call —
+    analysis partials already own their data (a requirement the pickle
+    handoff imposed long before this module).
     """
     shm = _attach(ref.name)
     events = np.ndarray(ref.n_events, dtype=EVENT_DTYPE, buffer=shm.buf)[

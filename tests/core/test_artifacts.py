@@ -4,11 +4,13 @@ The store's contract (:mod:`repro.core.artifacts`) is that a cached
 result is indistinguishable from recomputation: warm runs are
 bit-identical to cold ones, an appended archive rescans only its tail,
 and anything that would break that equivalence — damaged entries, a cut
-mid-sample, missing sample ids — falls back to a full scan, journaled.
+mid-sample — falls back to a full scan, journaled. A trace without
+sample ids is one sample and is cached like any other.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -22,11 +24,22 @@ from hypothesis import strategies as st
 
 from repro._util.crc import crc32_chunks
 from repro._util.rng import derive_rng
+from repro.cli import main as cli_main
 from repro.core.artifacts import MISS, SCHEMA_VERSION, ArtifactStore, freeze_params
+from repro.core.corpus import CorpusSpec
+from repro.core.matrix import run_matrix
 from repro.core.parallel import ParallelEngine
+from repro.core.report import payload_json, report_payload, report_requests
+from repro.core.reuse import reuse_histogram
 from repro.obs import MetricsRegistry, Obs, RunJournal, read_journal
 from repro.trace.event import make_events
-from repro.trace.tracefile import TraceMeta, _health_record, read_trace_health, write_trace
+from repro.trace.tracefile import (
+    TraceMeta,
+    _health_record,
+    read_trace_health,
+    read_trace_meta,
+    write_trace,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "obs"))
 import faults  # noqa: E402
@@ -49,10 +62,12 @@ def _trace(n, seed=0):
 
 
 def _write(path, ev, sid, n_loads=None):
+    # a trace without sample ids is one sample
+    n_samples = int(sid.max()) + 1 if sid is not None and len(sid) else int(len(ev) > 0)
     meta = TraceMeta(
         module="test", kind="sampled", period=1000, buffer_capacity=256,
         n_loads_total=n_loads or len(ev) * 3,
-        n_samples=int(sid.max()) + 1 if sid is not None and len(sid) else 0,
+        n_samples=n_samples,
     )
     write_trace(path, ev, meta, sid)
     return path
@@ -568,19 +583,54 @@ class TestPrefixShadowing:
 
 
 class TestNoSampleIds:
-    def test_degraded_reuse_is_marked_and_journaled(self, tmp_path):
-        ev, _ = _trace(8 * SAMPLE)
-        path = _write(tmp_path / "bare.npz", ev, None)
-        jpath = tmp_path / "j.jsonl"
-        with ParallelEngine(
-            workers=1, chunk_size=2 * SAMPLE, obs=Obs(RunJournal(jpath))
-        ) as eng:
-            fa = eng.analyze(path, FILE_PASSES)
-        assert fa.results["reuse"].scope == "chunk"
-        warnings = [r for r in read_journal(jpath) if r.get("event") == "warning"]
-        (w,) = [w for w in warnings if "no sample ids" in w["message"]]
-        assert w["reuse_scope"] == "chunk"
-        assert w["chunk_size"] == 2 * SAMPLE
+    """A trace without sample ids is one sample: from memory or from an
+    archive, at any chunk size and worker count, the numbers are the
+    same, and they are cached like any other trace's."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("chunk_size", [None, 1000, 4096])
+    def test_one_sample_everywhere(self, tmp_path, capsys, chunk_size, workers):
+        ev, _ = _trace(40 * SAMPLE)
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        path = _write(corpus / "bare.npz", ev, None)
+        flags = ["--workers", str(workers)]
+        if chunk_size is not None:
+            flags += ["--chunk-size", str(chunk_size)]
+        assert cli_main(["report", str(path), "--json", "--no-cache", *flags]) == 0
+        report = json.loads(capsys.readouterr().out)
+        meta = read_trace_meta(path)
+
+        def payload(analysis):
+            return report_payload(
+                analysis,
+                module=meta.module,
+                n_samples=meta.n_samples,
+                n_loads_total=meta.n_loads_total,
+            )
+
+        def engine(store=None):
+            return ParallelEngine(workers=workers, chunk_size=chunk_size, store=store)
+
+        store = ArtifactStore(tmp_path / "cache")
+        with engine(store) as eng:
+            archive = eng.analyze(path, report_requests())
+        with engine() as eng:
+            memory = eng.analyze((ev, None, None), report_requests(), rho=archive.rho)
+            cell = run_matrix(CorpusSpec.from_directory(corpus), engine=eng).cells["bare"]
+        assert archive.mode == "full"
+        serial = reuse_histogram(ev, 64, None)  # one window: the whole trace
+        assert archive.results["reuse"].counts.tolist() == serial.counts.tolist()
+        assert archive.results["reuse"].n_cold == serial.n_cold
+        assert payload(archive)["passes"] == report["passes"]
+        assert payload(memory)["passes"] == report["passes"]
+        assert payload_json(cell.payload) == payload_json(report)
+        with engine(store) as eng:
+            warm = eng.analyze(path, report_requests())
+        assert warm.mode == "cached"
+        assert payload_json(payload(warm)) == payload_json(report)
+        reuse = store.get_partial(archive.digest, "reuse", {"block": 64, "max_exp": 48})
+        assert reuse is not MISS and reuse.n_cold == archive.results["reuse"].n_cold
 
     def test_sampled_archive_keeps_sample_scope(self, tmp_path):
         ev, sid = _trace(8 * SAMPLE)
@@ -593,23 +643,6 @@ class TestNoSampleIds:
         assert fa.results["reuse"].scope == "sample"
         warnings = [r for r in read_journal(jpath) if r.get("event") == "warning"]
         assert not warnings
-
-    def test_chunk_scoped_passes_never_persisted(self, tmp_path):
-        ev, _ = _trace(8 * SAMPLE)
-        path = _write(tmp_path / "bare.npz", ev, None)
-        store = ArtifactStore(tmp_path / "cache")
-
-        def run():
-            with ParallelEngine(workers=1, chunk_size=2 * SAMPLE, store=store) as eng:
-                return eng.analyze(path, FILE_PASSES)
-
-        a = run()
-        names_after_cold = store.cache.names("partial-")
-        assert len(names_after_cold) == 2, "only diagnostics+captures are cacheable"
-        b = run()  # warm: reuse must be rescanned, not served stale
-        assert _analysis_tuple(a) == _analysis_tuple(b)
-        digest = _archive_digest(path)
-        assert store.get_partial(digest, "reuse", {"block": 64, "max_exp": 48}) is MISS
 
 
 class TestFaultInjection:

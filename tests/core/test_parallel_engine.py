@@ -287,11 +287,16 @@ class TestParallelEqualsSerialMore:
     )
     @settings(max_examples=30, deadline=None)
     def test_property_diagnostics(self, n, chunk, block_exp, seed):
-        ev, sid = _trace(max(n, 1), seed=seed)[0][:n], None
+        # sample ids, so the shards cut at their boundaries and merge
+        ev, sid = _trace(max(n, 1), seed=seed, n_samples=50)
+        ev, sid = ev[:n], sid[:n]
         block = 1 << block_exp
         with ParallelEngine(workers=1, chunk_size=chunk) as eng:
             res = _analyze(
-                eng, ev, [("diagnostics", {"block": block}), ("captures", {"block": block})]
+                eng,
+                ev,
+                [("diagnostics", {"block": block}), ("captures", {"block": block})],
+                sid,
             )
         assert res["diagnostics"] == compute_diagnostics(ev, block=block)
         assert res["captures"] == captures_survivals(ev, block)

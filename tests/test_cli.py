@@ -250,6 +250,27 @@ class TestObservability:
         stages = {r.get("stage") for r in recs if r["event"] == "stage"}
         assert {"shard-plan", "merge"} <= stages
 
+    def test_shard_counters_count_every_chunk(self, trace_file, tmp_path, capsys):
+        """Streamed archive chunks count as shards, as in-memory ones do:
+        a ``matrix`` run and a ``report`` run each put every event they
+        scan into a counted shard."""
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "base.npz").write_bytes(trace_file.read_bytes())
+        runs = {
+            "matrix": ["matrix", str(corpus)],
+            "report": ["report", str(trace_file), "--json"],
+        }
+        for name, argv in runs.items():
+            path = tmp_path / f"{name}.json"
+            assert main([*argv, "--no-cache", "--metrics", str(path)]) == 0
+            capsys.readouterr()
+            metrics = json.loads(path.read_text())["metrics"]
+            counters, hist = metrics["counters"], metrics["histograms"]
+            assert counters["parallel.shards"]["value"] >= 1, name
+            shard_events = hist["parallel.shard_events"]["total"]
+            assert shard_events == counters["parallel.events"]["value"] > 0, name
+
     def test_metrics_export_round_trips(self, trace_file, tmp_path, capsys):
         metrics = tmp_path / "m.json"
         rc = main(
