@@ -257,7 +257,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
     print(f"samples:       {col.n_samples} (mean w = {col.mean_w:.0f})")
     print(f"records:       {len(col.events):,}")
     print(f"loads total:   {col.n_loads_total:,}")
-    print(f"rho:           {sample_ratio_from(col):.1f}")
+    print(f"rho:           {loaded.rho:.1f}")
     print(f"kappa:         {compression_ratio(col.events):.2f}")
     print(f"functions:     {', '.join(sorted(fn_names.values())) or '(unnamed)'}")
     return 0
@@ -312,8 +312,7 @@ def _engine(args, obs: Obs) -> ParallelEngine:
 
 def _print_report(args, loaded: "LoadedTrace", engine: ParallelEngine) -> None:
     """Print the report sections (or write the ``--html`` page)."""
-    col, meta, fn_names = loaded.collection, loaded.meta, loaded.fn_names
-    rho = sample_ratio_from(col)
+    col, meta, fn_names, rho = loaded.collection, loaded.meta, loaded.fn_names, loaded.rho
     source = (col.events, col.sample_id, loaded.health)
     requested = [s.strip() for s in (args.passes or "").split(",") if s.strip()]
 
@@ -487,17 +486,10 @@ def _cmd_passes(args: argparse.Namespace) -> int:
 def _cmd_diff(args: argparse.Namespace) -> int:
     from repro.core.diff import diff_traces
 
-    before = _load(args.before)
-    after = _load(args.after)
-    col_b, meta_b, fn_b = before.collection, before.meta, before.fn_names
-    col_a, meta_a, fn_a = after.collection, after.meta, after.fn_names
+    before, after = _load(args.before), _load(args.after)
     diff = diff_traces(
-        col_b,
-        col_a,
-        fn_b,
-        fn_a,
-        label_before=meta_b.module,
-        label_after=meta_a.module,
+        before.collection, after.collection, before.fn_names, after.fn_names,
+        label_before=before.meta.module, label_after=after.meta.module,
     )
     print(diff.render(top=args.top))
     return 0
@@ -918,7 +910,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_diff = sub.add_parser("diff", help="compare two trace archives per function")
     p_diff.add_argument("before")
     p_diff.add_argument("after")
-    p_diff.add_argument("--top", type=int, default=12, help="movers to show")
+    p_diff.add_argument("--top", type=_positive_int, default=12, help="movers to show")
     p_diff.set_defaults(fn=_cmd_diff)
 
     p_matrix = sub.add_parser(
@@ -962,9 +954,9 @@ def build_parser() -> argparse.ArgumentParser:
         "the cache_sweep pass to cell payloads and enables the cache.* "
         "gate metrics; specs can also opt in per cell)",
     )
-    p_matrix.add_argument("--top", type=int, default=12, help="function movers to show per cell")
+    p_matrix.add_argument("--top", type=_positive_int, default=12, help="function movers to show per cell")
     p_matrix.add_argument(
-        "--min-accesses", type=int, default=100,
+        "--min-accesses", type=_nonnegative_int, default=100,
         help="drop functions below this many observed records on both sides",
     )
     _engine_flags(p_matrix, cache=True)

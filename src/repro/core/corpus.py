@@ -204,21 +204,20 @@ def cell_payload(analysis) -> dict:
     """One cell's canonical payload from an archive :class:`~repro.core.parallel.Analysis`.
 
     Built by :func:`repro.core.report.report_payload` — the builder
-    behind ``report --json`` — from the archive's metadata, so a
-    cache-served cell produces the same bytes without touching events.
+    behind ``report --json`` — from the counts the engine derives as
+    ``report --json`` does, so a cache-served cell produces the same
+    bytes without touching events.
     Nothing environmental (paths, modes, timings) may appear here.
     """
     from repro.core.report import report_payload
 
-    meta = analysis.meta
-    # the opt-in what-if sweep (CellSpec.cache_sweep / matrix
-    # --cache-sweep) is absent by default so existing corpora keep
-    # their payload bytes
+    # the opt-in what-if sweep (CellSpec.cache_sweep / matrix --cache-sweep) is
+    # absent by default so existing corpora keep their payload bytes
     return report_payload(
         analysis,
-        module=meta.module,
-        n_samples=meta.n_samples,
-        n_loads_total=meta.n_loads_total,
+        module=analysis.meta.module,
+        n_samples=analysis.n_samples,
+        n_loads_total=analysis.n_loads_total,
         extra=["cache_sweep"] if "cache_sweep" in analysis.results else (),
     )
 

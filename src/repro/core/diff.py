@@ -11,8 +11,9 @@ module turns that workflow into a first-class operation at two scales:
   per-metric absolute/relative regression thresholds and a
   machine-readable ``pass``/``regressed`` verdict for CI gating.
 
-The pairwise path is a thin two-cell special case of the N-way one:
-both build :class:`FunctionDelta` rows through the same helper and
+The pairwise path runs the ``windows`` pass through the engine
+(:func:`~repro.core.windows.code_windows`), as ``report`` does. Both
+forms build :class:`FunctionDelta` rows through the same helper and
 render through the same table, so ``memgaze diff`` output is
 byte-identical to what it was before the corpus layer existed.
 """
@@ -188,12 +189,8 @@ def diff_traces(
     Functions are matched by name; those below ``min_accesses`` observed
     records in both traces are dropped as noise.
     """
-    cw_b = code_windows(
-        before.events, rho=sample_ratio_from(before), fn_names=fn_names_before or {}
-    )
-    cw_a = code_windows(
-        after.events, rho=sample_ratio_from(after), fn_names=fn_names_after or {}
-    )
+    cw_b = code_windows(before.events, rho=sample_ratio_from(before), fn_names=fn_names_before)
+    cw_a = code_windows(after.events, rho=sample_ratio_from(after), fn_names=fn_names_after)
     return TraceDiff(
         label_before=label_before,
         label_after=label_after,

@@ -95,6 +95,7 @@ from repro.core.passes import (
 )
 from repro.core.shm import ShardRef, SharedSlab, attach_shard, publish_shard
 from repro.obs.handle import Obs
+from repro.trace.compress import trace_counts
 
 __all__ = [
     "plan_shards",
@@ -342,9 +343,9 @@ class ParallelEngine:
         written back. Results are bit-identical whichever step served
         them.
 
-        ``rho`` defaults to 1.0 for in-memory sources; for an archive it
-        is derived from the metadata's load count and the diagnostics
-        partial (the diagnostics pass is added when not requested).
+        ``rho`` defaults to 1.0 for in-memory sources; an archive's rho and
+        counts follow :func:`~repro.trace.compress.trace_counts` (the
+        diagnostics pass is added when not requested).
         ``fn_names`` defaults to the archive's stored names.
 
         Both kinds of source reach the scan as one stream of
@@ -410,8 +411,8 @@ class ParallelEngine:
                 src.digest = ArtifactStore.digest_health(health)
         else:
             src = self._open_archive(source)
-            if rho is None and all(r.name != "diagnostics" for r in scheduled):
-                # an archive's rho is derived from the diagnostics partial
+            if all(r.name != "diagnostics" for r in scheduled):
+                # an archive's counts and rho are derived from the diagnostics partial
                 scheduled = schedule_passes([*scheduled, "diagnostics"])
 
         # 1. whole-trace partials already in the store
@@ -476,8 +477,14 @@ class ParallelEngine:
                     if src.sid_present and fold.last_sid is not None:
                         self.store.put_state(src.digest, src.health, fold.last_sid)
 
-        if src.path is not None:
-            rho, fn_names = self._archive_context(src, scheduled, merged, rho, fn_names)
+        counts = (0, 0)
+        if src.path is not None:  # explicit rho and fn_names win over the archive's
+            diag = merged[[r.name for r in scheduled].index("diagnostics")]
+            sample_ids = lambda: np.load(src.path).get("sample_id")
+            *counts, derived = trace_counts(src.meta, diag.a_obs + diag.n_suppressed, sample_ids)
+            rho = derived if rho is None else rho
+            if fn_names is None:
+                fn_names = {int(k): v for k, v in src.meta.extra.get("fn_names", {}).items()}
         rho = 1.0 if rho is None else rho
         results = finalize_schedule(
             scheduled, merged, RunContext(rho=rho, fn_names=fn_names or {})
@@ -490,6 +497,8 @@ class ParallelEngine:
             meta=src.meta,
             n_events=fold.n_events,
             rho=rho,
+            n_samples=counts[0],
+            n_loads_total=counts[1],
             digest=src.digest,
             mode=mode,
             skipped_events=scan.skipped,
@@ -910,18 +919,6 @@ class ParallelEngine:
 
     # -- archive bookkeeping --
 
-    @staticmethod
-    def _archive_context(src: _Source, scheduled, merged, rho, fn_names):
-        """(rho, fn_names) of an archive: explicit values win over stored ones."""
-        if rho is None:
-            diag = merged[[r.name for r in scheduled].index("diagnostics")]
-            implied = diag.a_obs + diag.n_suppressed
-            rho = max((src.meta.n_loads_total / implied) if implied else 1.0, 1.0)
-        if fn_names is None:
-            stored = (getattr(src.meta, "extra", None) or {}).get("fn_names", {})
-            fn_names = {int(k): v for k, v in stored.items()}
-        return rho, fn_names
-
     def _finish_archive(self, scan: _Scan, mode, rho, seconds) -> None:
         """Journal one archive analysis."""
         src, fold = scan.src, scan.fold
@@ -953,6 +950,9 @@ class Analysis:
     meta: object
     n_events: int
     rho: float
+    #: an archive's counts, by :func:`~repro.trace.compress.trace_counts`
+    n_samples: int = 0
+    n_loads_total: int = 0
     #: digest of the health record the analysis was addressed under
     #: (None when the source has no usable record or no store was
     #: configured)

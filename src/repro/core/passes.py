@@ -792,8 +792,7 @@ class WindowsPass(AnalysisPass):
         return out
 
     def finalize(self, partial, ctx, params):
-        # ascending function id, so a name collision resolves the same
-        # way the serial code_windows loop does (highest id wins)
+        # ascending function id: of two ids sharing a name, the higher wins
         return {
             ctx.fn_names.get(fid, f"fn{fid}"): p.finalize(ctx.rho)
             for fid, p in sorted(partial.items())

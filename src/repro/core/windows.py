@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro._util.sortedset import sorted_unique
-from repro.core.diagnostics import FootprintDiagnostics, compute_diagnostics
+from repro.core.diagnostics import FootprintDiagnostics
 from repro.core.metrics import block_ids
+from repro.core.parallel import ParallelEngine
 from repro.trace.event import EVENT_DTYPE, LoadClass
 
 __all__ = ["trace_window_metrics", "code_windows", "unique_per_group"]
@@ -114,24 +114,19 @@ def trace_window_metrics(
 
 
 def code_windows(
-    events: np.ndarray,
-    rho: float = 1.0,
-    block: int = 1,
-    fn_names: dict[int, str] | None = None,
+    events: np.ndarray, rho: float = 1.0, block: int = 1, fn_names: dict[int, str] | None = None
 ) -> dict[str, FootprintDiagnostics]:
     """Aggregate samples per function and compute diagnostics for each.
 
     Returns ``{function: diagnostics}``; functions are named through
-    ``fn_names`` (falling back to ``fn<id>``). Within a code window all
-    of a function's sampled accesses across all samples accumulate, and
-    population counts use the inter-window estimators (``rho``).
+    ``fn_names`` (falling back to ``fn<id>``; when two ids share a name,
+    the higher id's window wins). Within a code window all of a
+    function's sampled accesses across all samples accumulate, and
+    population counts use the inter-window estimators (``rho``): the
+    ``windows`` pass, run by an inline engine as every report runs it.
     """
     if events.dtype != EVENT_DTYPE:
         raise TypeError(f"expected EVENT_DTYPE events, got {events.dtype}")
-    fn_names = fn_names or {}
-    out: dict[str, FootprintDiagnostics] = {}
-    for fid in sorted_unique(events["fn"]):
-        window = events[events["fn"] == fid]
-        name = fn_names.get(int(fid), f"fn{int(fid)}")
-        out[name] = compute_diagnostics(window, rho=rho, block=block)
-    return out
+    request = [("windows", {"block": block})]
+    analysis = ParallelEngine().analyze((events, None, None), request, rho=rho, fn_names=fn_names)
+    return analysis.results["windows"]

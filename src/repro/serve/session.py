@@ -69,7 +69,6 @@ from repro.core.report import (
     viz_report_payload,
 )
 from repro.obs.handle import NULL_OBS, Obs
-from repro.trace.compress import sample_ratio_from
 from repro.trace.event import EVENT_DTYPE
 from repro.trace.loader import LoadedTrace, trace_collection
 from repro.trace.tracefile import TraceAppender, TraceMeta, read_trace
@@ -239,7 +238,7 @@ class ServeSession:
             raise ValueError("session has no ingested chunks yet")
         loaded = self._source()
         col = loaded.collection
-        args = (self.meta.module, col, sample_ratio_from(col), loaded.fn_names, engine)
+        args = (self.meta.module, col, loaded.rho, loaded.fn_names, engine)
         if viz:
             payload = viz_report_payload(*args, health=loaded.health)
         elif passes is None:

@@ -32,6 +32,7 @@ __all__ = [
     "decompress_counts",
     "sample_ratio",
     "sample_ratio_from",
+    "trace_counts",
 ]
 
 
@@ -77,9 +78,24 @@ def sample_ratio_from(result: CollectionResult) -> float:
     """rho for a :class:`~repro.trace.collector.CollectionResult`.
 
     Uses the run's true load total rather than ``|sigma|*(w+z)`` so the
-    last partial period does not bias the estimate.
+    last partial period does not bias the estimate (:func:`trace_counts`).
     """
-    implied = decompress_counts(result.events)
-    if implied == 0:
-        return 1.0
-    return result.n_loads_total / implied
+    return trace_counts(result, decompress_counts(result.events), lambda: result.sample_id)[2]
+
+
+def trace_counts(meta, implied: int, sample_ids) -> tuple[int, int, float]:
+    """``(n_samples, n_loads_total, rho)`` of a trace: the one rule.
+
+    ``meta`` records the counts (a :class:`~repro.trace.tracefile.TraceMeta`
+    or a collection), ``implied`` is ``A + A_const``, and ``sample_ids()``
+    gives the sample ids (None without them), read only when needed. A
+    recorded 0 falls back: ``n_loads_total`` to ``implied``, ``n_samples``
+    to the sample-id count (1 for a non-empty trace without ids). rho =
+    ``n_loads_total / implied``, floored at 1 (1 when nothing was sampled).
+    """
+    n_loads_total = meta.n_loads_total or implied
+    n_samples = meta.n_samples
+    if not n_samples:
+        sid = sample_ids()
+        n_samples = int(sid.max()) + 1 if sid is not None and len(sid) else int(implied > 0)
+    return n_samples, n_loads_total, max(n_loads_total / implied, 1.0) if implied else 1.0

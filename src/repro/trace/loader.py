@@ -33,6 +33,7 @@ import numpy as np
 
 from repro.obs.handle import NULL_OBS, Obs
 from repro.trace.collector import CollectionResult
+from repro.trace.compress import decompress_counts, trace_counts
 from repro.trace.health import KIND_TRUNCATION, Finding
 from repro.trace.sampler import SamplingConfig
 from repro.trace.tracefile import TraceFormatError, TraceMeta, read_trace
@@ -47,6 +48,8 @@ class LoadedTrace:
     collection: CollectionResult
     meta: TraceMeta
     fn_names: dict[int, str]
+    #: the sample ratio, by :func:`~repro.trace.compress.trace_counts`
+    rho: float = 1.0
     #: True when the eager read succeeded — the events are the whole archive.
     clean: bool = True
     #: True when recovery ran but every finding was tail truncation —
@@ -110,22 +113,22 @@ def trace_collection(events, meta: TraceMeta, sample_id, **status) -> LoadedTrac
     The one recipe from ``(events, meta, sample_id)`` to a collection:
     :func:`load_trace_collection` applies it to what it read, and the
     streaming service to the arrays a session holds, so a live query
-    analyzes exactly what an offline report of the archive would. A
-    trace without sample ids gets all-zero ids (one window). ``status``
-    passes the load fields (``clean`` / ``growing`` / ``findings`` /
-    ``health``) through.
+    analyzes exactly what an offline report of the archive would, with the
+    counts and rho of :func:`~repro.trace.compress.trace_counts`. A trace
+    without sample ids gets all-zero ids (one window). ``status`` passes
+    the load fields (``clean`` / ``growing`` / ``findings`` / ``health``) through.
     """
+    n_samples, n_loads_total, rho = trace_counts(meta, decompress_counts(events), lambda: sample_id)
     if sample_id is None:
         sample_id = np.zeros(len(events), dtype=np.int32)
     collection = CollectionResult(
         events=events,
         sample_id=sample_id,
-        n_samples=meta.n_samples
-        or (int(sample_id.max()) + 1 if len(sample_id) else 0),
-        n_loads_total=meta.n_loads_total or len(events),
+        n_samples=n_samples,
+        n_loads_total=n_loads_total,
         config=SamplingConfig(
             period=max(1, meta.period), buffer_capacity=max(1, meta.buffer_capacity)
         ),
     )
     fn_names = {int(k): v for k, v in meta.extra.get("fn_names", {}).items()}
-    return LoadedTrace(collection=collection, meta=meta, fn_names=fn_names, **status)
+    return LoadedTrace(collection, meta, fn_names, rho, **status)

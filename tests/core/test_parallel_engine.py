@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import windows_oracle
 from test_shm import _live_segments
 
 from repro._util.rng import derive_rng
@@ -26,7 +27,6 @@ from repro.core.parallel import (
     plan_shards,
 )
 from repro.core.reuse import ReuseHistogram, mean_reuse_distance, reuse_histogram
-from repro.core.windows import code_windows
 from repro.trace.event import LoadClass, make_events
 from repro.trace.tracefile import TraceMeta, read_trace, write_trace
 
@@ -260,16 +260,35 @@ class TestParallelEqualsSerialMore:
                 assert np.array_equal(hm.reuse_max, ser.reuse_max)
                 assert np.array_equal(hm.t_edges, ser.t_edges)
 
-    def test_code_windows(self):
-        ev, sid = _trace(20_000, seed=21)
-        fn_names = {i: f"f{i}" for i in range(6)}
-        serial = code_windows(ev, rho=3.0, block=64, fn_names=fn_names)
-        # enough events and shards to take the pooled path
-        with ParallelEngine(workers=2, chunk_size=3000) as eng:
+    @given(
+        n=st.integers(0, 600),
+        workers=st.sampled_from([1, 2]),
+        chunk=st.one_of(st.none(), st.integers(1, 250)),
+        with_sid=st.booleans(),
+        block=st.sampled_from([1, 8, 64]),
+        rho=st.floats(1.0, 64.0),
+        # names that collide with each other and with the fn<id> fallback
+        fn_names=st.dictionaries(
+            st.integers(0, 7), st.sampled_from(["a", "b", "fn2", "fn5"]), max_size=6
+        ),
+        seed=st.integers(0, 50),
+    )
+    # enough events and shards to take the pooled path
+    @example(
+        n=20_000, workers=2, chunk=3000, with_sid=True, block=64, rho=3.0,
+        fn_names={i: f"f{i}" for i in range(6)}, seed=21,
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_code_windows(
+        self, n, workers, chunk, with_sid, block, rho, fn_names, seed
+    ):
+        ev, sid = _trace(max(n, 1), seed=seed)
+        ev, sid = ev[:n], (sid[:n] if with_sid else None)
+        with ParallelEngine(workers=workers, chunk_size=chunk) as eng:
             par = _analyze(
-                eng, ev, [("windows", {"block": 64})], sid, rho=3.0, fn_names=fn_names
+                eng, ev, [("windows", {"block": block})], sid, rho=rho, fn_names=fn_names
             )["windows"]
-        assert par == serial
+        assert par == windows_oracle.code_windows(ev, rho=rho, block=block, fn_names=fn_names)
 
     def test_reuse_without_sample_ids_single_window(self):
         # no sample ids => one reuse window; sharding must not cut it

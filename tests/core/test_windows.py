@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+import windows_oracle
 
+from repro._util.rng import derive_rng
 from repro.core.windows import code_windows, trace_window_metrics, unique_per_group
 from repro.trace.event import make_events
 
@@ -80,3 +82,18 @@ class TestCodeWindows:
         ev = make_events(ip=1, addr=[1, 2], cls=2, fn=0)
         out = code_windows(ev, rho=5.0)
         assert out["fn0"].A_est == 10.0
+
+    def test_equals_the_serial_oracle(self):
+        rng = derive_rng(7, "code-windows-oracle")
+        n = 3000
+        ev = make_events(
+            ip=rng.integers(0, 40, n),
+            addr=rng.integers(0, 1 << 16, n),
+            cls=rng.integers(0, 3, n).astype(np.uint8),
+            n_const=rng.integers(0, 3, n),
+            fn=rng.integers(0, 5, n),
+        )
+        names = {0: "a", 1: "a", 2: "fn4"}  # colliding names win by highest id
+        got = code_windows(ev, rho=2.5, block=8, fn_names=names)
+        assert got == windows_oracle.code_windows(ev, rho=2.5, block=8, fn_names=names)
+        assert list(got) == ["a", "fn4", "fn3"]

@@ -1,8 +1,8 @@
 """Golden regression fixtures for pairwise ``memgaze diff`` output.
 
-The corpus refactor rebuilt ``memgaze diff`` as a two-cell special case
-of the N-way path; these fixtures pin the pre-refactor byte-for-byte
-output so the rebuild stays an internal change. They reuse the committed
+``memgaze diff`` runs the ``windows`` pass through the engine over both
+archives and renders through the N-way diff's table; these fixtures pin
+its byte-for-byte output, so a change of path stays an internal change. They reuse the committed
 golden archives from :mod:`tests.integration.test_golden_reports` (run
 that module with ``--update-golden`` first if an archive is missing).
 

@@ -504,6 +504,38 @@ class TestFailureModes:
         assert f"argument {option}: expected" in err and repr(value) in err
 
     @pytest.mark.parametrize(
+        "command,option,value",
+        [
+            ("diff", "--top", "-1"),
+            ("diff", "--top", "0"),
+            ("matrix", "--top", "-1"),
+            ("matrix", "--top", "0"),
+            ("matrix", "--min-accesses", "-1"),
+        ],
+    )
+    def test_bad_table_option_is_a_usage_error(self, trace_file, capsys, command, option, value):
+        # a negative --top once printed "(4 of 3 function rows omitted)",
+        # and 0 an empty table
+        targets = [str(trace_file)] * (2 if command == "diff" else 1)
+        with pytest.raises(SystemExit) as exc:
+            main([command, *targets, option, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {option}: expected" in err and repr(value) in err
+
+    def test_table_options_accept_their_bounds(self, trace_file, tmp_path, capsys):
+        import shutil
+
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        shutil.copy(trace_file, corpus / "base.npz")
+        assert main(["diff", str(trace_file), str(trace_file), "--top", "1"]) == 0
+        assert main(
+            ["matrix", str(corpus), "--top", "1", "--min-accesses", "0", "--no-cache"]
+        ) == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize(
         "option,value", [("--workers", "-1"), ("--chunk-size", "0")]
     )
     def test_bad_serve_engine_option_is_a_usage_error(self, tmp_path, capsys, option, value):
