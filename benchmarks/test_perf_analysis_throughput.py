@@ -36,7 +36,7 @@ from benchmarks.conftest import save_result
 from repro._util.timers import Timer
 from repro.core.parallel import ParallelEngine
 from repro.core.reuse import reuse_distances
-from repro.core.shm import active_segments, attach_shard, publish_shard
+from repro.core.shm import AttachedShard, active_segments, publish_shard
 from repro.core.windows import trace_window_metrics
 from repro.core.zoom import location_zoom
 from repro.obs import Obs
@@ -254,9 +254,10 @@ def _recv_pickled(ev, sid):
 
 
 def _recv_ref(ref):
-    # runs in the worker: only the tiny ShardRef crossed the pipe
-    ev, sid = attach_shard(ref)
-    return int(ev["addr"][0]) + len(ev) + len(sid)
+    # runs in the worker: only the tiny ShardRef crossed the pipe; the
+    # worker maps the chunk for this call and unmaps it on return
+    with AttachedShard(ref) as shard:
+        return int(shard.events["addr"][0]) + len(shard.events) + len(shard.sample_id)
 
 
 @pytest.mark.perf
@@ -292,7 +293,7 @@ def test_shard_handoff_shm_vs_pickle():
 
                 with Timer() as t:
                     slab = publish_shard(ev, sid)
-                    assert pool.submit(_recv_ref, slab.ref(0, n)).result() == want
+                    assert pool.submit(_recv_ref, slab.ref).result() == want
                 t_shm.append(t.elapsed)
                 slab.release()
 

@@ -22,8 +22,8 @@ exploits that with :meth:`ParallelEngine.analyze_many` (and
    chunk across a ``concurrent.futures`` process pool, at most
    ``2 * workers`` in flight across all sources — each chunk is
    published into a named shared-memory segment of its own
-   (:mod:`repro.core.shm`), released once its partials fold, and
-   workers attach zero-copy, so only a tiny
+   (:mod:`repro.core.shm`), released once its partials fold, and a
+   worker maps it zero-copy for its scan only, so only a tiny
    :class:`~repro.core.shm.ShardRef` crosses the pipe (the pickled
    slices are the automatic fallback when publishing fails); every
    scheduled pass reads the same per-chunk intermediates (block ids,
@@ -93,7 +93,7 @@ from repro.core.passes import (
     scan_chunk,
     schedule_passes,
 )
-from repro.core.shm import ShardRef, SharedSlab, attach_shard, publish_shard
+from repro.core.shm import AttachedShard, ShardRef, SharedSlab, publish_shard
 from repro.obs.handle import Obs
 from repro.trace.compress import trace_counts
 
@@ -160,16 +160,15 @@ def plan_shards(
 
 
 def scan_chunk_shm(ref: ShardRef, specs, obs: Obs, offset: int = 0):
-    """Worker entry for the zero-copy path: attach, then scan as usual.
+    """Worker entry for the zero-copy path: attach, scan, unmap.
 
     The attached views alias the parent's pages; ``scan_chunk`` and the
     passes it runs never mutate their input, and partials own their
-    buffers (a requirement the pickle handoff imposed all along), so the
-    mapping can rotate out of the attachment cache once the scan
-    returns.
+    buffers (a requirement the pickle handoff imposed all along), so
+    the mapping closes before the result is pickled back.
     """
-    events, sid = attach_shard(ref)
-    return scan_chunk(events, sid, specs, obs, offset)
+    with AttachedShard(ref) as shard:
+        return scan_chunk(shard.events, shard.sample_id, specs, obs, offset)
 
 
 # -- analysis sources ---------------------------------------------------------
@@ -179,8 +178,9 @@ def scan_chunk_shm(ref: ShardRef, specs, obs: Obs, offset: int = 0):
 class _Source:
     """What :meth:`ParallelEngine.analyze` reads, normalised.
 
-    In-memory sources carry ``events``; archive sources carry ``path``
-    plus the metadata. With a store, either kind carries the health
+    In-memory sources carry ``events``; archive sources carry ``path``,
+    the archive's one open :class:`~repro.trace.tracefile.TraceReader`
+    and its metadata. With a store, either kind carries the health
     record that addresses it and the record's digest; a source with a
     digest is cached.
     """
@@ -188,6 +188,7 @@ class _Source:
     events: np.ndarray | None = None
     sample_id: np.ndarray | None = None
     path: object = None
+    reader: object = None
     meta: object = None
     health: dict | None = None
     digest: str | None = None
@@ -236,8 +237,8 @@ class _Scan:
     fold: _Fold = field(default_factory=_Fold)
 
     def close(self) -> None:
-        """Close the streams, and with them any archive they hold open."""
-        for stream in (self.jobs, self.chunks):
+        """Close the streams, then the archive they read."""
+        for stream in (self.jobs, self.chunks, self.src.reader):
             if stream is not None:
                 stream.close()
 
@@ -285,19 +286,21 @@ class ParallelEngine:
     def _executor(self) -> Executor:
         if self._pool is None:
             self._pool = ProcessPoolExecutor(max_workers=max(1, self.workers))
+            # fork start method: every worker forks at the first submit, which
+            # must precede any publish, or workers inherit its mapping for life
+            self._pool.submit(int)
         return self._pool
 
     def start(self) -> None:
         """Fork the worker pool now instead of at the first pooled scan.
 
-        With the fork start method every worker is forked at the pool's
-        first submit. A caller that runs its own threads beside later
-        scans (serve ingest publishes on one) starts the pool first, so
-        no fork copies a process with a second thread alive. Inline
-        engines have no pool and return at once.
+        A caller that runs its own threads beside later scans (serve
+        ingest publishes on one) starts the pool first, so no fork
+        copies a process with a second thread alive. Inline engines
+        have no pool and return at once.
         """
         if self.workers > 1:
-            self._executor().submit(int).result()
+            self._executor()
 
     def close(self) -> None:
         """Shut the worker pool down (idempotent)."""
@@ -410,29 +413,35 @@ class ParallelEngine:
                 src.health = health
                 src.digest = ArtifactStore.digest_health(health)
         else:
-            src = self._open_archive(source)
+            src = _Source(path=source)
             if all(r.name != "diagnostics" for r in scheduled):
                 # an archive's counts and rho are derived from the diagnostics partial
                 scheduled = schedule_passes([*scheduled, "diagnostics"])
 
-        # 1. whole-trace partials already in the store
         scan = _Scan(src=src, scheduled=scheduled, merged=[None] * len(scheduled), t0=t0)
-        for i, r in enumerate(scheduled):
-            if src.digest is not None:
-                hit = self.store.get_partial(src.digest, r.name, r.params)
-                if hit is not MISS:
-                    scan.merged[i] = hit
-                    scan.cached_names.append(r.name)
-        scan.missing = [i for i, v in enumerate(scan.merged) if v is None]
-        if not scan.missing:  # served whole from the store; nothing is read
-            scan.fold = _Fold(n_events=int(src.health["n_events"]))
-            return scan
-        sub = [scheduled[i] for i in scan.missing]
-        scan.specs = [r.spec for r in sub]
-        # 2. verified-prefix incremental scan, 3. full scan
-        if not self._incremental(scan, sub):
-            scan.chunks = self._chunks(scan)
-            scan.jobs = self._chunk_jobs(scan.chunks)
+        try:
+            if src.path is not None:
+                self._open_archive(src)
+            # 1. whole-trace partials already in the store
+            for i, r in enumerate(scheduled):
+                if src.digest is not None:
+                    hit = self.store.get_partial(src.digest, r.name, r.params)
+                    if hit is not MISS:
+                        scan.merged[i] = hit
+                        scan.cached_names.append(r.name)
+            scan.missing = [i for i, v in enumerate(scan.merged) if v is None]
+            if not scan.missing:  # served whole from the store; nothing is read
+                scan.fold = _Fold(n_events=int(src.health["n_events"]))
+                return scan
+            sub = [scheduled[i] for i in scan.missing]
+            scan.specs = [r.spec for r in sub]
+            # 2. verified-prefix incremental scan, 3. full scan
+            if not self._incremental(scan, sub):
+                scan.chunks = self._chunks(scan)
+                scan.jobs = self._chunk_jobs(scan.chunks)
+        except BaseException:
+            scan.close()  # the archive it opened, too
+            raise
         return scan
 
     def _finish(self, scan: "_Scan", rho, fn_names) -> "Analysis":
@@ -459,12 +468,14 @@ class ParallelEngine:
             # future extended trace can match this one as its prefix)
             keep = src.digest is not None
             if keep and fold.n_events != int(src.health["n_events"]):
-                # the archive was replaced after _open_archive read its record
+                # record and events come from one open: the record is faulty
                 keep = False
                 self.obs.warning(
-                    "archive changed while it was analyzed; results are not cached",
+                    "health record does not describe the archive's events; "
+                    "results are not cached",
                     path=str(src.path),
                     n_events=fold.n_events,
+                    record_n_events=int(src.health["n_events"]),
                 )
             for i, partial in zip(scan.missing, scanned):
                 merged[i] = partial
@@ -480,8 +491,8 @@ class ParallelEngine:
         counts = (0, 0)
         if src.path is not None:  # explicit rho and fn_names win over the archive's
             diag = merged[[r.name for r in scheduled].index("diagnostics")]
-            sample_ids = lambda: np.load(src.path).get("sample_id")
-            *counts, derived = trace_counts(src.meta, diag.a_obs + diag.n_suppressed, sample_ids)
+            implied = diag.a_obs + diag.n_suppressed
+            *counts, derived = trace_counts(src.meta, implied, src.reader.sample_id)
             rho = derived if rho is None else rho
             if fn_names is None:
                 fn_names = {int(k): v for k, v in src.meta.extra.get("fn_names", {}).items()}
@@ -507,28 +518,23 @@ class ParallelEngine:
 
     # -- sources --
 
-    def _open_archive(self, path) -> _Source:
-        """Archive source: metadata always, health + digest with a store.
+    def _open_archive(self, src: _Source) -> None:
+        """Open an archive source's one reader: its metadata, and with a
+        store its health record + digest. The scan streams the chunks
+        from the same reader, and :meth:`_Scan.close` closes it."""
+        from repro.trace.tracefile import TraceReader
 
-        Meta and health are read in opens of their own, before the chunk
-        stream opens the archive again. When a writer replaces the
-        archive in between and the scan counts other than the record's
-        ``n_events``, nothing is stored under the record; a rewrite that
-        keeps the length between the opens stays undetected.
-        """
-        from repro.trace.tracefile import read_trace_health, read_trace_meta
-
-        src = _Source(path=path, meta=read_trace_meta(path))
+        src.reader = TraceReader(src.path)
+        src.meta = src.reader.meta()
         if self.store is not None:
-            src.health = read_trace_health(path)
+            src.health = src.reader.health()
             if src.health is not None:
                 src.digest = ArtifactStore.digest_health(src.health)
-            if src.digest is None:
+            else:
                 self.obs.warning(
                     "archive has no usable health record; analysis cache disabled",
-                    path=str(path),
+                    path=str(src.path),
                 )
-        return src
 
     def _stream_chunk(self) -> int:
         """Events per chunk, unless a pooled in-memory scan sizes its own."""
@@ -547,7 +553,7 @@ class ParallelEngine:
         src = scan.src
         if src.path is not None:
             scan.pooled = self.workers > 1
-            return self._archive_chunks(src.path, skip)
+            return self._archive_chunks(src.reader, skip)
         base = skip.n_events if skip is not None else 0
         events = src.events[base:]
         sample_id = src.sample_id[base:] if src.sample_id is not None else None
@@ -560,17 +566,15 @@ class ParallelEngine:
             for lo, hi in shards
         )
 
-    def _archive_chunks(self, path, skip=None):
+    def _archive_chunks(self, reader, skip=None):
         """The archive's chunks, streamed; without sample ids, joined into one.
 
-        :func:`~repro.trace.tracefile.iter_trace_chunks` never splits a
+        :meth:`~repro.trace.tracefile.TraceReader.chunks` never splits a
         sample across two chunks. A trace without sample ids is one
         sample, so its chunks are joined into one: O(trace) memory, for
         such archives only.
         """
-        from repro.trace.tracefile import iter_trace_chunks
-
-        chunks = iter_trace_chunks(path, chunk_size=self._stream_chunk(), obs=self.obs, skip=skip)
+        chunks = reader.chunks(self._stream_chunk(), obs=self.obs, skip=skip)
         try:
             for ev, sid in chunks:
                 if sid is not None:
@@ -809,13 +813,14 @@ class ParallelEngine:
             for name, seconds in stats["pass_seconds"].items():
                 self.obs.add(f"pass:{name}", seconds, items=stats["n_events"])
             t = time.perf_counter()
-            with self.obs.timed("merge", items=1):
-                out.merged = (
-                    partials
-                    if out.merged is None
-                    else merge_partial_lists(out.merged, partials, scan.specs)
-                )
-            out.merge_seconds += time.perf_counter() - t
+            out.merged = (
+                partials
+                if out.merged is None
+                else merge_partial_lists(out.merged, partials, scan.specs)
+            )
+            spent = time.perf_counter() - t
+            self.obs.add("merge", spent, items=1)
+            out.merge_seconds += spent
             out.n_partials += 1
 
         def pop() -> None:
@@ -830,12 +835,12 @@ class ParallelEngine:
                         slab.release()
                 fold(scan, result)
                 return
-            opened.popleft()
             if scan.jobs is not None:
                 self._count_scan(scan)
             t = time.perf_counter()
             finish(scan)
             outside += time.perf_counter() - t
+            opened.popleft().close()
 
         try:
             scans = iter(scans)
@@ -864,11 +869,7 @@ class ParallelEngine:
                         try:
                             if slab is not None:
                                 fut = pool.submit(
-                                    scan_chunk_shm,
-                                    slab.ref(0, len(ev)),
-                                    scan.specs,
-                                    self.obs,
-                                    offset,
+                                    scan_chunk_shm, slab.ref, scan.specs, self.obs, offset
                                 )
                             else:
                                 fut = pool.submit(

@@ -127,6 +127,11 @@ class ClassMasks:
     irregular: np.ndarray
     nonconst: np.ndarray
 
+    def __getitem__(self, index) -> "ClassMasks":
+        """The masks of the records ``index`` (a slice or index array) selects."""
+        masks = (self.const, self.strided, self.irregular, self.nonconst)
+        return ClassMasks(*(m[index] for m in masks))
+
 
 class ChunkContext:
     """Shared per-chunk intermediates, computed once and memoized.
@@ -585,18 +590,22 @@ class DiagnosticsPartial:
         """Compute the partial for records ``[lo, hi)`` of one chunk (all by
         default) via the artifact context."""
         span = slice(lo, hi)
-        ids = chunk.block_ids(block)[span]
-        masks = chunk.class_masks
-        const = masks.const[span]
-        n_suppressed = int(chunk.events["n_const"][span].sum())
+        return cls.of_records(
+            chunk.block_ids(block)[span], chunk.class_masks[span], chunk.events["n_const"][span]
+        )
+
+    @classmethod
+    def of_records(cls, ids, masks: ClassMasks, n_const) -> "DiagnosticsPartial":
+        """The partial of records given their block ids, class masks and ``n_const``."""
+        n_suppressed = int(n_const.sum())
         return cls(
-            blocks=sorted_unique(ids[masks.nonconst[span]]),
-            strided=sorted_unique(ids[masks.strided[span]]),
-            irregular=sorted_unique(ids[masks.irregular[span]]),
-            has_const=bool(const.any() or n_suppressed > 0),
+            blocks=sorted_unique(ids[masks.nonconst]),
+            strided=sorted_unique(ids[masks.strided]),
+            irregular=sorted_unique(ids[masks.irregular]),
+            has_const=bool(masks.const.any() or n_suppressed > 0),
             a_obs=len(ids),
             n_suppressed=n_suppressed,
-            n_const_records=int(const.sum()),
+            n_const_records=int(masks.const.sum()),
         )
 
     @classmethod
@@ -775,13 +784,21 @@ class WindowsPass(AnalysisPass):
         ev = chunk.events
         if len(ev) == 0:
             return partial
+        # one stable sort groups the chunk's records by function, over the
+        # block ids and class masks every pass shares (``take`` gathers from
+        # the strided record columns about twice as fast as indexing)
+        order = np.argsort(ev["fn"], kind="stable")
+        fns = ev["fn"].take(order)
+        ids = chunk.block_ids(params["block"])[order]
+        masks = chunk.class_masks[order]
+        n_const = ev["n_const"].take(order)
+        cuts = [0, *(np.flatnonzero(fns[1:] != fns[:-1]) + 1).tolist(), len(ev)]
         out = dict(partial)
-        for fid in sorted_unique(ev["fn"]):
-            sub = DiagnosticsPartial.from_events(
-                ev[ev["fn"] == fid], params["block"]
-            )
-            prev = out.get(int(fid))
-            out[int(fid)] = sub if prev is None else prev.merge(sub)
+        for lo, hi in zip(cuts, cuts[1:]):
+            sub = DiagnosticsPartial.of_records(ids[lo:hi], masks[lo:hi], n_const[lo:hi])
+            fid = int(fns[lo])
+            prev = out.get(fid)
+            out[fid] = sub if prev is None else prev.merge(sub)
         return out
 
     def merge(self, a, b):

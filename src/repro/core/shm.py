@@ -5,15 +5,15 @@ array into each pool worker — three copies (pickle, pipe, unpickle)
 per shard of data that is never mutated. This module replaces that
 with named ``multiprocessing.shared_memory`` segments: the parent
 publishes a chunk's arrays once (:func:`publish_shard`, one memcpy
-into ``/dev/shm``), and workers attach by name
-(:func:`attach_shard`, an ``shm_open`` + ``mmap`` — no copy at all).
+into ``/dev/shm``), and a worker maps them by name for one scan
+(:class:`AttachedShard`, an ``shm_open`` + ``mmap`` — no copy at all).
 Only a tiny :class:`ShardRef` descriptor crosses the pipe.
 
 Ownership and cleanup
 ---------------------
 
 Segments are owned by the publishing (parent) process; workers only
-ever map them. The guarantees, in layers:
+map them, one scan per mapping. The guarantees, in layers:
 
 * **normal exit** — the engine releases each slab in a ``finally``
   as soon as its futures are folded;
@@ -47,7 +47,9 @@ import atexit
 import os
 import secrets
 import signal
+import sys
 import threading
+import traceback
 from collections import OrderedDict
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
@@ -62,7 +64,7 @@ __all__ = [
     "SharedSlab",
     "SegmentRegistry",
     "publish_shard",
-    "attach_shard",
+    "AttachedShard",
     "active_segments",
 ]
 
@@ -72,19 +74,16 @@ _ALIGN = 64
 
 @dataclass(frozen=True)
 class ShardRef:
-    """Picklable handle to an event range of a published slab.
+    """Picklable handle to a published slab.
 
-    This is all that crosses the process boundary: a segment name, the
-    layout needed to rebuild the array views, and the ``[lo, hi)`` row
-    range this shard covers.
+    This is all that crosses the process boundary: a segment name and
+    the layout needed to rebuild the array views.
     """
 
     name: str
     n_events: int
     sid_dtype: str | None
     sid_offset: int
-    lo: int
-    hi: int
 
 
 class SegmentRegistry:
@@ -161,41 +160,18 @@ def active_segments() -> list[str]:
 class SharedSlab:
     """One published ``(events, sample_id)`` pair in a shm segment.
 
-    Created by :func:`publish_shard` (parent side only). :meth:`ref`
-    mints picklable worker handles; :meth:`release` closes *and
-    unlinks* the segment (idempotent — the registry, ``finally``
-    blocks, and signal hooks may race to it).
+    Created by :func:`publish_shard` (parent side only). ``ref`` is the
+    picklable worker handle; :meth:`release` closes *and unlinks* the
+    segment (idempotent — the registry, ``finally`` blocks, and signal
+    hooks may race to it).
     """
 
-    def __init__(
-        self,
-        shm: shared_memory.SharedMemory,
-        n_events: int,
-        sid_dtype: str | None,
-        sid_offset: int,
-        obs: Obs = NULL_OBS,
-    ) -> None:
+    def __init__(self, shm: shared_memory.SharedMemory, ref: ShardRef, obs: Obs = NULL_OBS) -> None:
         self._shm = shm
         self.name = shm.name
-        self.n_events = n_events
-        self.nbytes = shm.size
-        self._sid_dtype = sid_dtype
-        self._sid_offset = sid_offset
+        self.ref = ref
         self._obs = obs
         self._released = False
-
-    def ref(self, lo: int, hi: int) -> ShardRef:
-        """A picklable handle to rows ``[lo, hi)`` of this slab."""
-        if not 0 <= lo <= hi <= self.n_events:
-            raise ValueError(f"bad shard range [{lo}, {hi}) of {self.n_events}")
-        return ShardRef(
-            name=self.name,
-            n_events=self.n_events,
-            sid_dtype=self._sid_dtype,
-            sid_offset=self._sid_offset,
-            lo=lo,
-            hi=hi,
-        )
 
     def release(self) -> None:
         """Close and unlink the segment (idempotent)."""
@@ -248,7 +224,8 @@ def publish_shard(
     if sid is not None and len(sid):
         sview = np.ndarray(len(sid), dtype=sid.dtype, buffer=shm.buf, offset=sid_offset)
         sview[:] = sid
-    slab = SharedSlab(shm, n, None if sid is None else sid.dtype.str, sid_offset, obs)
+    ref = ShardRef(name, n, None if sid is None else sid.dtype.str, sid_offset)
+    slab = SharedSlab(shm, ref, obs)
     _REGISTRY.track(slab)
     obs.counter("shm.segments_created").inc()
     obs.counter("shm.bytes_published").inc(total)
@@ -259,57 +236,49 @@ def publish_shard(
 
 # -- worker side --------------------------------------------------------------
 
-#: per-process cache of open attachments. Keeping the most recent
-#: mappings open costs a few pages of address space and guarantees any
-#: arrays still referencing a mapping (e.g. a result the executor is
-#: pickling) stay valid; old mappings are closed as new segments rotate
-#: through (streaming publishes many short-lived slabs).
-_ATTACH_CACHE: OrderedDict[str, shared_memory.SharedMemory] = OrderedDict()
-_ATTACH_CACHE_SIZE = 8
 
+class AttachedShard:
+    """A worker's mapping of one published shard, unmapped on exit.
 
-def _attach(name: str) -> shared_memory.SharedMemory:
-    shm = _ATTACH_CACHE.get(name)
-    if shm is not None:
-        _ATTACH_CACHE.move_to_end(name)
-        return shm
-    # the parent owns the segment: suppress this process's
-    # resource_tracker registration during attach, so a worker exiting
-    # cannot unlink a segment other workers still read and concurrent
-    # workers cannot race the tracker's register/unregister bookkeeping
-    # (bpo-39959; SharedMemory(track=False) only exists from 3.13)
-    orig_register = resource_tracker.register
-    resource_tracker.register = lambda *a, **k: None
-    try:
-        shm = shared_memory.SharedMemory(name=name)
-    finally:
-        resource_tracker.register = orig_register
-    _ATTACH_CACHE[name] = shm
-    while len(_ATTACH_CACHE) > _ATTACH_CACHE_SIZE:
-        _ATTACH_CACHE.popitem(last=False)[1].close()
-    return shm
-
-
-def attach_shard(ref: ShardRef) -> tuple[np.ndarray, np.ndarray | None]:
-    """Map a published shard and return ``(events, sample_id)`` views.
-
-    Zero-copy: the views alias the parent's pages. The mapping is held
-    in a small per-process cache (see ``_ATTACH_CACHE``), so it stays
-    open while the scan's results are pickled back; callers must treat
-    the arrays as read-only scratch whose lifetime ends with the call —
-    analysis partials already own their data (a requirement the pickle
-    handoff imposed long before this module).
+    ``events`` and ``sample_id`` are zero-copy views of the parent's
+    pages. Leaving the ``with`` block drops them and closes the
+    mapping, so a worker holds no segment between scans. A view still
+    alive at that point (a result that kept one instead of owning its
+    buffers) would point into unmapped pages: the exit raises
+    ``BufferError`` instead and leaves the mapping to the view.
     """
-    shm = _attach(ref.name)
-    events = np.ndarray(ref.n_events, dtype=EVENT_DTYPE, buffer=shm.buf)[
-        ref.lo : ref.hi
-    ]
-    sid = None
-    if ref.sid_dtype is not None:
-        sid = np.ndarray(
-            ref.n_events,
-            dtype=np.dtype(ref.sid_dtype),
-            buffer=shm.buf,
-            offset=ref.sid_offset,
-        )[ref.lo : ref.hi]
-    return events, sid
+
+    def __init__(self, ref: ShardRef) -> None:
+        # the parent owns the segment: suppress this process's
+        # resource_tracker registration during attach, so a worker exiting
+        # cannot unlink a segment other workers still read and concurrent
+        # workers cannot race the tracker's register/unregister bookkeeping
+        # (bpo-39959; SharedMemory(track=False) only exists from 3.13)
+        orig_register = resource_tracker.register
+        resource_tracker.register = lambda *a, **k: None
+        try:
+            self._shm = shared_memory.SharedMemory(name=ref.name)
+        finally:
+            resource_tracker.register = orig_register
+        # numpy views hold the mapping itself (their base), not a buffer
+        # export that would make ``close`` refuse: count its references
+        self._refs = sys.getrefcount(self._shm._mmap)
+        buf = self._shm.buf
+        self.events = np.ndarray(ref.n_events, dtype=EVENT_DTYPE, buffer=buf)
+        self.sample_id = None
+        if ref.sid_dtype is not None:
+            self.sample_id = np.ndarray(
+                ref.n_events, dtype=np.dtype(ref.sid_dtype), buffer=buf, offset=ref.sid_offset
+            )
+
+    def __enter__(self) -> "AttachedShard":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.events = self.sample_id = None
+        if tb is not None:
+            # the failed call's frames still hold views of the mapping
+            traceback.clear_frames(tb)
+        if sys.getrefcount(self._shm._mmap) > self._refs:
+            raise BufferError(f"a view of shared-memory shard {self._shm.name} outlived its scan")
+        self._shm.close()

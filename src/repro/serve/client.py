@@ -23,7 +23,7 @@ from repro.serve.protocol import (
     pack_frame,
     read_frame_sync,
 )
-from repro.trace.tracefile import TraceMeta, iter_trace_chunks, read_trace_meta
+from repro.trace.tracefile import TraceMeta, TraceReader
 
 __all__ = ["ServeError", "ServeBusy", "ServeClient", "submit_archive"]
 
@@ -173,35 +173,37 @@ def submit_archive(
 ) -> dict:
     """Stream an existing archive into a session, chunk by chunk.
 
-    Chunks come from :func:`repro.trace.tracefile.iter_trace_chunks`, so
-    they are sample-aligned — exactly the boundaries the incremental
-    re-analysis path can extend. ``busy`` responses back off for the
+    The meta and the chunks come from one open of the archive
+    (:class:`repro.trace.tracefile.TraceReader`); chunks are
+    sample-aligned — exactly the boundaries the incremental re-analysis
+    path can extend. ``busy`` responses back off for the
     server-suggested delay and retry (up to ``max_retries`` per chunk);
     the return dict reports chunks sent and sheds absorbed.
     """
-    meta = read_trace_meta(path)
     n_chunks = 0
     n_events = 0
     n_shed = 0
-    with ServeClient(host, port) as client:
-        client.open(session, meta)
-        for events, sample_id in iter_trace_chunks(path, chunk_size=chunk_size):
-            attempts = 0
-            while True:
-                try:
-                    client.append(session, events, sample_id)
-                    break
-                except ServeBusy as busy:
-                    attempts += 1
-                    n_shed += 1
-                    if attempts > max_retries:
-                        raise ServeError(
-                            f"chunk {n_chunks} shed {attempts} times; giving up"
-                        ) from busy
-                    sleep(busy.retry_ms / 1000.0)
-            n_chunks += 1
-            n_events += int(len(events))
-        info = client.close_session(session)
+    with TraceReader(path) as reader:
+        meta = reader.meta()  # a damaged archive fails before connecting
+        with ServeClient(host, port) as client:
+            client.open(session, meta)
+            for events, sample_id in reader.chunks(chunk_size):
+                attempts = 0
+                while True:
+                    try:
+                        client.append(session, events, sample_id)
+                        break
+                    except ServeBusy as busy:
+                        attempts += 1
+                        n_shed += 1
+                        if attempts > max_retries:
+                            raise ServeError(
+                                f"chunk {n_chunks} shed {attempts} times; giving up"
+                            ) from busy
+                        sleep(busy.retry_ms / 1000.0)
+                n_chunks += 1
+                n_events += int(len(events))
+            info = client.close_session(session)
     return {
         "session": session,
         "archive": info.get("archive"),

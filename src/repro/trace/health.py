@@ -13,9 +13,9 @@ can be *localized* after the fact. This module consumes it:
   :class:`HealthReport` whose findings classify every problem as
   ``truncation`` / ``bit-flip`` / ``schema``; ``memgaze
   validate-trace`` is its CLI face.
-* :func:`recover_read` — the degraded-mode loader. When the normal
-  eager read fails, it re-audits the archive, drops event chunks whose
-  checksums fail, and returns the intact prefix plus the findings,
+* :func:`recover_read` — the degraded-mode loader, for an archive whose
+  normal eager read failed: it audits the archive, drops event chunks
+  whose checksums fail, and returns the intact prefix plus the findings,
   journaling one warning per problem instead of crashing the pipeline.
 
 Truncation destroys the zip central directory, which lives at the *end*
@@ -452,21 +452,14 @@ def recover_read(
 ) -> tuple[np.ndarray, TraceMeta, np.ndarray | None, list[Finding]]:
     """Best-effort load of a damaged archive: the verified event prefix.
 
-    Tries the normal eager read first; on any structural failure falls
-    back to the audit pass, drops corrupt tail chunks, and returns
-    ``(events, meta, sample_id, findings)``. Every finding is journaled
-    through ``obs`` as a warning. Raises :class:`TraceFormatError` only when nothing usable
-    survives (no readable metadata at all).
+    Runs the audit pass (the caller has already seen the eager read
+    fail), drops corrupt tail chunks, and returns ``(events, meta,
+    sample_id, findings)``; an intact archive comes back whole with no
+    findings. Every finding is journaled through ``obs`` as a warning.
+    Raises :class:`TraceFormatError` only when nothing usable survives
+    (no readable metadata at all).
     """
-    from repro.trace.tracefile import read_trace
-
     actual = _archive_path(path)
-    try:
-        events, meta, sample_id, _ = read_trace(actual)
-        return events, meta, sample_id, []
-    except Exception:
-        pass  # fall through to degraded-mode recovery
-
     audit = _audit_archive(actual)
     if audit.meta is None:
         raise TraceFormatError(

@@ -25,9 +25,7 @@ Only an archive with no readable metadata at all raises
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, field
-from zipfile import BadZipFile
 
 import numpy as np
 
@@ -85,7 +83,7 @@ def load_trace_collection(path, obs: Obs = NULL_OBS) -> LoadedTrace:
     findings: list[Finding] = []
     try:
         events, meta, sample_id, health = read_trace(path)
-    except (TraceFormatError, BadZipFile, OSError, ValueError, zlib.error):
+    except (TraceFormatError, OSError, ValueError):
         from repro.trace.health import recover_read
 
         clean = False

@@ -7,15 +7,12 @@ re-derive rho/kappa and to attribute ips to source lines offline. Table
 III's size accounting uses both the in-memory packet model
 (:func:`packet_bytes`) and real on-disk sizes.
 
-Two read paths exist:
-
-* :func:`read_trace` — eager, materializes the whole event array and
-  reads the health record in the same open;
-* :func:`iter_trace_chunks` — streaming: decompresses the archive
-  members incrementally and yields sample-aligned chunks, so analysis
-  (and the parallel engine's workers) never hold more than one chunk of
-  a multi-GB trace in memory at a time. :func:`read_trace_meta` reads
-  only the metadata member.
+Every read here is one open of one :class:`TraceReader`, which gives the
+metadata, the health record and the arrays — whole, or streamed in
+sample-aligned chunks (:meth:`TraceReader.chunks`) so analysis never
+holds more than one chunk of a multi-GB trace. :func:`read_trace`,
+:func:`read_trace_meta`, :func:`read_trace_health` and
+:func:`iter_trace_chunks` are its one-shot uses.
 
 Malformed archives raise :class:`TraceFormatError` (which carries the
 archive path and the offending member/key) instead of the raw
@@ -83,6 +80,7 @@ __all__ = [
     "TraceMeta",
     "PrefixSkip",
     "TraceAppender",
+    "TraceReader",
     "write_trace",
     "read_trace",
     "read_trace_meta",
@@ -464,92 +462,11 @@ def _parse_meta(path, blob: bytes) -> TraceMeta:
         raise TraceFormatError(path, "meta", f"unreadable trace metadata: {e}") from e
 
 
-def _read_health(archive) -> dict | None:
-    """The ``health`` record of an open archive, or None when unusable.
-
-    The one parser behind :func:`read_trace` and
-    :func:`read_trace_health`: a missing, damaged, unparsable or
-    incomplete member gives ``None``, never an exception.
-    """
-    if "health" not in archive:
-        return None
-    try:
-        record = json.loads(bytes(archive["health"]).decode("utf-8"))
-    except (OSError, ValueError, zipfile.BadZipFile, zlib.error):
-        return None
-    if not isinstance(record, dict):
-        return None
-    required = {"version", "chunk_events", "n_events", "events_crc"}
-    if not required <= set(record):
-        return None
-    return record
-
-
-def read_trace(path) -> tuple[np.ndarray, TraceMeta, np.ndarray | None, dict | None]:
-    """Read a trace archive: ``(events, meta, sample_id, health)``.
-
-    ``health`` is the archive's health record (see
-    :func:`read_trace_health`), read in the same open as the events, so
-    it describes exactly the arrays returned even when a writer replaces
-    the archive meanwhile. Raises :class:`TraceFormatError` when a
-    required member is missing or the metadata does not parse.
-    """
-    # the file is opened here, not by np.load, which leaks it when the
-    # zip directory does not parse
-    with open(path, "rb") as fh, np.load(fh) as archive:
-        for member in ("events", "meta"):
-            if member not in archive:
-                raise TraceFormatError(
-                    path, member, f"archive is missing required member {member!r}"
-                )
-        events = archive["events"]
-        meta = _parse_meta(path, bytes(archive["meta"]))
-        sample_id = archive["sample_id"] if "sample_id" in archive else None
-        health = _read_health(archive)
-    if events.dtype != EVENT_DTYPE:
-        raise TraceFormatError(
-            path, "events", f"archive events have dtype {events.dtype}"
-        )
-    return events, meta, sample_id, health
-
-
-def read_trace_meta(path) -> TraceMeta:
-    """Read only the metadata member of a trace archive (cheap).
-
-    A damaged archive (no zip directory, a member failing its CRC)
-    raises :class:`TraceFormatError` naming it.
-    """
-    # the file is opened here, not by np.load, which leaks it when the
-    # zip directory does not parse
-    with _damage_is_format_error(path, "meta"), open(path, "rb") as fh, np.load(fh) as archive:
-        if "meta" not in archive:
-            raise TraceFormatError(
-                path, "meta", "archive is missing required member 'meta'"
-            )
-        return _parse_meta(path, bytes(archive["meta"]))
-
-
-def read_trace_health(path) -> dict | None:
-    """Read an archive's ``health`` record (per-chunk CRCs), or None.
-
-    Returns ``None`` — never raises — for archives written before the
-    health layer, or whose health member is missing, unparsable, or
-    incomplete. Callers (the analysis cache in
-    :mod:`repro.core.artifacts`) treat ``None`` as "this trace cannot
-    be content-addressed".
-    """
-    try:
-        with open(path, "rb") as fh, np.load(fh) as archive:
-            return _read_health(archive)
-    except (OSError, ValueError, KeyError, zipfile.BadZipFile, zlib.error):
-        return None
-
-
 @dataclass
 class PrefixSkip:
     """A request to skip — and checksum — the first ``n_events`` of a trace.
 
-    Passed to :func:`iter_trace_chunks` for incremental re-analysis of
+    Passed to :meth:`TraceReader.chunks` for incremental re-analysis of
     an appended archive: the prefix that a previous run already analyzed
     is decompressed and *discarded*, but its bytes are CRC'd in the same
     :data:`HEALTH_CHUNK_EVENTS` steps :func:`write_trace` uses, filling
@@ -572,26 +489,29 @@ class PrefixSkip:
 
 
 class _MemberStream:
-    """Incremental reader over one ``.npy`` member of an ``.npz`` archive.
+    """Incremental reader over one ``.npy`` member of an open archive.
 
     ``zipfile`` decompresses DEFLATE streams lazily, so reading N bytes
     touches only the compressed prefix that produces them — the array is
-    never materialized whole.
+    never materialized whole. Damage met while reading raises
+    :class:`TraceFormatError` naming the member.
     """
 
-    def __init__(self, zf: zipfile.ZipFile, name: str, expect_dtype=None) -> None:
-        self._fp = zf.open(name)
-        version = np.lib.format.read_magic(self._fp)
-        if version == (1, 0):
-            shape, fortran, dtype = np.lib.format.read_array_header_1_0(self._fp)
-        elif version == (2, 0):
-            shape, fortran, dtype = np.lib.format.read_array_header_2_0(self._fp)
-        else:  # pragma: no cover - numpy always writes 1.0/2.0 here
-            raise ValueError(f"unsupported npy version {version} in {name}")
+    def __init__(self, reader: "TraceReader", key: str, expect_dtype=None) -> None:
+        self._fp = reader._open(key)
+        self._where = (reader.path, key)
+        with _damage_is_format_error(*self._where):
+            version = np.lib.format.read_magic(self._fp)
+            if version == (1, 0):
+                shape, fortran, dtype = np.lib.format.read_array_header_1_0(self._fp)
+            elif version == (2, 0):
+                shape, fortran, dtype = np.lib.format.read_array_header_2_0(self._fp)
+            else:  # pragma: no cover - numpy always writes 1.0/2.0 here
+                raise ValueError(f"unsupported npy version {version} in {key}")
         if len(shape) != 1 or fortran:
-            raise ValueError(f"member {name} is not a 1-D C-order array")
+            raise ValueError(f"member {key} is not a 1-D C-order array")
         if expect_dtype is not None and dtype != expect_dtype:
-            raise TypeError(f"member {name} has dtype {dtype}")
+            raise TypeError(f"member {key} has dtype {dtype}")
         self.dtype = dtype
         self.length = shape[0]
         self._remaining = shape[0]
@@ -602,7 +522,8 @@ class _MemberStream:
         if n_items <= 0:
             return np.empty(0, dtype=self.dtype)
         want = n_items * self.dtype.itemsize
-        buf = self._fp.read(want)
+        with _damage_is_format_error(*self._where):
+            buf = self._fp.read(want)
         if len(buf) != want:
             raise OSError(
                 f"truncated archive member: wanted {want} bytes, got {len(buf)}"
@@ -648,54 +569,113 @@ def _skip_prefix(
     obs.emit("chunk-skip", n_events=skip.n_events)
 
 
-def iter_trace_chunks(
-    path,
-    chunk_size: int = 1 << 20,
-    *,
-    obs: Obs = NULL_OBS,
-    skip: PrefixSkip | None = None,
-) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
-    """Yield ``(events, sample_id)`` chunks of a trace archive, streaming.
+class TraceReader:
+    """One open trace archive: its meta, health record and arrays.
 
-    Chunks hold about ``chunk_size`` events. With a stored ``sample_id``,
-    a sample is never split across two chunks: the trailing run of the
-    last sample id is carried into the next chunk, so per-chunk
-    intra-sample analyses (reuse distances, boundaries) see exactly what
-    a whole-trace pass would.
-
-    A missing ``events`` member raises :class:`TraceFormatError` naming
-    the archive and the member, instead of ``zipfile``'s bare
-    ``KeyError``; so does zip or DEFLATE damage met while streaming (a
-    member failing its CRC, a corrupt compressed stream). Through
-    ``obs`` (a :class:`~repro.obs.Obs`) it counts chunks, events, and
-    decompressed bytes read under
-    ``trace.chunks_read`` / ``trace.events_read`` /
-    ``trace.bytes_read`` and journals one ``chunk-read`` line per chunk
-    (with ``n_events`` and ``nbytes``), so the journal proves how many times
-    the trace was actually read — a fused multi-pass analysis shows one
-    line per chunk, not chunks x passes — and how many bytes each
-    zero-copy publish will move (see ``docs/performance.md``).
-
-    With a :class:`PrefixSkip`, the first ``skip.n_events`` events are
-    decompressed, checksummed into ``skip``, and discarded before the
-    first chunk is yielded (one ``chunk-skip`` journal line, counted
-    under ``trace.events_skipped`` — not as chunks read). Yielding then
-    continues from the skip point, so an appended archive's new tail
-    streams without re-analyzing its cached prefix.
+    Every read goes through the one file handle opened here. A writer
+    publishes by renaming a new file into place, which leaves this
+    handle on the old one, so no replacement can pair one archive's
+    record with another's events. Zip or DEFLATE damage raises
+    :class:`TraceFormatError` naming the member being read, and so does
+    a required member that is absent (``events`` only when the events
+    are read); :meth:`health` never raises.
     """
-    if chunk_size <= 0:
-        raise ValueError(f"chunk_size must be > 0, got {chunk_size}")
-    actual = _archive_path(path)
-    with _damage_is_format_error(actual, "events"), zipfile.ZipFile(actual) as zf:
-        names = set(zf.namelist())
-        if "events.npy" not in names:
-            raise TraceFormatError(
-                actual, "events", "archive is missing required member 'events'"
-            )
-        ev_stream = _MemberStream(zf, "events.npy", EVENT_DTYPE)
-        sid_stream = (
-            _MemberStream(zf, "sample_id.npy") if "sample_id.npy" in names else None
-        )
+
+    def __init__(self, path) -> None:
+        self.path = path
+        self._fh = open(path, "rb")
+        self._zip: zipfile.ZipFile | None = None
+
+    def close(self) -> None:
+        self._fh.close()  # a zip over a file it was given never owns it
+
+    def __enter__(self) -> "TraceReader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def _has(self, key: str) -> bool:
+        with _damage_is_format_error(self.path, key):
+            self._zip = self._zip or zipfile.ZipFile(self._fh)
+            return f"{key}.npy" in self._zip.NameToInfo
+
+    def _open(self, key: str):
+        """The member ``key``'s file object; a missing member raises."""
+        if not self._has(key):
+            raise TraceFormatError(self.path, key, f"archive is missing required member {key!r}")
+        with _damage_is_format_error(self.path, key):
+            return self._zip.open(f"{key}.npy")
+
+    def _read(self, key: str) -> np.ndarray:
+        """The member ``key`` as one array."""
+        with self._open(key) as fp, _damage_is_format_error(self.path, key):
+            return np.lib.format.read_array(fp)
+
+    def meta(self) -> TraceMeta:
+        """The collection metadata (the small ``meta`` member)."""
+        return _parse_meta(self.path, self._read("meta").tobytes())
+
+    def health(self) -> dict | None:
+        """The health record (per-chunk CRCs), or None — never an exception.
+
+        None for archives written before the health layer, or whose
+        member is damaged, unparsable or incomplete: the analysis cache
+        (:mod:`repro.core.artifacts`) treats it as "this trace cannot
+        be content-addressed".
+        """
+        try:
+            record = json.loads(self._read("health").tobytes().decode("utf-8"))
+        except (TraceFormatError, OSError, ValueError):
+            return None
+        required = {"version", "chunk_events", "n_events", "events_crc"}
+        return record if isinstance(record, dict) and required <= set(record) else None
+
+    def events(self) -> np.ndarray:
+        """The whole ``events`` member."""
+        events = self._read("events")
+        if events.dtype != EVENT_DTYPE:
+            raise TraceFormatError(self.path, "events", f"archive events have dtype {events.dtype}")
+        return events
+
+    def sample_id(self) -> np.ndarray | None:
+        """The whole ``sample_id`` member, or None when none is stored."""
+        return self._read("sample_id") if self._has("sample_id") else None
+
+    def chunks(
+        self,
+        chunk_size: int = 1 << 20,
+        *,
+        obs: Obs = NULL_OBS,
+        skip: PrefixSkip | None = None,
+    ) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
+        """Yield ``(events, sample_id)`` chunks, streaming.
+
+        Each call streams the members anew. Chunks hold about
+        ``chunk_size`` events. With a stored ``sample_id``, a sample is
+        never split across two chunks: the trailing run of the last
+        sample id is carried into the next chunk, so per-chunk
+        intra-sample analyses (reuse distances, boundaries) see exactly
+        what a whole-trace pass would.
+
+        Through ``obs`` (a :class:`~repro.obs.Obs`) it counts chunks,
+        events, and decompressed bytes read under ``trace.chunks_read``
+        / ``trace.events_read`` / ``trace.bytes_read`` and journals one
+        ``chunk-read`` line per chunk (with ``n_events`` and
+        ``nbytes``): the journal proves how many times the trace was
+        read — a fused multi-pass analysis shows one line per chunk, not
+        chunks x passes — and how many bytes each zero-copy publish moves.
+
+        With a :class:`PrefixSkip`, the first ``skip.n_events`` events
+        are decompressed, checksummed into ``skip``, and discarded
+        before the first chunk is yielded (one ``chunk-skip`` journal
+        line, counted under ``trace.events_skipped``), so an appended
+        archive's new tail streams without re-analyzing its prefix.
+        """
+        if chunk_size <= 0:
+            raise ValueError(f"chunk_size must be > 0, got {chunk_size}")
+        ev_stream = _MemberStream(self, "events", EVENT_DTYPE)
+        sid_stream = _MemberStream(self, "sample_id") if self._has("sample_id") else None
         try:
             if skip is not None:
                 _skip_prefix(ev_stream, sid_stream, skip, obs)
@@ -736,6 +716,46 @@ def iter_trace_chunks(
             ev_stream.close()
             if sid_stream is not None:
                 sid_stream.close()
+
+
+def read_trace(path) -> tuple[np.ndarray, TraceMeta, np.ndarray | None, dict | None]:
+    """Read a trace archive: ``(events, meta, sample_id, health)``.
+
+    One :class:`TraceReader` open, so ``health`` describes exactly the
+    arrays returned even when a writer replaces the archive meanwhile.
+    """
+    with TraceReader(path) as reader:
+        events = reader.events()
+        return events, reader.meta(), reader.sample_id(), reader.health()
+
+
+def read_trace_meta(path) -> TraceMeta:
+    """Read only the metadata member of a trace archive (cheap)."""
+    with TraceReader(path) as reader:
+        return reader.meta()
+
+
+def read_trace_health(path) -> dict | None:
+    """Read an archive's ``health`` record (:meth:`TraceReader.health`);
+    None also for a file that does not open."""
+    try:
+        with TraceReader(path) as reader:
+            return reader.health()
+    except OSError:
+        return None
+
+
+def iter_trace_chunks(
+    path,
+    chunk_size: int = 1 << 20,
+    *,
+    obs: Obs = NULL_OBS,
+    skip: PrefixSkip | None = None,
+) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
+    """:meth:`TraceReader.chunks` over one open of ``path`` (with numpy's
+    ``.npz`` suffix rule)."""
+    with TraceReader(_archive_path(path)) as reader:
+        yield from reader.chunks(chunk_size, obs=obs, skip=skip)
 
 
 def packet_bytes(events: np.ndarray, *, two_reg_fraction: float = 0.0) -> int:

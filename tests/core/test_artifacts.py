@@ -321,46 +321,85 @@ class TestIncrementalAppend:
 
 
 class TestReplacedArchive:
-    def test_archive_replaced_after_open_is_not_cached(self, tmp_path, monkeypatch):
-        """A publish between the record's open and the chunk stream's.
+    def test_archive_replaced_after_open_reads_as_opened(self, tmp_path, monkeypatch):
+        """A publish lands between the archive's open and its scan.
 
-        The scan then reads a longer archive than the record describes;
-        its partials must not be stored under the record's digest, or a
-        later analysis of the shorter archive is served the longer
-        trace's results.
+        The analysis holds one open of the file, so it reads the archive
+        as opened — record, events and counts alike — and stores its
+        partials under that archive's own digest: a re-analysis of the
+        same bytes is served from the store and equals a fresh uncached
+        analysis.
         """
         ev, sid = _trace(26 * SAMPLE)
         n0 = 20 * SAMPLE
         path, longer = tmp_path / "t.npz", tmp_path / "longer.npz"
         _write(path, ev[:n0], sid[:n0])
         _write(longer, ev, sid)
-        jpath = tmp_path / "j.jsonl"
+        digest = _archive_digest(path)
         open_archive = ParallelEngine._open_archive
 
-        def open_then_publish(engine, source):
-            src = open_archive(engine, source)
+        def open_then_publish(engine, src):
+            open_archive(engine, src)
             os.replace(longer, path)
-            return src
+
+        def run():
+            store = ArtifactStore(tmp_path / "cache")
+            with ParallelEngine(workers=1, chunk_size=2 * SAMPLE, store=store) as eng:
+                return eng.analyze(path, FILE_PASSES)
+
+        monkeypatch.setattr(ParallelEngine, "_open_archive", open_then_publish)
+        first = run()
+        monkeypatch.undo()
+        assert first.n_events == n0
+        assert first.digest == digest and first.mode == "full"
+
+        _write(path, ev[:n0], sid[:n0])  # the same bytes again
+        got = run()
+        ref = ParallelEngine(workers=1, chunk_size=2 * SAMPLE).analyze(path, FILE_PASSES)
+        assert got.mode == "cached" and got.digest == digest
+        assert _analysis_tuple(got) == _analysis_tuple(first) == _analysis_tuple(ref)
+
+    def test_record_that_miscounts_its_events_is_not_cached(self, tmp_path):
+        """A health record whose ``n_events`` is not its events member's
+        length is faulty: the archive is analyzed, but nothing is stored
+        under the record."""
+        ev, sid = _trace(6 * SAMPLE)
+        good = _write(tmp_path / "good.npz", ev, sid)
+        path = _with_health(good, tmp_path / "t.npz", n_events=len(ev) + SAMPLE)
+        jpath = tmp_path / "j.jsonl"
 
         def run():
             obs = Obs(RunJournal(jpath))
             store = ArtifactStore(tmp_path / "cache", obs=obs)
-            with ParallelEngine(
-                workers=1, chunk_size=2 * SAMPLE, store=store, obs=obs
-            ) as eng:
+            with ParallelEngine(workers=1, store=store, obs=obs) as eng:
                 return eng.analyze(path, FILE_PASSES)
 
-        monkeypatch.setattr(ParallelEngine, "_open_archive", open_then_publish)
-        assert run().n_events == len(ev)
-        monkeypatch.undo()
+        ref = ParallelEngine(workers=1).analyze(good, FILE_PASSES)
+        for _ in range(2):
+            got = run()
+            assert got.mode == "full"
+            assert _analysis_tuple(got) == _analysis_tuple(ref)
         warnings = [r for r in read_journal(jpath) if r.get("event") == "warning"]
-        assert any("archive changed while it was analyzed" in w["message"] for w in warnings)
+        assert len(warnings) == 2
+        assert all("does not describe the archive's events" in w["message"] for w in warnings)
+        assert warnings[0]["record_n_events"] == len(ev) + SAMPLE
 
-        _write(path, ev[:n0], sid[:n0])  # the shorter archive again
-        got = run()
-        ref = ParallelEngine(workers=1, chunk_size=2 * SAMPLE).analyze(path, FILE_PASSES)
-        assert got.mode == "full"
-        assert _analysis_tuple(got) == _analysis_tuple(ref)
+
+def _with_health(src, dst, **change):
+    """Copy archive ``src`` to ``dst`` with fields of its health record changed."""
+    import io
+    import zipfile
+
+    with zipfile.ZipFile(src) as zin, zipfile.ZipFile(dst, "w", zipfile.ZIP_DEFLATED) as zout:
+        for name in zin.namelist():
+            data = zin.read(name)
+            if name == "health.npy":
+                record = {**json.loads(np.load(io.BytesIO(data)).tobytes()), **change}
+                buf = io.BytesIO()
+                np.save(buf, np.frombuffer(json.dumps(record).encode(), dtype=np.uint8))
+                data = buf.getvalue()
+            zout.writestr(name, data)
+    return dst
 
 
 class TestInMemoryIncremental:

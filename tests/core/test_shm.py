@@ -17,15 +17,16 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.core.parallel import ParallelEngine
 from repro.core.shm import (
+    AttachedShard,
     SegmentRegistry,
     active_segments,
-    attach_shard,
     publish_shard,
 )
 from repro.obs import MetricsRegistry, Obs
@@ -53,6 +54,18 @@ def _trace(n=40_000, seed=11):
     return ev, sid
 
 
+def _mapped(name: str = "mg-") -> int:
+    """Lines of this process's memory map that map segment ``name``."""
+    with open("/proc/self/maps") as fh:
+        return sum(f"/dev/shm/{name}" in line for line in fh)
+
+
+def _worker_mappings(hold: float) -> tuple[int, int]:
+    """``(pid, mg- mappings)`` of the pool worker running this task."""
+    time.sleep(hold)  # keep this worker busy so the next task goes elsewhere
+    return os.getpid(), _mapped()
+
+
 @pytest.fixture(autouse=True)
 def _no_preexisting_leaks():
     before = _live_segments()
@@ -66,13 +79,9 @@ class TestPublishAttach:
         ev, sid = _trace(n=5000)
         slab = publish_shard(ev, sid)
         try:
-            got_ev, got_sid = attach_shard(slab.ref(0, len(ev)))
-            assert np.array_equal(got_ev, ev)
-            assert np.array_equal(got_sid, sid)
-            lo, hi = 1200, 4100
-            part_ev, part_sid = attach_shard(slab.ref(lo, hi))
-            assert np.array_equal(part_ev, ev[lo:hi])
-            assert np.array_equal(part_sid, sid[lo:hi])
+            with AttachedShard(slab.ref) as shard:
+                assert np.array_equal(shard.events, ev)
+                assert np.array_equal(shard.sample_id, sid)
         finally:
             slab.release()
         assert active_segments() == []
@@ -81,20 +90,49 @@ class TestPublishAttach:
         ev, _ = _trace(n=300)
         slab = publish_shard(ev)
         try:
-            got_ev, got_sid = attach_shard(slab.ref(0, len(ev)))
-            assert got_sid is None
-            assert np.array_equal(got_ev, ev)
+            with AttachedShard(slab.ref) as shard:
+                assert shard.sample_id is None
+                assert np.array_equal(shard.events, ev)
         finally:
             slab.release()
 
-    def test_bad_range_rejected(self):
-        ev, _ = _trace(n=100)
+    def test_detach_unmaps(self):
+        ev, sid = _trace(n=1000)
+        slab = publish_shard(ev, sid)
+        try:
+            with AttachedShard(slab.ref) as shard:
+                assert _mapped(slab.name) == 2  # the publisher's and this one
+            assert _mapped(slab.name) == 1
+        finally:
+            slab.release()
+        assert _mapped(slab.name) == 0
+
+    def test_escaped_view_fails_the_detach(self):
+        """A view that outlives its scan would read unmapped pages: the
+        detach raises instead of unmapping under it."""
+        ev, _ = _trace(n=1000)
         slab = publish_shard(ev)
         try:
-            with pytest.raises(ValueError, match="shard range"):
-                slab.ref(50, 200)
-            with pytest.raises(ValueError, match="shard range"):
-                slab.ref(-1, 10)
+            with pytest.raises(BufferError, match="outlived its scan"):
+                with AttachedShard(slab.ref) as shard:
+                    kept = shard.events[10:20]
+            assert np.array_equal(kept, ev[10:20])  # still mapped, still valid
+            del kept, shard
+        finally:
+            slab.release()
+
+    def test_failed_scan_still_unmaps(self):
+        ev, _ = _trace(n=1000)
+        slab = publish_shard(ev)
+
+        def scan(events):
+            raise KeyError("boom")
+
+        try:
+            with pytest.raises(KeyError, match="boom"):
+                with AttachedShard(slab.ref) as shard:
+                    scan(shard.events)
+            assert _mapped(slab.name) == 1
         finally:
             slab.release()
 
@@ -191,6 +229,23 @@ class TestEngineLifecycle:
             engine.analyze((ev, sid, None), ["diagnostics", "captures", "reuse"])
             assert active_segments() == []
         assert _live_segments() - before == set()
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc")
+    @pytest.mark.parametrize("source", ["memory", "archive"])
+    def test_workers_keep_no_mapping(self, tmp_path, source):
+        """A pooled scan leaves no segment mapped in any pool worker: a
+        task sent to the same pool afterwards finds no ``mg-`` line in
+        its own memory map."""
+        ev, sid = _trace(n=200_000)
+        path = tmp_path / "t.npz"
+        write_trace(path, ev, TraceMeta(module="shm-test"), sample_id=sid)
+        with ParallelEngine(workers=2, chunk_size=8192) as engine:
+            fa = engine.analyze((ev, sid, None) if source == "memory" else path, ["diagnostics"])
+            assert fa.n_events == len(ev)
+            pool = engine._executor()
+            seen = [f.result() for f in [pool.submit(_worker_mappings, 0.2) for _ in range(4)]]
+        assert seen and all(n == 0 for _, n in seen), seen
+        assert _mapped() == 0
 
     def test_shm_matches_pickle(self, monkeypatch):
         ev, sid = _trace()
